@@ -14,7 +14,6 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/render"
 	"repro/internal/scene"
-	"repro/internal/simt"
 )
 
 // ablationWorkload builds one incoherent-bounce workload shared by the
@@ -41,14 +40,14 @@ func ablationWorkload(b *testing.B) (*kernels.SceneData, []geom.Ray) {
 func BenchmarkAblationScheduler(b *testing.B) {
 	data, rays := ablationWorkload(b)
 	for i := 0; i < b.N; i++ {
-		for _, pol := range []simt.SchedPolicy{simt.SchedGTO, simt.SchedRR} {
+		for _, sched := range []string{"gto", "lrr"} {
 			opt := harness.DefaultOptions()
-			opt.Simt.Scheduler = pol
-			r, err := harness.Run(harness.ArchDRS, rays, data, opt)
+			opt.Sched = sched
+			r, err := harness.RunNamed("drs", rays, data, opt)
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportMetric(r.Mrays, pol.String()+"-Mrays")
+			b.ReportMetric(r.Mrays, sched+"-Mrays")
 		}
 	}
 }
@@ -61,7 +60,7 @@ func BenchmarkAblationSpeculation(b *testing.B) {
 		for _, spec := range []bool{true, false} {
 			opt := harness.DefaultOptions()
 			opt.Aila.Speculative = spec
-			r, err := harness.Run(harness.ArchAila, rays, data, opt)
+			r, err := harness.RunNamed("aila", rays, data, opt)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -83,7 +82,7 @@ func BenchmarkAblationLeafBurst(b *testing.B) {
 		for _, burst := range []int{1, 4, 16} {
 			opt := harness.DefaultOptions()
 			opt.WhileIf = kernels.WhileIfConfig{InnerBurst: burst, LeafBurst: burst}
-			r, err := harness.Run(harness.ArchDRS, rays, data, opt)
+			r, err := harness.RunNamed("drs", rays, data, opt)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -101,7 +100,7 @@ func BenchmarkAblationTexCache(b *testing.B) {
 		for _, kb := range []int{12, 48, 96} {
 			opt := harness.DefaultOptions()
 			opt.Simt.Mem.L1TexKB = kb
-			r, err := harness.Run(harness.ArchDRS, rays, data, opt)
+			r, err := harness.RunNamed("drs", rays, data, opt)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -8,8 +8,7 @@
 // The device engine is the deterministic epoch-barrier engine by
 // default, so every run of the same configuration produces identical
 // cycle counts; -repeat N re-runs the selected experiments and exits
-// nonzero if any cell diverges, and -engine free selects the legacy
-// free-running engine (whose timing jitters across runs).
+// nonzero if any cell diverges.
 package main
 
 import (
@@ -30,7 +29,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/harness"
 	"repro/internal/scene"
-	"repro/internal/simt"
 )
 
 func main() {
@@ -47,7 +45,6 @@ func main() {
 		scen    = flag.String("scene", "", "restrict to one scene (conference|fairy|sponza|plants)")
 		paper   = flag.Bool("paper", false, "use paper-scale parameters (slow)")
 		asJSON  = flag.Bool("json", false, "emit raw experiment cells as JSON instead of tables")
-		engine  = flag.String("engine", "epoch", "execution engine: epoch (deterministic barrier) or free (legacy free-running)")
 		par     = flag.Int("par", 0, "experiment cell scheduler workers (0 = GOMAXPROCS, 1 = sequential); output is byte-identical at any value")
 		repeat  = flag.Int("repeat", 1, "run the selected experiments N times; exit 1 if any cell diverges between runs")
 		timeout = flag.Duration("timeout", 0, "abort after this wall-clock duration (0 = no limit); a timed-out run exits with code 3, distinct from divergence failures (1)")
@@ -103,15 +100,6 @@ func main() {
 		os.Exit(2)
 	}
 	p.Options.Parallelism = *par
-	switch *engine {
-	case "epoch":
-		p.Options.Simt.Engine = simt.EngineEpoch
-	case "free":
-		p.Options.Simt.Engine = simt.EngineFree
-	default:
-		fmt.Fprintf(os.Stderr, "unknown engine %q; valid: epoch free\n", *engine)
-		os.Exit(2)
-	}
 	// The device model applies after the scalar device overrides so a
 	// named config fully determines the device; a bad name or a config
 	// the validator rejects is a usage error, reported once, here.
@@ -228,15 +216,15 @@ func main() {
 				exitOn(err)
 				if !bytes.Equal(fp, ref[r.name]) {
 					fmt.Fprintf(os.Stderr,
-						"drsbench: determinism violation: run %d of %s diverged from run 1 on the %s engine\n",
-						i, r.name, *engine)
+						"drsbench: determinism violation: run %d of %s diverged from run 1\n",
+						i, r.name)
 					flushProfiles()
 					os.Exit(1)
 				}
 			}
 			fmt.Fprintf(os.Stderr, "repeat %d/%d: identical\n", i, *repeat)
 		}
-		fmt.Fprintf(os.Stderr, "determinism check passed: %d runs bit-identical (%s engine)\n", *repeat, *engine)
+		fmt.Fprintf(os.Stderr, "determinism check passed: %d runs bit-identical\n", *repeat)
 	}
 
 	if *exp == "all" {

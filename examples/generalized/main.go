@@ -23,7 +23,7 @@ func run(cfg gshuffle.Config, shuffle bool) (simt.Stats, gshuffle.Stats) {
 	scfg.NumSMX = 1
 	scfg.MaxWarpsPerSMX = cfg.Warps
 	scfg.MaxCycles = 1 << 24
-	l2 := memsys.NewL2(scfg.Mem)
+	l2 := memsys.NewOrderedL2(scfg.Mem, 1)
 
 	hooks := simt.Hooks{
 		Gate: func(s *simt.SMX, warp int, now int64) simt.GateResult {

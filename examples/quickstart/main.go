@@ -39,7 +39,7 @@ func main() {
 	data := kernels.NewSceneData(bv)
 	opt := harness.DefaultOptions()
 	for _, arch := range []harness.Arch{harness.ArchAila, harness.ArchDRS} {
-		r, err := harness.Run(arch, rays, data, opt)
+		r, err := harness.RunNamed(arch.String(), rays, data, opt)
 		if err != nil {
 			log.Fatal(err)
 		}

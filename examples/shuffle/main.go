@@ -52,7 +52,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	l2 := memsys.NewL2(scfg.Mem)
+	l2 := memsys.NewOrderedL2(scfg.Mem, 1)
 	smx, err := simt.NewSMX(0, scfg, k, ctrl.Hooks(), l2)
 	if err != nil {
 		log.Fatal(err)

@@ -89,7 +89,7 @@ func buildDRS(t testing.TB, cfg Config, nrays int) (*simt.SMX, *Control, *kernel
 	scfg.NumSMX = 1
 	scfg.MaxWarpsPerSMX = cfg.Warps()
 	scfg.MaxCycles = 1 << 23
-	l2 := memsys.NewL2(scfg.Mem)
+	l2 := memsys.NewOrderedL2(scfg.Mem, 1)
 	smx, err := simt.NewSMX(0, scfg, k, ctrl.Hooks(), l2)
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +247,7 @@ func TestStatsMeanSwapCycles(t *testing.T) {
 }
 
 // TestStatsAddCoverage pins that core.Stats.Add merges every numeric
-// field; harness.Run folds per-SMX control stats with it.
+// field; harness.RunNamed folds per-SMX control stats with it.
 func TestStatsAddCoverage(t *testing.T) {
 	if err := statcheck.AddCovers(Stats{}); err != nil {
 		t.Error(err)

@@ -36,7 +36,7 @@ func buildDMK(t testing.TB, nrays, warps int) (*simt.SMX, *Wrapper, *kernels.Ail
 	cfg.NumSMX = 1
 	cfg.MaxWarpsPerSMX = warps
 	cfg.MaxCycles = 1 << 24
-	l2 := memsys.NewL2(cfg.Mem)
+	l2 := memsys.NewOrderedL2(cfg.Mem, 1)
 	smx, err := simt.NewSMX(0, cfg, k, w.Hooks(), l2)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestDMKImprovesEfficiencyOverBaseline(t *testing.T) {
 	cfg.NumSMX = 1
 	cfg.MaxWarpsPerSMX = 8
 	cfg.MaxCycles = 1 << 24
-	l2 := memsys.NewL2(cfg.Mem)
+	l2 := memsys.NewOrderedL2(cfg.Mem, 1)
 	smxB, err := simt.NewSMX(0, cfg, k, simt.Hooks{}, l2)
 	if err != nil {
 		t.Fatal(err)

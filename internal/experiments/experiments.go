@@ -146,25 +146,11 @@ func (w *Workload) BounceRays(b int, p Params) []geom.Ray {
 	return rays
 }
 
-// simulate runs one architecture on one bounce stream.
-func (w *Workload) simulate(arch harness.Arch, bounce int, p Params) (*harness.Result, error) {
-	return w.simulateCtx(context.Background(), arch, bounce, p)
-}
-
-// simulateCtx is simulate with cancellation threaded into the engine:
-// an in-flight device run aborts at its next epoch barrier once ctx is
-// done.
-func (w *Workload) simulateCtx(ctx context.Context, arch harness.Arch, bounce int, p Params) (*harness.Result, error) {
-	rays := w.BounceRays(bounce, p)
-	if len(rays) == 0 {
-		return nil, fmt.Errorf("experiments: %s bounce %d has no rays", w.Benchmark, bounce)
-	}
-	return harness.RunCtx(ctx, arch, rays, w.Data, p.Options)
-}
-
-// simulateNamedCtx runs one named reordering policy (resolved through
-// the harness registry) on one bounce stream.
-func (w *Workload) simulateNamedCtx(ctx context.Context, policy string, bounce int, p Params) (*harness.Result, error) {
+// simulateCtx runs one named reordering policy (resolved through the
+// harness registry) on one bounce stream, with cancellation threaded
+// into the engine: an in-flight device run aborts at its next epoch
+// barrier once ctx is done.
+func (w *Workload) simulateCtx(ctx context.Context, policy string, bounce int, p Params) (*harness.Result, error) {
 	rays := w.BounceRays(bounce, p)
 	if len(rays) == 0 {
 		return nil, fmt.Errorf("experiments: %s bounce %d has no rays", w.Benchmark, bounce)

@@ -89,7 +89,7 @@ func Figure10Ctx(ctx context.Context, p Params, perBounce int, scenes []scene.Be
 						if len(w.BounceRays(bounce, p)) == 0 {
 							return fig10Result{}, nil
 						}
-						res, err := w.simulateCtx(ctx, arch, bounce, p)
+						res, err := w.simulateCtx(ctx, arch.String(), bounce, p)
 						if err != nil {
 							return fig10Result{}, fmt.Errorf("fig10 %s %s B%d: %w", b, arch, bounce, err)
 						}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/cellsched"
-	"repro/internal/harness"
 	"repro/internal/scene"
 	"repro/internal/simt"
 )
@@ -58,7 +57,7 @@ func Figure2Ctx(ctx context.Context, p Params) ([]Fig2Row, error) {
 				if len(w.BounceRays(b, p)) == 0 {
 					return fig2Result{}, nil
 				}
-				res, err := w.simulateCtx(ctx, harness.ArchAila, b, p)
+				res, err := w.simulateCtx(ctx, "aila", b, p)
 				if err != nil {
 					return fig2Result{}, err
 				}

@@ -103,7 +103,7 @@ func Figure8Ctx(ctx context.Context, p Params, bounces int, scenes []scene.Bench
 						if len(w.BounceRays(bounce, pp)) == 0 {
 							return fig8Result{}, nil
 						}
-						res, err := w.simulateCtx(ctx, arch, bounce, pp)
+						res, err := w.simulateCtx(ctx, arch.String(), bounce, pp)
 						if err != nil {
 							return fig8Result{}, fmt.Errorf("fig8 %s %s B%d: %w", b, cfg.Label, bounce, err)
 						}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"testing"
@@ -101,7 +102,7 @@ func TestObservedMetricsParallelIdentical(t *testing.T) {
 			grid[i] = cellsched.Cell[[]byte]{
 				Key: fmt.Sprintf("observed/%s/B%d", pr.arch, pr.bounce),
 				Run: func() ([]byte, error) {
-					res, err := w.simulate(pr.arch, pr.bounce, p)
+					res, err := w.simulateCtx(context.Background(), pr.arch.String(), pr.bounce, p)
 					if err != nil {
 						return nil, err
 					}

@@ -92,7 +92,7 @@ func PoliciesFigureCtx(ctx context.Context, p Params, perBounce int, scenes []sc
 						if len(w.BounceRays(bounce, p)) == 0 {
 							return policyResult{}, nil
 						}
-						res, err := w.simulateNamedCtx(ctx, pol, bounce, p)
+						res, err := w.simulateCtx(ctx, pol, bounce, p)
 						if err != nil {
 							return policyResult{}, fmt.Errorf("policies %s %s B%d: %w", b, pol, bounce, err)
 						}

@@ -124,7 +124,7 @@ func SweepsFigureCtx(ctx context.Context, p Params, bounces int, scenes []scene.
 								if len(w.BounceRays(bounce, pp)) == 0 {
 									return sweepResult{}, nil
 								}
-								res, err := w.simulateNamedCtx(ctx, pol, bounce, pp)
+								res, err := w.simulateCtx(ctx, pol, bounce, pp)
 								if err != nil {
 									return sweepResult{}, fmt.Errorf("sweeps %s/%s %s %s B%d: %w", a, sched, b, pol, bounce, err)
 								}

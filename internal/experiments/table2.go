@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cellsched"
 	"repro/internal/core"
-	"repro/internal/harness"
 	"repro/internal/scene"
 )
 
@@ -72,7 +71,7 @@ func Table2Ctx(ctx context.Context, p Params, bounces int, scenes []scene.Benchm
 						if len(w.BounceRays(bounce, pp)) == 0 {
 							return table2Result{}, nil
 						}
-						res, err := w.simulateCtx(ctx, harness.ArchDRS, bounce, pp)
+						res, err := w.simulateCtx(ctx, "drs", bounce, pp)
 						if err != nil {
 							return table2Result{}, fmt.Errorf("table2 %s #%d B%d: %w", b, bufs, bounce, err)
 						}

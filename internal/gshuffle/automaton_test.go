@@ -233,7 +233,7 @@ func TestAutomatonMappingsNeverReferenceInactiveLanes(t *testing.T) {
 			scfg.MaxWarpsPerSMX = cfg.Warps
 			scfg.WarpSize = cfg.WarpSize
 			scfg.MaxCycles = 1 << 24
-			smx, err := simt.NewSMX(0, scfg, a, hooks, memsys.NewL2(scfg.Mem))
+			smx, err := simt.NewSMX(0, scfg, a, hooks, memsys.NewOrderedL2(scfg.Mem, 1))
 			if err != nil {
 				t.Fatal(err)
 			}

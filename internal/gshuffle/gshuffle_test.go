@@ -15,7 +15,7 @@ func runAutomaton(t testing.TB, cfg Config, shuffle bool, seed uint64) (simt.Sta
 	scfg.MaxWarpsPerSMX = cfg.Warps
 	scfg.WarpSize = cfg.WarpSize
 	scfg.MaxCycles = 1 << 24
-	l2 := memsys.NewL2(scfg.Mem)
+	l2 := memsys.NewOrderedL2(scfg.Mem, 1)
 
 	var ctrl *Control
 	hooks := simt.Hooks{}

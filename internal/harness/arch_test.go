@@ -8,7 +8,6 @@ import (
 	"repro/internal/archconfig"
 	"repro/internal/core"
 	"repro/internal/scene"
-	"repro/internal/simt"
 	"repro/internal/warpsched"
 )
 
@@ -52,12 +51,11 @@ func TestApplyArchGTX780Identity(t *testing.T) {
 	}
 }
 
-// ApplyArch must keep the caller's runtime knobs (engine selection,
-// cycle caps, an explicit scheduler choice, existing overrides) and
-// only replace device shape.
+// ApplyArch must keep the caller's runtime knobs (epoch length, cycle
+// caps, an explicit scheduler choice, existing overrides) and only
+// replace device shape.
 func TestApplyArchPreservesRuntime(t *testing.T) {
 	base := smallOptions()
-	base.Simt.Engine = simt.EngineFree
 	base.Simt.EpochCycles = 512
 	base.Simt.MaxCycles = 123456
 	base.Sched = "wasp"
@@ -67,7 +65,7 @@ func TestApplyArchPreservesRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Simt.Engine != simt.EngineFree || got.Simt.EpochCycles != 512 || got.Simt.MaxCycles != 123456 {
+	if got.Simt.EpochCycles != 512 || got.Simt.MaxCycles != 123456 {
 		t.Errorf("runtime knobs not preserved: %+v", got.Simt)
 	}
 	if got.Simt.NumSMX != 48 {

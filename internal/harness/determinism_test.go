@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/scene"
-	"repro/internal/simt"
 )
 
 // The quickstart configuration (conference room, incoherent secondary
@@ -21,7 +20,7 @@ func TestQuickstartConfigurationBitReproducible(t *testing.T) {
 	for _, arch := range []Arch{ArchAila, ArchDRS} {
 		var ref *Result
 		for i := 0; i < 3; i++ {
-			res, err := Run(arch, rays, data, opt)
+			res, err := RunNamed(arch.String(), rays, data, opt)
 			if err != nil {
 				t.Fatalf("%v run %d: %v", arch, i, err)
 			}
@@ -63,27 +62,8 @@ func TestCheckDeterminismPassesOnEpochEngine(t *testing.T) {
 	opt.Simt.NumSMX = 3
 	opt.CheckDeterminism = true
 	for _, arch := range []Arch{ArchAila, ArchDRS, ArchDMK, ArchTBC} {
-		if _, err := Run(arch, rays, data, opt); err != nil {
+		if _, err := RunNamed(arch.String(), rays, data, opt); err != nil {
 			t.Errorf("%v: determinism check failed: %v", arch, err)
 		}
 	}
-}
-
-// The legacy free-running engine must still complete and produce
-// correct hits (its timing is allowed to jitter; that is why it is no
-// longer the default).
-func TestFreeEngineStillTraces(t *testing.T) {
-	data, traces, bv := testWorkload(t, scene.FairyForest, 1200)
-	rays := traces.Bounce(2).Rays
-	if len(rays) > 1500 {
-		rays = rays[:1500]
-	}
-	opt := smallOptions()
-	opt.Simt.Engine = simt.EngineFree
-	opt.Simt.NumSMX = 3
-	res, err := Run(ArchDRS, rays, data, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	verifyHits(t, "free-engine/drs", rays, res.Hits, bv)
 }

@@ -46,7 +46,7 @@ func TestGoldenStats(t *testing.T) {
 
 	got := make(map[string]json.RawMessage, len(goldenRuns))
 	for _, arch := range goldenRuns {
-		res, err := Run(arch, rays, data, opt)
+		res, err := RunNamed(arch.String(), rays, data, opt)
 		if err != nil {
 			t.Fatalf("%v: %v", arch, err)
 		}

@@ -8,8 +8,9 @@
 // reordering technique — the paper's DRS, the DMK/TBC baselines, the
 // SER-style window reorderer, global ray sorting, the explicit no-op —
 // is a Policy resolved by name (Policies() lists them), and the harness
-// itself contains no per-method code. The legacy Arch enum survives as
-// names for the four architectures Figures 10 and 11 compare.
+// itself contains no per-method code. The Arch enum survives as the
+// name table of the four architectures Figures 10 and 11 compare (the
+// run/arch metric value).
 package harness
 
 import (
@@ -31,9 +32,9 @@ import (
 	"repro/internal/warpsched"
 )
 
-// Arch selects one of the four architectures Figures 10 and 11 compare.
+// Arch names one of the four architectures Figures 10 and 11 compare.
 // It survives the policy refactor as a closed enum over the legacy
-// names; Run(arch, ...) is RunNamed(arch.String(), ...).
+// names; arch.String() is the policy name RunNamed takes.
 type Arch int
 
 const (
@@ -156,11 +157,10 @@ type Options struct {
 	PolicyOverrides []reorder.Policy
 	// Sched names the warp-scheduler policy for the run ("gto", "lrr",
 	// "wasp"; Schedulers().Names() lists them). Empty keeps the device
-	// default — the Simt.Scheduler enum, i.e. historical GTO — which is
-	// byte-identical to an explicit "gto": both run the engine's
+	// default — Simt.SchedFactory, nil for the builtin GTO scan — which
+	// is byte-identical to an explicit "gto": both run the engine's
 	// canonical greedy-then-oldest scan. A non-empty name is resolved
-	// through the registry and devirtualized at NewSMX, overriding the
-	// legacy enum.
+	// through the registry and devirtualized at NewSMX.
 	Sched string
 	// Scheduler pins the run to one configured scheduler instance
 	// (e.g. warpsched.WaSP{Runners: 4, Distance: 128}). When set, Sched
@@ -173,12 +173,10 @@ type Options struct {
 	// deliberately malformed programs; real runs must verify.
 	SkipProgCheck bool
 	// CheckDeterminism is the harness's determinism assertion mode: the
-	// whole simulation runs twice and Run fails if the two runs' device
-	// stats (cycles, instruction counts, cache and register-file
+	// whole simulation runs twice and the run fails if the two runs'
+	// device stats (cycles, instruction counts, cache and register-file
 	// counters) differ in any way. It doubles the runtime; use it when
-	// validating engine changes. The epoch-barrier engine (the default
-	// simt.EngineEpoch) must always pass; the legacy simt.EngineFree
-	// engine is expected to fail it on multi-SMX configurations. With
+	// validating engine changes, which must always pass it. With
 	// Observe set the comparison also covers the full metrics registry,
 	// naming the exact counter that diverged.
 	CheckDeterminism bool
@@ -194,12 +192,12 @@ type Options struct {
 	// and counts evictions.
 	SeriesCap int
 	// Parallelism is the worker-pool size the experiment cell scheduler
-	// (internal/cellsched) uses to run independent Run simulations
+	// (internal/cellsched) uses to run independent RunNamed simulations
 	// concurrently: 0 means GOMAXPROCS, 1 forces the sequential path.
 	// It never changes any result — each cell is an isolated device and
 	// the scheduler assembles outputs in canonical cell order, so tables
 	// and stats are byte-identical at every setting (drsbench -par N).
-	// A single Run call ignores it; only grid runners consult it.
+	// A single RunNamed call ignores it; only grid runners consult it.
 	Parallelism int
 	// OnEpochSample, when set together with Observe, is invoked at every
 	// epoch barrier with the device cycle and the sampled series row
@@ -248,7 +246,8 @@ func (o Options) ResolvePolicy(name string) (reorder.Policy, error) {
 // ResolveScheduler maps the options' scheduler request to the instance
 // that will serve it: Options.Scheduler if set (Sched, when also set,
 // must match its name), else the registry default for Options.Sched,
-// else nil — meaning the legacy Simt.Scheduler enum stays in charge.
+// else nil — meaning Simt.SchedFactory (nil: builtin GTO) stays in
+// charge.
 // Unknown names fail with *warpsched.UnknownSchedulerError — the
 // registry is the only place a name is judged.
 func (o Options) ResolveScheduler() (warpsched.Scheduler, error) {
@@ -307,28 +306,9 @@ type Result struct {
 	// Metrics is the end-of-run snapshot of the unified registry
 	// (Options.Observe only).
 	Metrics *metrics.Snapshot
-	// Series is the per-epoch time-series (Options.Observe on the
-	// epoch-barrier engine; empty on the free engine, which has no
-	// deterministic sampling points).
+	// Series is the per-epoch time-series, sampled at every epoch
+	// barrier (Options.Observe only).
 	Series *metrics.Series
-}
-
-// Run simulates tracing the given rays on the chosen architecture.
-func Run(arch Arch, rays []geom.Ray, data *kernels.SceneData, opt Options) (*Result, error) {
-	return RunCtx(context.Background(), arch, rays, data, opt)
-}
-
-// RunCtx is Run with cooperative cancellation: the options are
-// validated up front (typed *OptionsError) and ctx is threaded into the
-// engine, which observes it at every epoch barrier, so a deadline or a
-// client disconnect stops a long simulation within one epoch.
-// Cancellation returns only an error, never a partial result, so an
-// uncancelled RunCtx is byte-identical to Run.
-func RunCtx(ctx context.Context, arch Arch, rays []geom.Ray, data *kernels.SceneData, opt Options) (*Result, error) {
-	if arch < ArchAila || arch > ArchTBC {
-		return nil, &OptionsError{Field: "Arch", Reason: fmt.Sprintf("unknown architecture %d", arch)}
-	}
-	return RunNamedCtx(ctx, arch.String(), rays, data, opt)
 }
 
 // RunNamed simulates tracing the rays under the named reordering
@@ -337,7 +317,12 @@ func RunNamed(name string, rays []geom.Ray, data *kernels.SceneData, opt Options
 	return RunNamedCtx(context.Background(), name, rays, data, opt)
 }
 
-// RunNamedCtx is RunNamed with cooperative cancellation. For the four
+// RunNamedCtx is RunNamed with cooperative cancellation: the options are
+// validated up front (typed *OptionsError) and ctx is threaded into the
+// engine, which observes it at every epoch barrier, so a deadline or a
+// client disconnect stops a long simulation within one epoch.
+// Cancellation returns only an error, never a partial result, so an
+// uncancelled RunNamedCtx is byte-identical to RunNamed. For the four
 // legacy names it is byte-identical to the pre-registry harness.
 func RunNamedCtx(ctx context.Context, name string, rays []geom.Ray, data *kernels.SceneData, opt Options) (*Result, error) {
 	pol, err := opt.ResolvePolicy(name)
@@ -405,14 +390,14 @@ func runOnce(ctx context.Context, pol reorder.Policy, rays []geom.Ray, data *ker
 		cfg.MaxWarpsPerSMX = opt.AilaWarps
 	}
 	// Resolve the warp scheduler. A requested policy is devirtualized
-	// through its factory at NewSMX; no request leaves the legacy enum
-	// (historical GTO/RR) in charge, which an explicit "gto" matches
-	// byte-for-byte — registry GTO and the enum run the same scan.
+	// through its factory at NewSMX; no request leaves the device's
+	// builtin GTO scan in charge, which an explicit "gto" matches
+	// byte-for-byte — registry GTO binds the same scan.
 	sched, err := opt.ResolveScheduler()
 	if err != nil {
 		return nil, err
 	}
-	schedName := cfg.Scheduler.String()
+	schedName := "gto"
 	if sched != nil {
 		cfg.SchedFactory = sched.Factory()
 		schedName = sched.Name()

@@ -90,7 +90,7 @@ func TestAllArchitecturesMatchReference(t *testing.T) {
 	}
 	opt := smallOptions()
 	for _, arch := range []Arch{ArchAila, ArchDRS, ArchDMK, ArchTBC} {
-		res, err := Run(arch, rays, data, opt)
+		res, err := RunNamed(arch.String(), rays, data, opt)
 		if err != nil {
 			t.Fatalf("%v: %v", arch, err)
 		}
@@ -129,11 +129,11 @@ func TestDRSBeatsAilaOnSecondaryRays(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Simt.NumSMX = 1
 	opt.Simt.MaxCycles = 1 << 26
-	aila, err := Run(ArchAila, rays, data, opt)
+	aila, err := RunNamed("aila", rays, data, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	drs, err := Run(ArchDRS, rays, data, opt)
+	drs, err := RunNamed("drs", rays, data, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestIdealDRSAtLeastAsFast(t *testing.T) {
 	data, traces, _ := testWorkload(t, scene.FairyForest, 1200)
 	rays := traces.Bounce(2).Rays
 	opt := smallOptions()
-	real, err := Run(ArchDRS, rays, data, opt)
+	real, err := RunNamed("drs", rays, data, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestIdealDRSAtLeastAsFast(t *testing.T) {
 	idealCfg.WarpsOverride = 8
 	idealCfg.Ideal = true
 	opt.Policy = core.NewPolicy(idealCfg)
-	ideal, err := Run(ArchDRS, rays, data, opt)
+	ideal, err := RunNamed("drs", rays, data, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestIdealDRSAtLeastAsFast(t *testing.T) {
 
 func TestEmptyStreamRejected(t *testing.T) {
 	data, _, _ := testWorkload(t, scene.ConferenceRoom, 800)
-	if _, err := Run(ArchAila, nil, data, smallOptions()); err == nil {
+	if _, err := RunNamed("aila", nil, data, smallOptions()); err == nil {
 		t.Errorf("empty stream accepted")
 	}
 }
@@ -185,11 +185,11 @@ func TestPrimaryRaysMoreEfficientThanSecondary(t *testing.T) {
 	// The premise of Figure 2, on the simulated pipeline.
 	data, traces, _ := testWorkload(t, scene.ConferenceRoom, 1500)
 	opt := smallOptions()
-	b1, err := Run(ArchAila, traces.Bounce(1).Rays, data, opt)
+	b1, err := RunNamed("aila", traces.Bounce(1).Rays, data, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b3, err := Run(ArchAila, traces.Bounce(3).Rays, data, opt)
+	b3, err := RunNamed("aila", traces.Bounce(3).Rays, data, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestPrimaryRaysMoreEfficientThanSecondary(t *testing.T) {
 func TestDMKReportsSpawnOverhead(t *testing.T) {
 	data, traces, _ := testWorkload(t, scene.ConferenceRoom, 1200)
 	rays := traces.Bounce(2).Rays
-	res, err := Run(ArchDMK, rays, data, smallOptions())
+	res, err := RunNamed("dmk", rays, data, smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestDMKReportsSpawnOverhead(t *testing.T) {
 func TestTBCSyncsAndCompacts(t *testing.T) {
 	data, traces, _ := testWorkload(t, scene.ConferenceRoom, 1200)
 	rays := traces.Bounce(2).Rays
-	res, err := Run(ArchTBC, rays, data, smallOptions())
+	res, err := RunNamed("tbc", rays, data, smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

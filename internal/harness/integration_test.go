@@ -16,12 +16,12 @@ func TestPartitioningPreservesHits(t *testing.T) {
 	opt := smallOptions()
 
 	opt.Simt.NumSMX = 1
-	one, err := Run(ArchAila, rays, data, opt)
+	one, err := RunNamed("aila", rays, data, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Simt.NumSMX = 5
-	five, err := Run(ArchAila, rays, data, opt)
+	five, err := RunNamed("aila", rays, data, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +46,11 @@ func TestTraceFileRoundTripSimulatesIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := smallOptions()
-	direct, err := Run(ArchAila, stream.Rays, data, opt)
+	direct, err := RunNamed("aila", stream.Rays, data, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromFile, err := Run(ArchAila, loaded.Rays, data, opt)
+	fromFile, err := RunNamed("aila", loaded.Rays, data, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestSimulationDeterministic(t *testing.T) {
 	opt.Simt.NumSMX = 1
 	var one *Result
 	for i := 0; i < 3; i++ {
-		res, err := Run(ArchDRS, rays, data, opt)
+		res, err := RunNamed("drs", rays, data, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestSimulationDeterministic(t *testing.T) {
 	opt.Simt.NumSMX = 4
 	var ref *Result
 	for i := 0; i < 3; i++ {
-		res, err := Run(ArchDRS, rays, data, opt)
+		res, err := RunNamed("drs", rays, data, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestAllScenesAllArchsCorrect(t *testing.T) {
 			rays = rays[:2500]
 		}
 		for _, arch := range []Arch{ArchAila, ArchDRS, ArchDMK, ArchTBC} {
-			res, err := Run(arch, rays, data, opt)
+			res, err := RunNamed(arch.String(), rays, data, opt)
 			if err != nil {
 				t.Fatalf("%v/%v: %v", b, arch, err)
 			}
@@ -154,7 +154,7 @@ func TestAnyHitParityAcrossArchitectures(t *testing.T) {
 	opt.Aila.AnyHit = true
 	opt.WhileIf.AnyHit = true
 	for _, arch := range []Arch{ArchAila, ArchDRS} {
-		res, err := Run(arch, rays, data, opt)
+		res, err := RunNamed(arch.String(), rays, data, opt)
 		if err != nil {
 			t.Fatalf("%v: %v", arch, err)
 		}

@@ -29,20 +29,20 @@ var tracePhases = [...]struct {
 //   - counter tracks for occupancy (live warps) and the epoch's L2
 //     port queue depth;
 //
-// plus a device-wide counter of L2 accesses/misses per epoch. Requires
-// an observed run on the epoch-barrier engine (Options.Observe with
-// simt.EngineEpoch); the free engine records no time-series.
+// plus a device-wide counter of L2 accesses/misses per epoch. The
+// process is named gpu/<policy>. Requires an observed run
+// (Options.Observe).
 func (r *Result) ChromeTrace() (*metrics.Trace, error) {
 	if r.Series == nil {
 		return nil, fmt.Errorf("harness: no metrics series: run with Options.Observe")
 	}
 	if r.Series.Len() == 0 {
-		return nil, fmt.Errorf("harness: empty epoch time-series: the Chrome trace needs the epoch-barrier engine (simt.EngineEpoch)")
+		return nil, fmt.Errorf("harness: empty epoch time-series: the run recorded no epoch barrier")
 	}
 	s := r.Series
 	n := r.Config.NumSMX
 	t := metrics.NewTrace()
-	t.ProcessName(0, "gpu/"+r.Arch.String())
+	t.ProcessName(0, "gpu/"+r.Policy)
 	for i := 0; i < n; i++ {
 		t.ThreadName(0, i, fmt.Sprintf("smx%d", i))
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/scene"
-	"repro/internal/simt"
 )
 
 // gaugeColumns are series columns that sample instantaneous state; every
@@ -30,12 +29,12 @@ func TestSeriesTotalsMatchRegistry(t *testing.T) {
 	opt.Observe = true
 
 	for _, arch := range []Arch{ArchAila, ArchDRS, ArchDMK, ArchTBC} {
-		res, err := Run(arch, rays, data, opt)
+		res, err := RunNamed(arch.String(), rays, data, opt)
 		if err != nil {
 			t.Fatalf("%v: %v", arch, err)
 		}
 		if res.Series == nil || res.Series.Len() == 0 {
-			t.Fatalf("%v: no epoch samples (engine %v)", arch, opt.Simt.Engine)
+			t.Fatalf("%v: no epoch samples", arch)
 		}
 		checked := 0
 		for _, col := range res.Series.Columns() {
@@ -73,7 +72,7 @@ func TestChromeTraceExport(t *testing.T) {
 	opt := smallOptions()
 	opt.Observe = true
 
-	res, err := Run(ArchDRS, rays, data, opt)
+	res, err := RunNamed("drs", rays, data, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,24 +132,53 @@ func TestChromeTraceExport(t *testing.T) {
 		t.Errorf("slices cover %d threads, want one per SMX (%d)", len(threads), res.Config.NumSMX)
 	}
 
-	// The free engine records no epoch series: the exporter must refuse
-	// with a pointed error, not emit an empty trace.
-	freeOpt := opt
-	freeOpt.Simt.Engine = simt.EngineFree
-	freeRes, err := Run(ArchAila, rays, data, freeOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := freeRes.ChromeTrace(); err == nil {
-		t.Error("ChromeTrace on the free engine should fail (no epoch samples)")
-	}
-
-	// And with Observe off there is no series at all.
-	plain, err := Run(ArchAila, rays, data, smallOptions())
+	// With Observe off there is no series at all.
+	plain, err := RunNamed("aila", rays, data, smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := plain.ChromeTrace(); err == nil {
 		t.Error("ChromeTrace without Options.Observe should fail")
 	}
+}
+
+// The trace's process is named after the policy that ran, so policies
+// outside the four-architecture Arch enum (whose Arch is -1) get their
+// own name rather than gpu/unknown.
+func TestChromeTraceProcessNameIsPolicy(t *testing.T) {
+	data, traces, _ := testWorkload(t, scene.ConferenceRoom, 1200)
+	rays := traces.Bounce(2).Rays[:400]
+	opt := smallOptions()
+	opt.Observe = true
+	res, err := RunNamed("ser", rays, data, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := res.ChromeTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "M" && ev.Name == "process_name" {
+			if got := ev.Args["name"]; got != "gpu/ser" {
+				t.Errorf("process_name = %v, want gpu/ser", got)
+			}
+			return
+		}
+	}
+	t.Error("trace has no process_name metadata event")
 }

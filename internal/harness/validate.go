@@ -7,11 +7,11 @@ import (
 	"repro/internal/reorder"
 )
 
-// OptionsError reports one invalid Options field. Run and RunCtx reject
-// bad configurations up front with this typed error instead of letting
-// them panic deep in the engine (a zero warp count used to surface as a
-// divide-by-zero inside the scheduler); callers match it with
-// errors.As or AsOptionsError.
+// OptionsError reports one invalid Options field. RunNamed and
+// RunNamedCtx reject bad configurations up front with this typed error
+// instead of letting them panic deep in the engine (a zero warp count
+// used to surface as a divide-by-zero inside the scheduler); callers
+// match it with errors.As or AsOptionsError.
 type OptionsError struct {
 	// Field names the offending option ("AilaWarps", "Simt.NumSMX").
 	Field string
@@ -36,10 +36,10 @@ func AsOptionsError(err error) (*OptionsError, bool) {
 const MaxParallelism = 4096
 
 // Validate checks the options against the architecture they will run
-// and returns a typed *OptionsError for the first rejected field. Run
-// and RunCtx perform the same validation before building any device
-// state, so a malformed configuration fails fast with a named field
-// instead of panicking in the engine.
+// and returns a typed *OptionsError for the first rejected field.
+// RunNamed and RunNamedCtx perform the same validation before building
+// any device state, so a malformed configuration fails fast with a
+// named field instead of panicking in the engine.
 func (o Options) Validate(arch Arch) error {
 	if arch < ArchAila || arch > ArchTBC {
 		return &OptionsError{Field: "Arch", Reason: fmt.Sprintf("unknown architecture %d", arch)}
@@ -112,7 +112,7 @@ func (o Options) validateResolved(pol reorder.Policy) error {
 		}
 	}
 	// The device config has its own validator (warp size, SMX count,
-	// clock, engine); surface its verdict under one field so callers see
+	// clock, epoch length); surface its verdict under one field so callers see
 	// the same typed error shape for every rejection. Substitute the
 	// policy's warp count the same way runOnce will before validating.
 	cfg := o.Simt

@@ -135,7 +135,7 @@ func TestRunRejectsBeforeBuilding(t *testing.T) {
 	opt := DefaultOptions()
 	opt.AilaWarps = 0
 	rays := []geom.Ray{{}}
-	_, err := Run(ArchAila, rays, nil, opt)
+	_, err := RunNamed("aila", rays, nil, opt)
 	if err == nil {
 		t.Fatal("Run accepted zero AilaWarps")
 	}

@@ -156,7 +156,7 @@ func runKernel(t *testing.T, k simt.Kernel, warps int, launch func(*simt.SMX)) s
 	cfg.NumSMX = 1
 	cfg.MaxWarpsPerSMX = warps
 	cfg.MaxCycles = 1 << 24
-	l2 := memsys.NewL2(cfg.Mem)
+	l2 := memsys.NewOrderedL2(cfg.Mem, 1)
 	s, err := simt.NewSMX(0, cfg, k, simt.Hooks{}, l2)
 	if err != nil {
 		t.Fatal(err)

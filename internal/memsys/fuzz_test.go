@@ -54,12 +54,11 @@ func refLineCount(addrs []uint64, size uint32, lineBytes int) int {
 }
 
 // FuzzWarpCoalesce drives the per-warp coalescer with arbitrary lane
-// address vectors and access sizes, in both immediate (locked L2) and
-// ordered (epoch port) mode, checking the invariants the engine relies
-// on: transaction counts match an independent line count, latencies are
-// bounded by the declared worst case, pending-request bookkeeping is
-// consistent with the port queue, and the whole computation is
-// deterministic.
+// address vectors and access sizes, checking the invariants the engine
+// relies on: transaction counts match an independent line count,
+// latencies are bounded by the declared worst case, pending-request
+// bookkeeping is consistent with the port queue and the drain, and the
+// whole computation is deterministic.
 func FuzzWarpCoalesce(f *testing.F) {
 	f.Add([]byte{0x00, 0x10, 0x00, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0x01, 0x00, 0x00, 0, 0, 0, 0, 0, 0, 0, 0}) // zero-size access
@@ -85,56 +84,44 @@ func FuzzWarpCoalesce(f *testing.F) {
 		space, addrs, size := decodeAccess(data)
 		cfg := DefaultConfig()
 
-		// Immediate mode (locked L2).
-		m1 := NewSMXMem(cfg, NewL2(cfg))
-		r1 := m1.WarpAccessEx(space, addrs, size)
-		// Ordered mode (epoch port on SMX 0).
 		o := NewOrderedL2(cfg, 1)
-		m2 := NewSMXMemShared(cfg, 0, o)
-		r2 := m2.WarpAccessEx(space, addrs, size)
+		m := NewSMXMem(cfg, o, 0)
+		r := m.WarpAccessEx(space, addrs, size)
 
 		if len(addrs) == 0 {
-			if r1 != (AccessResult{}) || r2 != (AccessResult{}) {
-				t.Fatalf("empty warp produced work: %+v / %+v", r1, r2)
+			if r != (AccessResult{}) {
+				t.Fatalf("empty warp produced work: %+v", r)
 			}
 			return
 		}
 		want := refLineCount(addrs, size, cfg.LineBytes)
-		for name, r := range map[string]AccessResult{"immediate": r1, "ordered": r2} {
-			if r.Transactions != want {
-				t.Fatalf("%s: %d transactions, reference says %d", name, r.Transactions, want)
-			}
-			if r.Latency < cfg.L1HitLat {
-				t.Fatalf("%s: latency %d below L1 hit latency %d", name, r.Latency, cfg.L1HitLat)
-			}
-			if r.Latency > r.MissLatency {
-				t.Fatalf("%s: latency %d exceeds declared worst case %d", name, r.Latency, r.MissLatency)
-			}
+		if r.Transactions != want {
+			t.Fatalf("%d transactions, reference says %d", r.Transactions, want)
 		}
-		// The same lines go through both modes' L1s, so the L1 counters
-		// must agree exactly.
-		if m1.L1DataStats() != m2.L1DataStats() || m1.L1TexStats() != m2.L1TexStats() {
-			t.Fatalf("L1 stats diverged between modes: %+v/%+v vs %+v/%+v",
-				m1.L1DataStats(), m1.L1TexStats(), m2.L1DataStats(), m2.L1TexStats())
+		if r.Latency < cfg.L1HitLat {
+			t.Fatalf("latency %d below L1 hit latency %d", r.Latency, cfg.L1HitLat)
 		}
-		// Ordered-mode bookkeeping: the pending run must exactly cover the
-		// port queue, and resolving it must not panic.
-		port := m2.Port()
-		if r2.PendingCount != port.Pending() || r2.PendingFirst != 0 {
+		if r.Latency > r.MissLatency {
+			t.Fatalf("latency %d exceeds declared worst case %d", r.Latency, r.MissLatency)
+		}
+		// Bookkeeping: the pending run must exactly cover the port
+		// queue, and resolving it must not panic.
+		port := m.Port()
+		if r.PendingCount != port.Pending() || r.PendingFirst != 0 {
 			t.Fatalf("pending run [%d,+%d) inconsistent with port queue of %d",
-				r2.PendingFirst, r2.PendingCount, port.Pending())
+				r.PendingFirst, r.PendingCount, port.Pending())
 		}
-		if r2.PendingCount > r2.Transactions {
-			t.Fatalf("%d pending requests from %d transactions", r2.PendingCount, r2.Transactions)
+		if r.PendingCount > r.Transactions {
+			t.Fatalf("%d pending requests from %d transactions", r.PendingCount, r.Transactions)
 		}
 		o.Drain()
-		missed := port.AnyMissed(r2.PendingFirst, r2.PendingCount)
+		missed := port.AnyMissed(r.PendingFirst, r.PendingCount)
 		// A fresh L2 cannot hit on a first access: every queued line missed.
-		if r2.PendingCount > 0 && !missed {
+		if r.PendingCount > 0 && !missed {
 			t.Fatal("cold L2 reported a hit for a first-touch line")
 		}
-		if got := o.Stats().Accesses; got != int64(r2.PendingCount) {
-			t.Fatalf("L2 saw %d accesses, expected the %d queued", got, r2.PendingCount)
+		if got := o.Stats().Accesses; got != int64(r.PendingCount) {
+			t.Fatalf("L2 saw %d accesses, expected the %d queued", got, r.PendingCount)
 		}
 		port.Reset()
 		if port.Pending() != 0 {
@@ -143,11 +130,14 @@ func FuzzWarpCoalesce(f *testing.F) {
 
 		// Determinism: replaying the access on fresh state reproduces the
 		// result and the cache counters bit for bit.
-		m3 := NewSMXMem(cfg, NewL2(cfg))
-		if r3 := m3.WarpAccessEx(space, addrs, size); r3 != r1 {
-			t.Fatalf("replay diverged: %+v vs %+v", r3, r1)
+		o2 := NewOrderedL2(cfg, 1)
+		m2 := NewSMXMem(cfg, o2, 0)
+		if r2 := m2.WarpAccessEx(space, addrs, size); r2 != r {
+			t.Fatalf("replay diverged: %+v vs %+v", r2, r)
 		}
-		if m3.L1DataStats() != m1.L1DataStats() || m3.Transactions() != m1.Transactions() {
+		o2.Drain()
+		if m2.L1DataStats() != m.L1DataStats() || m2.L1TexStats() != m.L1TexStats() ||
+			m2.Transactions() != m.Transactions() || o2.Stats() != o.Stats() {
 			t.Fatal("replay cache counters diverged")
 		}
 	})

@@ -7,7 +7,6 @@ package memsys
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/metrics"
 )
@@ -138,45 +137,6 @@ func (c *cache) access(addr uint64) bool {
 	return false
 }
 
-// L2 is the free-running device-level cache shared by all SMXs. It is
-// safe for concurrent use by the per-SMX goroutines, but its LRU and
-// eviction state mutates in whatever order the goroutine scheduler
-// interleaves the accesses, so multi-SMX cycle counts vary run to run.
-// The deterministic engine uses OrderedL2 instead; this remains for the
-// single-SMX examples and the legacy free-running engine.
-type L2 struct {
-	mu sync.Mutex
-	c  *cache
-}
-
-// NewL2 builds the shared L2 from cfg.
-func NewL2(cfg Config) *L2 {
-	return &L2{c: newCache(cfg.L2KB, cfg.L2Assoc, cfg.LineBytes)}
-}
-
-// Access performs one L2 lookup.
-func (l *L2) Access(addr uint64) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.c.access(addr)
-}
-
-// Stats returns a snapshot of the L2 counters.
-func (l *L2) Stats() CacheStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.c.stats
-}
-
-// RegisterMetrics registers the L2 counters under prefix ("l2"). The
-// gauges take the lock, so they are safe to sample while SMX goroutines
-// run (the free engine) — though only end-of-run snapshots are
-// meaningful there.
-func (l *L2) RegisterMetrics(reg *metrics.Registry, prefix string) {
-	reg.Gauge(prefix+"/accesses", func() int64 { return l.Stats().Accesses })
-	reg.Gauge(prefix+"/misses", func() int64 { return l.Stats().Misses })
-}
-
 // ReqID identifies one request within an L2Port's current epoch queue.
 type ReqID int32
 
@@ -265,11 +225,20 @@ func (o *OrderedL2) NumPorts() int { return len(o.ports) }
 //drslint:hotpath
 func (o *OrderedL2) Drain() {
 	for _, p := range o.ports {
-		for i := range p.reqs {
-			p.reqs[i].miss = !o.c.access(p.reqs[i].addr)
-		}
+		o.drainPort(p)
 	}
 	o.drains++
+}
+
+// DrainPort resolves only SMX smxID's queue, in issue order. A
+// standalone SMX (SMX.Run/RunFor, outside the device engine) drains
+// this way, so it never resolves requests queued by other SMXs.
+func (o *OrderedL2) DrainPort(smxID int) { o.drainPort(o.ports[smxID]) }
+
+func (o *OrderedL2) drainPort(p *L2Port) {
+	for i := range p.reqs {
+		p.reqs[i].miss = !o.c.access(p.reqs[i].addr)
+	}
 }
 
 // Drains returns how many epoch drains have run.
@@ -288,72 +257,43 @@ func (o *OrderedL2) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.Counter(prefix+"/drains", &o.drains)
 }
 
-// SharedL2 is a device-level L2 that per-SMX memories attach to: either
-// the free-running locked L2 or the epoch-drained OrderedL2. The
-// attach method is unexported so the two implementations stay in this
-// package; construct per-SMX views with NewSMXMemShared.
-type SharedL2 interface {
-	attach(cfg Config, smxID int) *SMXMem
-}
-
-func (l *L2) attach(cfg Config, smxID int) *SMXMem { return NewSMXMem(cfg, l) }
-
-func (o *OrderedL2) attach(cfg Config, smxID int) *SMXMem {
-	return &SMXMem{
-		cfg:  cfg,
-		l1d:  newCache(cfg.L1DataKB, cfg.L1Assoc, cfg.LineBytes),
-		l1t:  newCache(cfg.L1TexKB, cfg.L1Assoc, cfg.LineBytes),
-		port: o.Port(smxID),
-	}
-}
-
-// NewSMXMemShared creates SMX smxID's private caches attached to the
-// given shared L2 (locked or ordered).
-func NewSMXMemShared(cfg Config, smxID int, shared SharedL2) *SMXMem {
-	if shared == nil {
-		panic("memsys: nil shared L2")
-	}
-	return shared.attach(cfg, smxID)
-}
-
 // SMXMem is the per-SMX view of the hierarchy: private L1s over the
-// shared L2. Exactly one of l2 (immediate mode: lookups answered
-// inline through the locked L2) or port (ordered mode: L2-bound
-// requests queue for the epoch drain) is non-nil.
+// shared L2. An L1 miss queues its line on the SMX's L2 port; the
+// ordered L2 resolves the queue at the next drain.
 type SMXMem struct {
 	cfg  Config
 	l1d  *cache
 	l1t  *cache
-	l2   *L2
 	port *L2Port
 	txns int64
 }
 
-// NewSMXMem creates the per-SMX caches, attached to the shared l2.
-func NewSMXMem(cfg Config, l2 *L2) *SMXMem {
+// NewSMXMem creates SMX smxID's private caches, attached to its port on
+// the ordered L2.
+func NewSMXMem(cfg Config, l2 *OrderedL2, smxID int) *SMXMem {
 	if l2 == nil {
 		panic("memsys: nil shared L2")
 	}
 	return &SMXMem{
-		cfg: cfg,
-		l1d: newCache(cfg.L1DataKB, cfg.L1Assoc, cfg.LineBytes),
-		l1t: newCache(cfg.L1TexKB, cfg.L1Assoc, cfg.LineBytes),
-		l2:  l2,
+		cfg:  cfg,
+		l1d:  newCache(cfg.L1DataKB, cfg.L1Assoc, cfg.LineBytes),
+		l1t:  newCache(cfg.L1TexKB, cfg.L1Assoc, cfg.LineBytes),
+		port: l2.Port(smxID),
 	}
 }
 
 // AccessLine performs one transaction for the line containing addr in
-// the given space and returns its latency in cycles. In ordered mode an
-// L1 miss queues the line on the SMX's L2 port and the returned latency
-// is provisional (it assumes an L2 hit); callers that need the resolved
-// outcome use WarpAccessEx and the epoch drain.
+// the given space and returns its latency in cycles. An L1 miss queues
+// the line on the SMX's L2 port and the returned latency is provisional
+// (it assumes an L2 hit); callers that need the resolved outcome use
+// WarpAccessEx and a drain.
 func (m *SMXMem) AccessLine(space Space, addr uint64) int {
 	lat, _ := m.accessLine(space, addr)
 	return lat
 }
 
 // accessLine is AccessLine plus a flag reporting whether the access was
-// queued on the L2 port (ordered mode, L1 miss) rather than resolved.
+// queued on the L2 port (an L1 miss) rather than resolved.
 func (m *SMXMem) accessLine(space Space, addr uint64) (lat int, queued bool) {
 	m.txns++
 	l1 := m.l1d
@@ -363,14 +303,8 @@ func (m *SMXMem) accessLine(space Space, addr uint64) (lat int, queued bool) {
 	if l1.access(addr) {
 		return m.cfg.L1HitLat, false
 	}
-	if m.port != nil {
-		m.port.enqueue(addr)
-		return m.cfg.L1HitLat + m.cfg.L2HitLat, true
-	}
-	if m.l2.Access(addr) {
-		return m.cfg.L1HitLat + m.cfg.L2HitLat, false
-	}
-	return m.cfg.L1HitLat + m.cfg.L2HitLat + m.cfg.DRAMLat, false
+	m.port.enqueue(addr)
+	return m.cfg.L1HitLat + m.cfg.L2HitLat, true
 }
 
 // AccessResult describes one coalesced warp memory access.
@@ -387,8 +321,7 @@ type AccessResult struct {
 	Transactions int
 	// PendingFirst and PendingCount identify the contiguous run of
 	// requests this access queued on the SMX's L2 port; PendingCount is
-	// 0 when the access resolved entirely in the private tier (or the
-	// memory is in immediate mode).
+	// 0 when the access resolved entirely in the private tier.
 	PendingFirst ReqID
 	PendingCount int
 }
@@ -397,9 +330,8 @@ type AccessResult struct {
 // into line transactions and returns the total warp latency plus the
 // number of transactions. Latency is the max single-transaction latency
 // plus a serialization cost per extra transaction, matching the
-// stall-until-complete model the engine uses. In ordered mode the
-// latency is provisional (see AccessResult); the engine uses
-// WarpAccessEx instead.
+// stall-until-complete model the engine uses. The latency is
+// provisional (see AccessResult); the engine uses WarpAccessEx instead.
 func (m *SMXMem) WarpAccess(space Space, addrs []uint64, bytes uint32) (latency, transactions int) {
 	r := m.WarpAccessEx(space, addrs, bytes)
 	return r.Latency, r.Transactions
@@ -444,10 +376,7 @@ func (m *SMXMem) WarpAccessEx(space Space, addrs []uint64, bytes uint32) AccessR
 			}
 		}
 	}
-	res := AccessResult{Transactions: n}
-	if m.port != nil {
-		res.PendingFirst = ReqID(m.port.Pending())
-	}
+	res := AccessResult{Transactions: n, PendingFirst: ReqID(m.port.Pending())}
 	maxLat := 0
 	for i := 0; i < n; i++ {
 		lat, queued := m.accessLine(space, lines[i]*lineBytes)
@@ -464,7 +393,7 @@ func (m *SMXMem) WarpAccessEx(space Space, addrs []uint64, bytes uint32) AccessR
 	return res
 }
 
-// Port returns the SMX's ordered L2 port, or nil in immediate mode.
+// Port returns the SMX's ordered L2 port.
 func (m *SMXMem) Port() *L2Port { return m.port }
 
 // RegisterMetrics registers the SMX's private cache counters under

@@ -5,16 +5,32 @@ import (
 	"testing"
 )
 
-func newTestMem() (*SMXMem, *L2) {
+func newTestMem() (*SMXMem, *OrderedL2) {
 	cfg := DefaultConfig()
-	l2 := NewL2(cfg)
-	return NewSMXMem(cfg, l2), l2
+	l2 := NewOrderedL2(cfg, 1)
+	return NewSMXMem(cfg, l2, 0), l2
+}
+
+// accessNow performs one line access as a one-request epoch: it drains
+// the L2 right away and returns the resolved latency, DRAM round trip
+// included when the line missed the L2.
+func accessNow(m *SMXMem, l2 *OrderedL2, space Space, addr uint64) int {
+	lat := m.AccessLine(space, addr)
+	p := m.Port()
+	if p.Pending() > 0 {
+		l2.Drain()
+		if p.AnyMissed(0, p.Pending()) {
+			lat += m.cfg.DRAMLat
+		}
+		p.Reset()
+	}
+	return lat
 }
 
 func TestColdMissThenHit(t *testing.T) {
-	m, _ := newTestMem()
-	lat1 := m.AccessLine(Tex, 0x1000)
-	lat2 := m.AccessLine(Tex, 0x1000)
+	m, l2 := newTestMem()
+	lat1 := accessNow(m, l2, Tex, 0x1000)
+	lat2 := accessNow(m, l2, Tex, 0x1000)
 	if lat1 <= lat2 {
 		t.Errorf("cold access (%d) should be slower than warm (%d)", lat1, lat2)
 	}
@@ -32,10 +48,10 @@ func TestSameLineIsHit(t *testing.T) {
 }
 
 func TestSpacesAreSeparateL1s(t *testing.T) {
-	m, _ := newTestMem()
-	m.AccessLine(Tex, 0x3000)
+	m, l2 := newTestMem()
+	accessNow(m, l2, Tex, 0x3000)
 	// Data access to the same address must miss L1D but hit the shared L2.
-	lat := m.AccessLine(Data, 0x3000)
+	lat := accessNow(m, l2, Data, 0x3000)
 	cfg := DefaultConfig()
 	if lat != cfg.L1HitLat+cfg.L2HitLat {
 		t.Errorf("cross-space latency = %d, want L2 hit %d", lat, cfg.L1HitLat+cfg.L2HitLat)
@@ -44,11 +60,11 @@ func TestSpacesAreSeparateL1s(t *testing.T) {
 
 func TestL2SharedAcrossSMXs(t *testing.T) {
 	cfg := DefaultConfig()
-	l2 := NewL2(cfg)
-	a := NewSMXMem(cfg, l2)
-	b := NewSMXMem(cfg, l2)
-	a.AccessLine(Tex, 0x9000)
-	lat := b.AccessLine(Tex, 0x9000)
+	l2 := NewOrderedL2(cfg, 2)
+	a := NewSMXMem(cfg, l2, 0)
+	b := NewSMXMem(cfg, l2, 1)
+	accessNow(a, l2, Tex, 0x9000)
+	lat := accessNow(b, l2, Tex, 0x9000)
 	if lat != cfg.L1HitLat+cfg.L2HitLat {
 		t.Errorf("expected L2 hit via sibling SMX, got %d", lat)
 	}
@@ -58,8 +74,7 @@ func TestLRUEviction(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.L1TexKB = 1 // 8 lines of 128B
 	cfg.L1Assoc = 2
-	l2 := NewL2(cfg)
-	m := NewSMXMem(cfg, l2)
+	m := NewSMXMem(cfg, NewOrderedL2(cfg, 1), 0)
 	// Fill one set beyond associativity: lines mapping to set 0.
 	// numSets = 8/2 = 4; stride between same-set lines = 4*128.
 	stride := uint64(4 * 128)
@@ -160,8 +175,7 @@ func TestSmallerCacheMissesMore(t *testing.T) {
 	run := func(kb int) float64 {
 		cfg := DefaultConfig()
 		cfg.L1TexKB = kb
-		l2 := NewL2(cfg)
-		m := NewSMXMem(cfg, l2)
+		m := NewSMXMem(cfg, NewOrderedL2(cfg, 1), 0)
 		rnd := rand.New(rand.NewSource(1))
 		const footprint = 96 * 1024
 		for i := 0; i < 20000; i++ {
@@ -182,18 +196,18 @@ func TestNilL2Panics(t *testing.T) {
 			t.Errorf("expected panic for nil L2")
 		}
 	}()
-	NewSMXMem(DefaultConfig(), nil)
+	NewSMXMem(DefaultConfig(), nil, 0)
 }
 
 func TestL2StatsSnapshot(t *testing.T) {
 	cfg := DefaultConfig()
-	l2 := NewL2(cfg)
-	m := NewSMXMem(cfg, l2)
-	m.AccessLine(Tex, 0x5000)
+	l2 := NewOrderedL2(cfg, 1)
+	m := NewSMXMem(cfg, l2, 0)
+	accessNow(m, l2, Tex, 0x5000)
 	if l2.Stats().Accesses != 1 {
 		t.Errorf("L2 accesses = %d", l2.Stats().Accesses)
 	}
-	m.AccessLine(Tex, 0x5000) // L1 hit: must not touch L2
+	accessNow(m, l2, Tex, 0x5000) // L1 hit: must not touch L2
 	if l2.Stats().Accesses != 1 {
 		t.Errorf("L1 hit leaked to L2")
 	}

@@ -51,8 +51,7 @@ func TestCacheMatchesReference(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.L1TexKB = 4 + rnd.Intn(3)*4
 		cfg.L1Assoc = 1 + rnd.Intn(4)
-		l2 := NewL2(cfg)
-		m := NewSMXMem(cfg, l2)
+		m := NewSMXMem(cfg, NewOrderedL2(cfg, 1), 0)
 		ref := newRefCache(cfg.L1TexKB, cfg.L1Assoc, cfg.LineBytes)
 		footprint := uint64(16*1024 + rnd.Intn(256*1024))
 		for i := 0; i < 30_000; i++ {
@@ -77,8 +76,7 @@ func TestCacheMatchesReference(t *testing.T) {
 // lines touched (more transactions can never be faster, all-warm).
 func TestWarpAccessMonotoneInLines(t *testing.T) {
 	cfg := DefaultConfig()
-	l2 := NewL2(cfg)
-	m := NewSMXMem(cfg, l2)
+	m := NewSMXMem(cfg, NewOrderedL2(cfg, 1), 0)
 	// Warm every line we will use.
 	for i := 0; i < 64; i++ {
 		m.AccessLine(Data, uint64(i)*128)

@@ -27,13 +27,6 @@ import (
 //   - goroutine-captured-write: a `go func(){...}` that assigns to a
 //     variable captured from the enclosing scope is a data race unless
 //     externally synchronized; races are nondeterminism at best.
-//   - shared-l2: constructing (memsys.NewL2) or directly accessing the
-//     free-running mutex-serialized L2 in a file that spawns goroutines.
-//     The mutex makes it race-free but serves requests in goroutine
-//     scheduling order, so cache state — and every downstream cycle
-//     count — varies run to run: the race-to-the-lock pattern the
-//     epoch-barrier engine exists to eliminate. Concurrent code must
-//     route L2 traffic through memsys.OrderedL2's per-SMX ports.
 //   - hotpath-alloc: allocation churn in code tagged //drslint:hotpath
 //     — a file-level tag marks every function in the file, a tag in one
 //     function's doc comment marks just that function (the simulator's
@@ -73,9 +66,6 @@ const (
 	// CheckGoCapturedWrite: goroutine body assigns to a captured
 	// variable.
 	CheckGoCapturedWrite SrcCheck = "goroutine-captured-write"
-	// CheckSharedL2: free-running memsys.L2 constructed or accessed in
-	// a file that spawns goroutines.
-	CheckSharedL2 SrcCheck = "shared-l2"
 	// CheckHotPathAlloc: per-cycle allocation (map, or append growth of
 	// a fresh local slice) in //drslint:hotpath-tagged code.
 	CheckHotPathAlloc SrcCheck = "hotpath-alloc"
@@ -85,10 +75,6 @@ const (
 // function) as per-cycle hot-path code, enabling the hotpath-alloc
 // check for it.
 const HotpathDirective = "//drslint:hotpath"
-
-// memsysImport is the import path of the memory-system package whose
-// free-running L2 the shared-l2 check guards.
-const memsysImport = "repro/internal/memsys"
 
 // SrcFinding is one source-lint diagnostic.
 type SrcFinding struct {
@@ -201,14 +187,11 @@ func lintPackageFiles(paths []string) ([]SrcFinding, error) {
 	return all, nil
 }
 
-// pkgDecls records which names the package declares with types the
-// lint cares about: map-typed struct fields ("field") and package-level
-// vars, and the same for the free-running *memsys.L2.
+// pkgDecls records which names the package declares with map types:
+// struct fields ("field") and package-level vars.
 type pkgDecls struct {
-	fields   map[string]bool // field names of map type anywhere in the package
-	vars     map[string]bool // package-level var names of map type
-	l2Fields map[string]bool // field names of (*)memsys.L2 type
-	l2Vars   map[string]bool // package-level var names of (*)memsys.L2 type
+	fields map[string]bool // field names of map type anywhere in the package
+	vars   map[string]bool // package-level var names of map type
 }
 
 func isMapType(e ast.Expr) bool {
@@ -221,32 +204,9 @@ func isMapType(e ast.Expr) bool {
 	return false
 }
 
-// isL2Type reports whether a type expression evidently names the
-// free-running L2: (*)memsys.L2 through the file's import binding, or
-// bare (*)L2 inside package memsys itself.
-func isL2Type(e ast.Expr, memsysNames map[string]bool, samePkg bool) bool {
-	switch t := e.(type) {
-	case *ast.StarExpr:
-		return isL2Type(t.X, memsysNames, samePkg)
-	case *ast.ParenExpr:
-		return isL2Type(t.X, memsysNames, samePkg)
-	case *ast.SelectorExpr:
-		id, ok := t.X.(*ast.Ident)
-		return ok && memsysNames[id.Name] && t.Sel.Name == "L2"
-	case *ast.Ident:
-		return samePkg && t.Name == "L2"
-	}
-	return false
-}
-
 func collectDecls(files []*ast.File) *pkgDecls {
-	d := &pkgDecls{
-		fields: make(map[string]bool), vars: make(map[string]bool),
-		l2Fields: make(map[string]bool), l2Vars: make(map[string]bool),
-	}
+	d := &pkgDecls{fields: make(map[string]bool), vars: make(map[string]bool)}
 	for _, f := range files {
-		memsysNames := importNames(f, memsysImport)
-		samePkg := f.Name.Name == "memsys"
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch t := n.(type) {
 			case *ast.StructType:
@@ -254,11 +214,6 @@ func collectDecls(files []*ast.File) *pkgDecls {
 					if isMapType(fl.Type) {
 						for _, name := range fl.Names {
 							d.fields[name.Name] = true
-						}
-					}
-					if isL2Type(fl.Type, memsysNames, samePkg) {
-						for _, name := range fl.Names {
-							d.l2Fields[name.Name] = true
 						}
 					}
 				}
@@ -272,11 +227,6 @@ func collectDecls(files []*ast.File) *pkgDecls {
 						if vs.Type != nil && isMapType(vs.Type) {
 							for _, name := range vs.Names {
 								d.vars[name.Name] = true
-							}
-						}
-						if vs.Type != nil && isL2Type(vs.Type, memsysNames, samePkg) {
-							for _, name := range vs.Names {
-								d.l2Vars[name.Name] = true
 							}
 						}
 					}
@@ -300,18 +250,9 @@ func lintFile(fset *token.FileSet, path string, f *ast.File, decls *pkgDecls) []
 		fs = append(fs, SrcFinding{File: path, Line: line, Check: check, Msg: fmt.Sprintf(format, args...)})
 	}
 
-	// Names bound to the math/rand, time, and memsys imports in this file.
+	// Names bound to the math/rand and time imports in this file.
 	randNames := importNames(f, "math/rand", "math/rand/v2")
 	timeNames := importNames(f, "time")
-	memsysNames := importNames(f, memsysImport)
-	// The shared-l2 check applies at file granularity: any file that
-	// spawns a goroutine is a concurrent code path, and the free-running
-	// L2 must not appear anywhere in it (even outside the go statement —
-	// the handle inevitably flows into the workers). Package memsys
-	// itself defines the type and is exempt by construction: it spawns
-	// no goroutines.
-	concurrent := fileSpawnsGoroutines(f)
-	sharedL2Suppress := strings.TrimSpace(AllowDirective) + " shared-l2 -- <why the scheduler cannot reorder its accesses>"
 	// The hotpath-alloc check is enabled by the //drslint:hotpath tag at
 	// either granularity: a file-level tag (a free-standing comment)
 	// marks every function in the file as per-cycle code; a tag in one
@@ -319,21 +260,20 @@ func lintFile(fset *token.FileSet, path string, f *ast.File, decls *pkgDecls) []
 	fileHot := fileTaggedHotpath(f)
 	hotSuppress := strings.TrimSpace(AllowDirective) + " hotpath-alloc -- <why this allocation is off the per-cycle path>"
 
-	var walk func(n ast.Node, hot bool, localMaps, localL2, freshSlices map[string]bool)
-	walk = func(n ast.Node, hot bool, localMaps, localL2, freshSlices map[string]bool) {
+	var walk func(n ast.Node, hot bool, localMaps, freshSlices map[string]bool)
+	walk = func(n ast.Node, hot bool, localMaps, freshSlices map[string]bool) {
 		ast.Inspect(n, func(n ast.Node) bool {
 			switch t := n.(type) {
 			case *ast.FuncDecl:
 				if t.Body != nil {
 					// Fresh local scopes per function.
 					walk(t.Body, fileHot || docTaggedHotpath(t.Doc),
-						make(map[string]bool), make(map[string]bool), make(map[string]bool))
+						make(map[string]bool), make(map[string]bool))
 					return false
 				}
 			case *ast.AssignStmt:
 				// Track locals declared as maps: x := make(map[...]...),
-				// x := map[...]...{} — locals bound to the free-running
-				// L2: x := memsys.NewL2(...) — and locals holding freshly
+				// x := map[...]...{} — and locals holding freshly
 				// allocated slices (as opposed to pooled reslices like
 				// x := s.buf[:0], which the hot-path check permits).
 				if t.Tok == token.DEFINE {
@@ -344,9 +284,6 @@ func lintFile(fset *token.FileSet, path string, f *ast.File, decls *pkgDecls) []
 						}
 						if exprMakesMap(t.Rhs[i]) {
 							localMaps[id.Name] = true
-						}
-						if isNewL2Call(t.Rhs[i], memsysNames) {
-							localL2[id.Name] = true
 						}
 						if exprMakesFreshSlice(t.Rhs[i]) {
 							freshSlices[id.Name] = true
@@ -362,11 +299,6 @@ func lintFile(fset *token.FileSet, path string, f *ast.File, decls *pkgDecls) []
 							if isMapType(vs.Type) {
 								for _, name := range vs.Names {
 									localMaps[name.Name] = true
-								}
-							}
-							if isL2Type(vs.Type, memsysNames, false) {
-								for _, name := range vs.Names {
-									localL2[name.Name] = true
 								}
 							}
 							// var x []T appends from nil: every growth
@@ -408,19 +340,6 @@ func lintFile(fset *token.FileSet, path string, f *ast.File, decls *pkgDecls) []
 						}
 					}
 				}
-				if !concurrent {
-					break
-				}
-				if isNewL2Call(t, memsysNames) {
-					add(t.Pos(), CheckSharedL2,
-						"memsys.NewL2 builds the free-running L2, whose mutex serves requests in goroutine scheduling order; concurrent code must route L2 traffic through memsys.NewOrderedL2's per-SMX ports so cache state is schedule-independent (or suppress with %q)",
-						sharedL2Suppress)
-				} else if sel, ok := t.Fun.(*ast.SelectorExpr); ok &&
-					sel.Sel.Name == "Access" && receiverIsL2(sel.X, decls, localL2) {
-					add(t.Pos(), CheckSharedL2,
-						"%s.Access hits the free-running L2 from a file that spawns goroutines; hit/miss state then depends on scheduler interleaving — use the ordered epoch port instead (or suppress with %q)",
-						exprString(sel.X), sharedL2Suppress)
-				}
 			case *ast.SelectorExpr:
 				if id, ok := t.X.(*ast.Ident); ok && id.Obj == nil {
 					if timeNames[id.Name] && WallClockFuncs[t.Sel.Name] {
@@ -437,16 +356,16 @@ func lintFile(fset *token.FileSet, path string, f *ast.File, decls *pkgDecls) []
 			case *ast.GoStmt:
 				if lit, ok := t.Call.Fun.(*ast.FuncLit); ok {
 					checkGoroutineWrites(lit, add)
-					// Still lint the body for L2 uses and the other checks;
+					// Still lint the body for the other checks;
 					// checkGoroutineWrites only covers captured assignments.
-					walk(lit.Body, hot, localMaps, localL2, freshSlices)
+					walk(lit.Body, hot, localMaps, freshSlices)
 				}
 				return false // checked; don't re-trigger on nested nodes
 			}
 			return true
 		})
 	}
-	walk(f, fileHot, make(map[string]bool), make(map[string]bool), make(map[string]bool))
+	walk(f, fileHot, make(map[string]bool), make(map[string]bool))
 	return fs
 }
 
@@ -504,49 +423,6 @@ func exprMakesFreshSlice(e ast.Expr) bool {
 		if at, ok := t.Type.(*ast.ArrayType); ok {
 			return at.Len == nil
 		}
-	}
-	return false
-}
-
-// fileSpawnsGoroutines reports whether the file contains any go
-// statement.
-func fileSpawnsGoroutines(f *ast.File) bool {
-	found := false
-	ast.Inspect(f, func(n ast.Node) bool {
-		if _, ok := n.(*ast.GoStmt); ok {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// isNewL2Call reports whether the expression is a call to memsys.NewL2
-// through this file's import binding.
-func isNewL2Call(e ast.Expr, memsysNames map[string]bool) bool {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "NewL2" {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	return ok && id.Obj == nil && memsysNames[id.Name]
-}
-
-// receiverIsL2 reports whether a method-call receiver is evidently the
-// free-running L2, from local bindings, package vars, or struct fields
-// declared with (*)memsys.L2 type.
-func receiverIsL2(x ast.Expr, decls *pkgDecls, localL2 map[string]bool) bool {
-	switch t := x.(type) {
-	case *ast.Ident:
-		return localL2[t.Name] || decls.l2Vars[t.Name]
-	case *ast.SelectorExpr:
-		return decls.l2Fields[t.Sel.Name]
-	case *ast.ParenExpr:
-		return receiverIsL2(t.X, decls, localL2)
 	}
 	return false
 }

@@ -179,113 +179,6 @@ func f() {
 	}
 }
 
-func TestLintSharedL2ConstructorInConcurrentFile(t *testing.T) {
-	fs := lint(t, `package p
-import (
-	"sync"
-
-	"repro/internal/memsys"
-)
-func run(n int) {
-	l2 := memsys.NewL2(memsys.DefaultConfig())
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			l2.Access(0)
-		}()
-	}
-	wg.Wait()
-}
-`)
-	f := findCheck(fs, CheckSharedL2)
-	if f == nil {
-		t.Fatalf("memsys.NewL2 in goroutine-spawning file not flagged: %v", fs)
-	}
-	if f.Line != 8 {
-		t.Errorf("finding at line %d, want 8 (the NewL2 call): %v", f.Line, f)
-	}
-}
-
-func TestLintSharedL2AccessOnStructField(t *testing.T) {
-	fs := lint(t, `package p
-import "repro/internal/memsys"
-type device struct {
-	l2 *memsys.L2
-}
-func (d *device) run() {
-	done := make(chan struct{})
-	go func() {
-		d.l2.Access(0x40)
-		close(done)
-	}()
-	<-done
-}
-`)
-	if findCheck(fs, CheckSharedL2) == nil {
-		t.Fatalf("L2 field access in goroutine-spawning file not flagged: %v", fs)
-	}
-}
-
-func TestLintSharedL2SequentialFileNotFlagged(t *testing.T) {
-	fs := lint(t, `package p
-import "repro/internal/memsys"
-func miss() bool {
-	l2 := memsys.NewL2(memsys.DefaultConfig())
-	return !l2.Access(0)
-}
-`)
-	if f := findCheck(fs, CheckSharedL2); f != nil {
-		t.Fatalf("free-running L2 in sequential file flagged: %v", f)
-	}
-}
-
-func TestLintSharedL2Allowed(t *testing.T) {
-	fs := lint(t, `package p
-import "repro/internal/memsys"
-func run() *memsys.L2 {
-	go func() {}()
-	//drslint:allow shared-l2 -- single consumer, documented exception
-	return memsys.NewL2(memsys.DefaultConfig())
-}
-`)
-	if f := findCheck(fs, CheckSharedL2); f != nil {
-		t.Fatalf("allowed shared-l2 use still flagged: %v", f)
-	}
-}
-
-func TestLintSharedL2OrderedPortNotFlagged(t *testing.T) {
-	fs := lint(t, `package p
-import "repro/internal/memsys"
-func run(n int) *memsys.OrderedL2 {
-	o := memsys.NewOrderedL2(memsys.DefaultConfig(), n)
-	go func() {}()
-	o.Drain()
-	return o
-}
-`)
-	if f := findCheck(fs, CheckSharedL2); f != nil {
-		t.Fatalf("ordered L2 flagged: %v", f)
-	}
-}
-
-func TestLintSharedL2OtherPackageAccessNotFlagged(t *testing.T) {
-	// A method named Access on an unrelated type must not trip the check.
-	fs := lint(t, `package p
-type gate struct{}
-func (gate) Access(addr uint64) bool { return true }
-func run() {
-	g := gate{}
-	go func() {}()
-	g.Access(0)
-}
-`)
-	if f := findCheck(fs, CheckSharedL2); f != nil {
-		t.Fatalf("unrelated Access method flagged: %v", f)
-	}
-}
-
 // TestLintRepoClean locks satellite (a): the shipped simulator sources
 // carry no unsuppressed determinism findings.
 func TestLintRepoClean(t *testing.T) {

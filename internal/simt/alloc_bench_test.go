@@ -63,7 +63,7 @@ func (k *divergeKernel) reset() {
 func BenchmarkDivergeSplit(b *testing.B) {
 	cfg := smallConfig(8)
 	k := newDivergeKernel(8*cfg.WarpSize, 64)
-	l2 := memsys.NewL2(cfg.Mem)
+	l2 := memsys.NewOrderedL2(cfg.Mem, 1)
 	s, err := NewSMX(0, cfg, k, Hooks{}, l2)
 	if err != nil {
 		b.Fatal(err)

@@ -8,62 +8,6 @@ import (
 	"repro/internal/regfile"
 )
 
-// SchedPolicy selects the warp scheduling policy.
-type SchedPolicy uint8
-
-// Warp scheduling policies.
-const (
-	// SchedGTO is greedy-then-oldest (Table 1's configuration): keep
-	// issuing the same warp; fall back to the warp that has waited
-	// longest.
-	SchedGTO SchedPolicy = iota
-	// SchedRR is loose round-robin: rotate through ready warps
-	// (ablation baseline).
-	SchedRR
-)
-
-func (p SchedPolicy) String() string {
-	switch p {
-	case SchedGTO:
-		return "gto"
-	case SchedRR:
-		return "rr"
-	default:
-		return "unknown"
-	}
-}
-
-// Engine selects the multi-SMX execution engine.
-type Engine uint8
-
-// Multi-SMX execution engines.
-const (
-	// EngineEpoch is the deterministic epoch-barrier engine (the
-	// default): SMXs execute concurrently in bounded cycle windows
-	// (epochs); L2-bound requests queue on per-SMX ports and drain into
-	// the shared L2 in fixed (smxID, issue-order) round-robin at each
-	// barrier, so cache state transitions — and therefore device cycle
-	// counts — are independent of goroutine scheduling.
-	EngineEpoch Engine = iota
-	// EngineFree is the legacy free-running engine: one unsynchronized
-	// goroutine per SMX over a mutex-locked L2. Slightly less barrier
-	// overhead, but L2 LRU/eviction state mutates in goroutine-
-	// scheduling order and cycle counts jitter ~2% run to run. Kept for
-	// A/B performance comparison.
-	EngineFree
-)
-
-func (e Engine) String() string {
-	switch e {
-	case EngineEpoch:
-		return "epoch"
-	case EngineFree:
-		return "free"
-	default:
-		return "unknown"
-	}
-}
-
 // DefaultEpochCycles is the default epoch length of the epoch-barrier
 // engine. Shorter epochs mean more barriers (slower); the epoch length
 // bounds how far one SMX's view of the L2 can lag the canonical drain
@@ -80,22 +24,17 @@ type Config struct {
 	DispatchPerScheduler int // instruction dispatch units per scheduler
 	MaxWarpsPerSMX       int // resident warps (kernel-dependent)
 	ClockMHz             int // SMX clock
-	Scheduler            SchedPolicy
 
-	// SchedFactory, when non-nil, supplies the warp-scheduler policy
-	// instead of the Scheduler enum: NewSMX calls it once per SMX and
-	// binds the returned SchedProgram's funcs directly into the issue
-	// path (see sched.go). The builtin enum policies remain available
-	// through SchedView.PickGTO/PickLRR, and a nil factory keeps the
-	// historical enum behavior bit-for-bit.
+	// SchedFactory, when non-nil, supplies the warp-scheduler policy:
+	// NewSMX calls it once per SMX and binds the returned SchedProgram's
+	// funcs directly into the issue path (see sched.go). A nil factory
+	// binds the builtin greedy-then-oldest scan (Table 1's
+	// configuration), byte-identical to the registry's "gto".
 	SchedFactory SchedFactory
 
 	Mem memsys.Config
 	RF  regfile.Config
 
-	// Engine selects the multi-SMX execution engine. The zero value is
-	// EngineEpoch, the deterministic one.
-	Engine Engine
 	// EpochCycles is the epoch length (in device cycles) of the
 	// epoch-barrier engine; zero means DefaultEpochCycles. The
 	// effective length is clamped to the minimum L2-bound latency (see
@@ -111,8 +50,7 @@ type Config struct {
 	// Collector.Registry under hierarchical smx<N>/... paths, and the
 	// epoch-barrier engine samples Collector.Series at every barrier
 	// (active warps, issued instructions, L2 queue depths — see
-	// SMX.RegisterSeries). The free-running engine fills only the
-	// registry; it has no deterministic sampling points for a series.
+	// SMX.RegisterSeries).
 	Collector *metrics.Collector
 }
 
@@ -149,8 +87,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("simt: clock must be positive")
 	case c.EpochCycles < 0:
 		return fmt.Errorf("simt: epoch length %d must not be negative", c.EpochCycles)
-	case c.Engine > EngineFree:
-		return fmt.Errorf("simt: unknown engine %d", c.Engine)
 	}
 	return nil
 }

@@ -9,7 +9,8 @@ import (
 // memHeavyFactory builds a looping kernel whose slots sweep a footprint
 // much larger than the L2, so every SMX streams misses and evictions
 // through the shared cache — the access pattern that exposed the
-// free-running engine's cross-SMX nondeterminism.
+// nondeterminism of the original free-running engine (one goroutine per
+// SMX over a mutex-locked L2).
 func memHeavyFactory(iters int) Factory {
 	return func(id int) (SMXProgram, error) {
 		k := &testKernel{
@@ -55,7 +56,6 @@ func memHeavyFactory(iters int) Factory {
 func TestEpochEngineDeterministic(t *testing.T) {
 	cfg := smallConfig(4)
 	cfg.NumSMX = 6
-	cfg.Engine = EngineEpoch
 	var ref *GPUResult
 	for i := 0; i < 4; i++ {
 		res, err := RunGPU(cfg, memHeavyFactory(40))
@@ -86,41 +86,80 @@ func TestEpochEngineDeterministic(t *testing.T) {
 	}
 }
 
+// freeEngineSingleSMX is the device Stats the removed free-running
+// engine (an immediate, mutex-locked L2 answering each L1 miss inline)
+// produced for memHeavyFactory(30) on smallConfig(4) with one SMX,
+// recorded before that engine was deleted.
+var freeEngineSingleSMX = func() Stats {
+	st := Stats{
+		Cycles:          17161,
+		WarpInstrs:      364,
+		ActiveThreadSum: 11648,
+		MemInstrs:       120,
+		MemTransactions: 3840,
+		IssueSlotsTotal: 137288,
+		IssueSlotsUsed:  364,
+		Retired:         128,
+		SampledExec:     4,
+		SampledMem:      1068,
+	}
+	st.ActiveHist[32] = 364
+	return st
+}()
+
 // With a single SMX the ordered drain replays requests in exactly the
-// order the immediate locked L2 would have served them, and the
-// deferred latency formula matches the immediate one — so the two
-// engines must agree bit for bit.
+// order an immediate L2 would have served them, and the deferred
+// latency formula matches the immediate one — so the epoch engine, a
+// standalone SMX.Run, and RunFor in chunks that are not a multiple of
+// the epoch length must all reproduce the free engine's recorded Stats
+// bit for bit.
 func TestEpochEngineMatchesFreeOnSingleSMX(t *testing.T) {
 	cfg := smallConfig(4)
 	cfg.NumSMX = 1
+	if cfg.EpochLen()%97 == 0 {
+		t.Fatalf("epoch length %d is a multiple of the RunFor chunk", cfg.EpochLen())
+	}
+	standalone := func(drive func(s *SMX) error) Stats {
+		t.Helper()
+		prog, err := memHeavyFactory(30)(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := newTestSMX(t, cfg, prog.Kernel, prog.Hooks)
+		s.LaunchAll(0)
+		if err := drive(s); err != nil {
+			t.Fatal(err)
+		}
+		return s.Stats()
+	}
 
-	cfg.Engine = EngineEpoch
-	epoch, err := RunGPU(cfg, memHeavyFactory(30))
+	gpu, err := RunGPU(cfg, memHeavyFactory(30))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Engine = EngineFree
-	free, err := RunGPU(cfg, memHeavyFactory(30))
-	if err != nil {
-		t.Fatal(err)
+	runs := []struct {
+		name string
+		got  Stats
+	}{
+		{"RunGPU", gpu.Stats},
+		{"SMX.Run", standalone(func(s *SMX) error {
+			_, err := s.Run()
+			return err
+		})},
+		{"SMX.RunFor(97)", standalone(func(s *SMX) error {
+			for s.LiveWarps() > 0 {
+				if err := s.RunFor(97); err != nil {
+					return err
+				}
+			}
+			return nil
+		})},
 	}
-	if epoch.Stats != free.Stats {
-		t.Fatalf("single-SMX engines disagree: epoch cycles %d, free cycles %d (instrs %d vs %d)",
-			epoch.Stats.Cycles, free.Stats.Cycles, epoch.Stats.WarpInstrs, free.Stats.WarpInstrs)
-	}
-}
-
-// The free engine still runs multi-SMX workloads to completion.
-func TestFreeEngineStillRuns(t *testing.T) {
-	cfg := smallConfig(2)
-	cfg.NumSMX = 3
-	cfg.Engine = EngineFree
-	res, err := RunGPU(cfg, memHeavyFactory(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Retired == 0 {
-		t.Error("no threads retired")
+	for _, r := range runs {
+		if r.got != freeEngineSingleSMX {
+			t.Errorf("%s diverged from the recorded free engine:\n got %+v\nwant %+v",
+				r.name, r.got, freeEngineSingleSMX)
+		}
 	}
 }
 
@@ -143,21 +182,11 @@ func TestEpochLenClamp(t *testing.T) {
 	}
 }
 
-// The engine must be insensitive to the epoch length for hit-only
-// workloads (no shared-state interaction), and must error on invalid
-// engine/epoch configuration.
+// The engine must error on an invalid epoch configuration.
 func TestEngineConfigValidation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EpochCycles = -1
 	if err := cfg.Validate(); err == nil {
 		t.Error("negative EpochCycles validated")
-	}
-	cfg = DefaultConfig()
-	cfg.Engine = Engine(9)
-	if err := cfg.Validate(); err == nil {
-		t.Error("unknown engine validated")
-	}
-	if EngineEpoch.String() != "epoch" || EngineFree.String() != "free" || Engine(9).String() != "unknown" {
-		t.Error("engine String() names wrong")
 	}
 }

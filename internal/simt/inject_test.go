@@ -12,7 +12,7 @@ func TestInjectInstrs(t *testing.T) {
 		step:   func(slot int32, block int, res *StepResult) { res.Next = BlockExit },
 	}
 	cfg := smallConfig(1)
-	l2 := memsys.NewL2(cfg.Mem)
+	l2 := memsys.NewOrderedL2(cfg.Mem, 1)
 	s, err := NewSMX(0, cfg, k, Hooks{}, l2)
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func TestBarrierAndSpawnCounters(t *testing.T) {
 		step:   func(slot int32, block int, res *StepResult) { res.Next = BlockExit },
 	}
 	cfg := smallConfig(1)
-	l2 := memsys.NewL2(cfg.Mem)
+	l2 := memsys.NewOrderedL2(cfg.Mem, 1)
 	s, err := NewSMX(0, cfg, k, Hooks{}, l2)
 	if err != nil {
 		t.Fatal(err)

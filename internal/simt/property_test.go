@@ -114,31 +114,34 @@ func (k *scriptKernel) expected(s int) []int {
 
 func TestRandomScriptsExecuteExactly(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
-		for _, pol := range []SchedPolicy{SchedGTO, SchedRR} {
+		for _, pol := range []struct {
+			name    string
+			factory SchedFactory
+		}{{"gto", nil}, {"lrr", lrrFactory}} {
 			warps := 5
 			k := newScriptKernel(warps*32, seed)
 			cfg := smallConfig(warps)
-			cfg.Scheduler = pol
+			cfg.SchedFactory = pol.factory
 			s := newTestSMX(t, cfg, k, Hooks{})
 			s.LaunchAll(0)
 			st, err := s.Run()
 			if err != nil {
-				t.Fatalf("seed %d %v: %v", seed, pol, err)
+				t.Fatalf("seed %d %v: %v", seed, pol.name, err)
 			}
 			if st.Retired != int64(warps*32) {
-				t.Fatalf("seed %d %v: retired %d", seed, pol, st.Retired)
+				t.Fatalf("seed %d %v: retired %d", seed, pol.name, st.Retired)
 			}
 			for slot := 0; slot < warps*32; slot++ {
 				want := k.expected(slot)
 				got := k.visited[slot]
 				if len(got) != len(want) {
 					t.Fatalf("seed %d %v slot %d: trace length %d, want %d\n got %v\nwant %v",
-						seed, pol, slot, len(got), len(want), got, want)
+						seed, pol.name, slot, len(got), len(want), got, want)
 				}
 				for i := range want {
 					if got[i] != want[i] {
 						t.Fatalf("seed %d %v slot %d: step %d block %d, want %d",
-							seed, pol, slot, i, got[i], want[i])
+							seed, pol.name, slot, i, got[i], want[i])
 					}
 				}
 			}

@@ -1,14 +1,14 @@
 package simt
 
-// Pluggable warp scheduling. The per-cycle pick was historically a
-// two-way enum switch (SchedGTO/SchedRR); Config.SchedFactory opens it
-// to external policies (internal/warpsched) without reintroducing
-// interface dispatch on the issue path: NewSMX calls the factory once
-// and stores the returned func values directly in the SMX's pickFn and
-// onIssueFn fields, exactly like the kernel Step method and the
-// architecture hooks. The steady-state cycle loop therefore makes one
-// indirect call per pick — the same shape as the builtin policies —
-// and allocates nothing as long as the policy's own funcs do not.
+// Pluggable warp scheduling. Config.SchedFactory opens the per-cycle
+// pick to external policies (internal/warpsched) without interface
+// dispatch on the issue path: NewSMX calls the factory once and stores
+// the returned func values directly in the SMX's pickFn and onIssueFn
+// fields, exactly like the kernel Step method and the architecture
+// hooks. The steady-state cycle loop therefore makes one indirect call
+// per pick — the same shape as the builtin GTO scan a nil factory
+// binds — and allocates nothing as long as the policy's own funcs do
+// not.
 
 // SchedView is the window a warp-scheduler policy gets onto one SMX's
 // scheduling state. It is handed to a SchedFactory at NewSMX, after

@@ -76,14 +76,22 @@ type SMX struct {
 	launchBuf []int32
 
 	defaultSrcOps int
+
+	// l2 is the shared L2 the SMX's port belongs to; standalone RunFor
+	// drains that one port through it.
+	l2 *memsys.OrderedL2
 }
 
 // NewSMX builds one SMX running kernel with the given hooks, attached
-// to the shared L2 (the locked free-running memsys.L2 or the ordered
-// memsys.OrderedL2, whose per-SMX port is selected by id).
-func NewSMX(id int, cfg Config, kernel Kernel, hooks Hooks, l2 memsys.SharedL2) (*SMX, error) {
+// to port id of the shared ordered L2. A standalone SMX (driven by Run
+// or RunFor rather than RunGPU) can use its own
+// memsys.NewOrderedL2(cfg.Mem, 1).
+func NewSMX(id int, cfg Config, kernel Kernel, hooks Hooks, l2 *memsys.OrderedL2) (*SMX, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if l2 == nil || id < 0 || id >= l2.NumPorts() {
+		return nil, fmt.Errorf("simt: SMX %d has no port on the L2", id)
 	}
 	if kernel == nil {
 		return nil, fmt.Errorf("simt: nil kernel")
@@ -105,7 +113,8 @@ func NewSMX(id int, cfg Config, kernel Kernel, hooks Hooks, l2 memsys.SharedL2) 
 		hooks:         hooks,
 		blocks:        blocks,
 		st:            newWarpState(cfg.MaxWarpsPerSMX, ws),
-		mem:           memsys.NewSMXMemShared(cfg.Mem, id, l2),
+		mem:           memsys.NewSMXMem(cfg.Mem, l2, id),
+		l2:            l2,
 		rf:            regfile.New(cfg.RF),
 		lastWarp:      make([]int, cfg.SchedulersPerSMX),
 		schedWake:     make([]int64, cfg.SchedulersPerSMX),
@@ -138,21 +147,17 @@ func NewSMX(id int, cfg Config, kernel Kernel, hooks Hooks, l2 memsys.SharedL2) 
 		s.lastWarp[i] = -1
 	}
 	// Bind the warp-scheduler policy: a configured factory wins, else
-	// the enum selects one of the builtin scans. Either way the cycle
-	// loop sees one direct func field — no interface dispatch, no
-	// per-pick branching on the policy kind.
-	switch {
-	case cfg.SchedFactory != nil:
+	// the builtin GTO scan. Either way the cycle loop sees one direct
+	// func field — no interface dispatch, no per-pick branching on the
+	// policy kind.
+	s.pickFn = s.pickGTO
+	if cfg.SchedFactory != nil {
 		prog := cfg.SchedFactory(SchedView{s: s})
 		if prog.Pick == nil {
 			return nil, fmt.Errorf("simt: scheduler factory returned a nil Pick func")
 		}
 		s.pickFn = prog.Pick
 		s.onIssueFn = prog.OnIssue
-	case cfg.Scheduler == SchedRR:
-		s.pickFn = s.pickRR
-	default:
-		s.pickFn = s.pickGTO
 	}
 	return s, nil
 }
@@ -239,17 +244,12 @@ func (s *SMX) RegisterSeries(se *metrics.Series) {
 	se.Column(p+"/sampled_parked", func() int64 { return s.stats.SampledParked })
 }
 
-// Run executes until all warps are done, returning the final stats.
+// Run executes until all warps are done, returning the final stats. It
+// advances one epoch at a time, as RunFor does.
 func (s *SMX) Run() (Stats, error) {
-	maxCycles := s.cfg.MaxCycles
-	if maxCycles <= 0 {
-		maxCycles = 1 << 40
-	}
 	for s.st.live > 0 {
-		s.step()
-		if s.cycle > maxCycles {
-			return s.Stats(), fmt.Errorf("simt: SMX %d exceeded %d cycles (%d warps live; deadlock?)",
-				s.ID, maxCycles, s.st.live)
+		if err := s.RunFor(s.cfg.EpochLen()); err != nil {
+			return s.Stats(), err
 		}
 	}
 	return s.Stats(), nil
@@ -287,7 +287,7 @@ func (s *SMX) RunEpoch(end int64) error {
 //drslint:hotpath
 func (s *SMX) ResolveEpoch() {
 	port := s.mem.Port()
-	if port == nil || port.Pending() == 0 {
+	if port.Pending() == 0 {
 		return
 	}
 	st := s.st
@@ -313,20 +313,24 @@ func (s *SMX) ResolveEpoch() {
 	port.Reset()
 }
 
-// RunFor advances the SMX by at most n cycles, stopping early if all
-// warps finish. Useful for interactive inspection and incremental
-// drivers.
+// RunFor advances a standalone SMX by at most n cycles, stopping early
+// if all warps finish. It runs in chunks of at most Config.EpochLen
+// cycles and closes each with the engine's barrier work restricted to
+// this SMX: drain its own L2 port, then ResolveEpoch. Because no chunk
+// is longer than an epoch, no queued request could have completed
+// inside it, so the result is the same for any n (see EpochLen).
 func (s *SMX) RunFor(n int64) error {
-	maxCycles := s.cfg.MaxCycles
-	if maxCycles <= 0 {
-		maxCycles = 1 << 40
-	}
+	epoch := s.cfg.EpochLen()
 	for end := s.cycle + n; s.st.live > 0 && s.cycle < end; {
-		s.step()
-		if s.cycle > maxCycles {
-			return fmt.Errorf("simt: SMX %d exceeded %d cycles (%d warps live; deadlock?)",
-				s.ID, maxCycles, s.st.live)
+		chunk := end
+		if chunk-s.cycle > epoch {
+			chunk = s.cycle + epoch
 		}
+		if err := s.RunEpoch(chunk); err != nil {
+			return err
+		}
+		s.l2.DrainPort(s.ID)
+		s.ResolveEpoch()
 	}
 	return nil
 }

@@ -40,7 +40,7 @@ func smallConfig(warps int) Config {
 
 func newTestSMX(t *testing.T, cfg Config, k Kernel, hooks Hooks) *SMX {
 	t.Helper()
-	l2 := memsys.NewL2(cfg.Mem)
+	l2 := memsys.NewOrderedL2(cfg.Mem, 1)
 	s, err := NewSMX(0, cfg, k, hooks, l2)
 	if err != nil {
 		t.Fatal(err)
@@ -402,7 +402,7 @@ func TestDeadlockDetected(t *testing.T) {
 
 func TestNewSMXValidation(t *testing.T) {
 	cfg := smallConfig(1)
-	l2 := memsys.NewL2(cfg.Mem)
+	l2 := memsys.NewOrderedL2(cfg.Mem, 1)
 	if _, err := NewSMX(0, cfg, nil, Hooks{}, l2); err == nil {
 		t.Errorf("nil kernel accepted")
 	}
@@ -415,6 +415,12 @@ func TestNewSMXValidation(t *testing.T) {
 	k2 := &testKernel{blocks: []BlockInfo{{Insts: 1}}, step: func(int32, int, *StepResult) {}}
 	if _, err := NewSMX(0, bad, k2, Hooks{}, l2); err == nil {
 		t.Errorf("invalid config accepted")
+	}
+	if _, err := NewSMX(1, cfg, k2, Hooks{}, l2); err == nil {
+		t.Errorf("SMX id beyond the L2's ports accepted")
+	}
+	if _, err := NewSMX(0, cfg, k2, Hooks{}, nil); err == nil {
+		t.Errorf("nil L2 accepted")
 	}
 }
 

@@ -36,7 +36,7 @@ func buildTBC(t testing.TB, nrays, warps, wpb int) (*simt.SMX, *Wrapper, *kernel
 	cfg.NumSMX = 1
 	cfg.MaxWarpsPerSMX = warps
 	cfg.MaxCycles = 1 << 24
-	l2 := memsys.NewL2(cfg.Mem)
+	l2 := memsys.NewOrderedL2(cfg.Mem, 1)
 	smx, err := simt.NewSMX(0, cfg, k, w.Hooks(), l2)
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestTBCEfficiencyAboveBaseline(t *testing.T) {
 	cfg.NumSMX = 1
 	cfg.MaxWarpsPerSMX = 12
 	cfg.MaxCycles = 1 << 24
-	l2 := memsys.NewL2(cfg.Mem)
+	l2 := memsys.NewOrderedL2(cfg.Mem, 1)
 	smxB, err := simt.NewSMX(0, cfg, k, simt.Hooks{}, l2)
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +158,7 @@ func TestStatsAdd(t *testing.T) {
 }
 
 // TestStatsAddCoverage pins that tbc.Stats.Add merges every numeric
-// field; harness.Run folds per-SMX TBC stats with it.
+// field; harness.RunNamed folds per-SMX TBC stats with it.
 func TestStatsAddCoverage(t *testing.T) {
 	if err := statcheck.AddCovers(Stats{}); err != nil {
 		t.Error(err)

@@ -7,8 +7,8 @@ import "repro/internal/simt"
 // issuing from the same warp; on a stall fall back to the issuable
 // warp that has waited longest (lowest id on ties). The canonical scan
 // lives in the engine (SchedView.PickGTO), so the registry policy and
-// the legacy simt.SchedGTO enum are the same code and byte-identical
-// by construction.
+// the device default a nil simt.Config.SchedFactory binds are the same
+// code and byte-identical by construction.
 type GTO struct{}
 
 // NewGTO returns the greedy-then-oldest scheduler.

@@ -66,7 +66,7 @@ func testConfig(warps int) simt.Config {
 func runSMX(t *testing.T, cfg simt.Config) simt.Stats {
 	t.Helper()
 	k := &divergeState{iters: make([]int, cfg.MaxWarpsPerSMX*cfg.WarpSize)}
-	s, err := simt.NewSMX(0, cfg, k, simt.Hooks{}, memsys.NewL2(cfg.Mem))
+	s, err := simt.NewSMX(0, cfg, k, simt.Hooks{}, memsys.NewOrderedL2(cfg.Mem, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,35 +133,24 @@ func TestRegistryRejectsBadRegistrations(t *testing.T) {
 	}
 }
 
-// The registry GTO/LRR policies must be byte-identical to the legacy
-// enum schedulers: same scan, devirtualized the same way, so every
-// counter of a completed run matches exactly.
+// The registry GTO policy must be byte-identical to the device default
+// (a nil SchedFactory binds the same builtin scan): same scan,
+// devirtualized the same way, so every counter of a completed run
+// matches exactly.
 func TestFactoryMatchesEnum(t *testing.T) {
-	cases := []struct {
-		name string
-		enum simt.SchedPolicy
-	}{
-		{"gto", simt.SchedGTO},
-		{"lrr", simt.SchedRR},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			legacy := testConfig(6)
-			legacy.Scheduler = tc.enum
-			viaEnum := runSMX(t, legacy)
+	t.Run("gto", func(t *testing.T) {
+		viaDefault := runSMX(t, testConfig(6))
 
-			sched, err := warpsched.Builtin().New(tc.name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			viaReg := testConfig(6)
-			viaReg.Scheduler = tc.enum // factory must win over the enum
-			viaReg.SchedFactory = sched.Factory()
-			if got := runSMX(t, viaReg); got != viaEnum {
-				t.Errorf("registry %s diverged from enum: %+v vs %+v", tc.name, got, viaEnum)
-			}
-		})
-	}
+		sched, err := warpsched.Builtin().New("gto")
+		if err != nil {
+			t.Fatal(err)
+		}
+		viaReg := testConfig(6)
+		viaReg.SchedFactory = sched.Factory()
+		if got := runSMX(t, viaReg); got != viaDefault {
+			t.Errorf("registry gto diverged from the default: %+v vs %+v", got, viaDefault)
+		}
+	})
 }
 
 // WaSP must be deterministic (two runs identical) and complete the
