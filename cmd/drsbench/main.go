@@ -29,6 +29,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/harness"
 	"repro/internal/scene"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -138,6 +139,10 @@ func main() {
 	}
 	if *timeout < 0 {
 		fmt.Fprintf(os.Stderr, "-timeout must be >= 0\n")
+		os.Exit(2)
+	}
+	if *bounce < 1 || *bounce > trace.MaxBounces {
+		fmt.Fprintf(os.Stderr, "-bounce must be in [1, %d]\n", trace.MaxBounces)
 		os.Exit(2)
 	}
 

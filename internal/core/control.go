@@ -129,6 +129,11 @@ type Control struct {
 	// stallVersion[w] is the version at which warp w's gate last
 	// returned a stall (^0 = never).
 	stallVersion []uint64
+	// idleStallVersion is the version at which some unbound warp's gate
+	// last stalled with idealShuffle settled (^0 = never). The unbound
+	// part of the gate never reads which warp it serves, so at that
+	// version every unbound warp would stall the same way.
+	idleStallVersion uint64
 
 	// traceOps, when set, receives a one-line description of every
 	// planned swap (debugging/inspection aid).
@@ -164,6 +169,8 @@ func NewControl(cfg Config, kernel *kernels.WhileIf) (*Control, error) {
 		rowWarp: make([]int, nRows),
 		rowBusy: make([]int, nRows),
 		scratch: make([]int32, ws),
+
+		idleStallVersion: ^uint64(0),
 	}
 	c.stallVersion = make([]uint64, nWarps)
 	for i := range c.stallVersion {
@@ -200,6 +207,13 @@ func NewControl(cfg Config, kernel *kernels.WhileIf) (*Control, error) {
 		{name: "fetch-collect", buffers: bpr, want: kernels.StateFetch, noMoveVersion: ^uint64(0)},
 		{name: "leaf-collect", buffers: bpr, want: kernels.StateLeaf, noMoveVersion: ^uint64(0)},
 		{name: "inner-eject", buffers: bpr, want: kernels.StateInner, noMoveVersion: ^uint64(0)},
+	}
+	// A plan selects at most one row of cells. Sizing the cell buffers
+	// to a row up front keeps planning allocation-free even when
+	// findMove fails after filling them and the plan is dropped.
+	for i := range c.roles {
+		c.roles[i].srcBuf = make([]int, 0, ws)
+		c.roles[i].dstBuf = make([]int, 0, ws)
 	}
 	return c, nil
 }
@@ -342,8 +356,17 @@ func (c *Control) gate(s *simt.SMX, warp int, now int64) simt.GateResult {
 		// collectors: release it for shuffling.
 		c.unbind(warp)
 	}
+	// The warp is unbound here. What remains — the ideal regroup, the
+	// search for the fullest free uniform row, canGrow and the exit
+	// check — reads only state the version covers and nothing about
+	// warp, so an unbound stall at this version stands for every
+	// unbound warp: idle warps retrying rdctrl skip the O(rows) scan.
+	if c.idleStallVersion == c.version {
+		return simt.GateStall
+	}
+	settled := true
 	if c.cfg.Ideal {
-		c.idealShuffle()
+		settled = c.idealShuffle()
 	}
 	// Find the fullest unbound, un-busy, uniform row with work. A
 	// partially-filled row is only handed out once shuffling cannot
@@ -376,6 +399,9 @@ func (c *Control) gate(s *simt.SMX, warp int, now int64) simt.GateResult {
 		return simt.GateExit
 	}
 	c.stallVersion[warp] = c.version
+	if settled {
+		c.idleStallVersion = c.version
+	}
 	return simt.GateStall
 }
 
@@ -404,19 +430,13 @@ func (c *Control) canGrow(row int, st kernels.State) bool {
 
 // idealShuffle instantaneously regroups all rays of unbound rows by
 // state (the one-cycle shuffle of Figure 8's idealized DRS). It is a
-// no-op while every unbound row is already uniform.
-func (c *Control) idealShuffle() {
-	mixed := false
-	if c.numMixed > 0 {
-		for r := range c.rows {
-			if c.rowMixed[r] && c.rowWarp[r] < 0 && c.rowBusy[r] == 0 {
-				mixed = true
-				break
-			}
-		}
-	}
-	if !mixed {
-		return
+// no-op while every unbound row is already uniform. It reports whether
+// every unbound row is uniform when it returns, that is whether a
+// repeat call at the current version would be a no-op: a regroup that
+// cannot pad each state onto fresh rows leaves a mixed row behind.
+func (c *Control) idealShuffle() (settled bool) {
+	if !c.freeRowMixed() {
+		return true
 	}
 	c.version++
 	var byState [4][]int32
@@ -469,6 +489,21 @@ func (c *Control) idealShuffle() {
 		remaining -= len(group)
 	}
 	c.stats.IdealShuffles++
+	return !c.freeRowMixed()
+}
+
+// freeRowMixed reports whether some unbound, un-busy row holds more
+// than one live state.
+func (c *Control) freeRowMixed() bool {
+	if c.numMixed == 0 {
+		return false
+	}
+	for r := range c.rows {
+		if c.rowMixed[r] && c.rowWarp[r] < 0 && c.rowBusy[r] == 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // tick advances the swap engine by one cycle (§3.2.4): each role

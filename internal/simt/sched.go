@@ -46,11 +46,17 @@ func (v SchedView) LastIssued(w int) int64 { return v.s.st.lastIssued[w] }
 // LastPicked returns the warp the scheduler issued from last, or -1.
 func (v SchedView) LastPicked(sched int) int { return v.s.lastWarp[sched] }
 
-// PickGTO runs the canonical greedy-then-oldest scan for the
+// PickGTO runs the canonical greedy-then-oldest pick for the
 // scheduler: prefer the warp it issued from last, else the issuable
-// warp with the oldest LastIssued, lowest id on ties. Registry
-// policies that want the builtin behavior (or a fallback tier of it)
-// call this instead of reimplementing the scan.
+// warp with the oldest LastIssued, lowest id on ties — the first
+// issuable warp of the scheduler's age list, which every issue keeps
+// in order at O(1) cost. Calls within one cycle resume the walk where
+// the previous call stopped, so retries after failed issues cost one
+// walk of the list per cycle in all. The answer is still a pure
+// function of SchedView state, also when the caller discards it and
+// issues another warp. Registry policies that want the builtin
+// behavior (or a fallback tier of it) call this instead of
+// reimplementing the scan.
 func (v SchedView) PickGTO(sched int) int { return v.s.pickGTO(sched) }
 
 // PickLRR runs the canonical loose round-robin scan: rotate through

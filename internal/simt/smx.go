@@ -27,10 +27,10 @@ type SMX struct {
 	kernel Kernel
 	hooks  Hooks
 
-	st    *warpState
-	views []Warp
-	mem   *memsys.SMXMem
-	rf    *regfile.File
+	st     *warpState
+	views  []Warp
+	mem    *memsys.SMXMem
+	rf     *regfile.File
 	blocks []BlockInfo
 
 	cycle int64
@@ -38,6 +38,13 @@ type SMX struct {
 
 	// greedy scheduler state: last warp issued per scheduler
 	lastWarp []int
+	// GTO age order: each scheduler's warps as a doubly linked list in
+	// ascending (lastIssued, id) order, linked through gtoNext/gtoPrev
+	// (-1 ends a chain). gto[sched] holds the list's ends and the
+	// point pickGTO's walk resumes from.
+	gto     []gtoOrder
+	gtoNext []int32
+	gtoPrev []int32
 	// Idle cache: before cycle schedWake[sched] (valid while
 	// schedWakeGen[sched] matches the store's wakeGen) the scheduler's
 	// pick scan would find nothing issuable, so pickWarp returns -1
@@ -80,6 +87,23 @@ type SMX struct {
 	// l2 is the shared L2 the SMX's port belongs to; standalone RunFor
 	// drains that one port through it.
 	l2 *memsys.OrderedL2
+}
+
+// gtoOrder is one scheduler's GTO age list and its resumable walk.
+// lastIssued is written only on a warp's first issue of a cycle, always
+// with the current cycle, and a scheduler makes at most one such issue
+// per cycle; so moving the issuing warp to the back keeps the list in
+// exact (lastIssued, id) order, with never-issued warps at the front
+// in id order.
+type gtoOrder struct {
+	head, tail int32 // oldest and youngest warp (-1: no warps)
+	// at is the warp the walk returned last (-1: walk exhausted). It is
+	// valid only within cycle atCycle and wake generation atGen: there,
+	// a warp the walk passed as not issuable stays so, because only a
+	// launch or resume (which bumps wakeGen) makes a warp issuable.
+	at      int32
+	atCycle int64
+	atGen   uint64
 }
 
 // NewSMX builds one SMX running kernel with the given hooks, attached
@@ -146,6 +170,15 @@ func NewSMX(id int, cfg Config, kernel Kernel, hooks Hooks, l2 *memsys.OrderedL2
 	for i := range s.lastWarp {
 		s.lastWarp[i] = -1
 	}
+	s.gto = make([]gtoOrder, s.nsched)
+	for i := range s.gto {
+		s.gto[i] = gtoOrder{head: -1, tail: -1, atCycle: -1}
+	}
+	s.gtoNext = make([]int32, s.st.n)
+	s.gtoPrev = make([]int32, s.st.n)
+	for w := 0; w < s.st.n; w++ {
+		s.gtoPushBack(w)
+	}
 	// Bind the warp-scheduler policy: a configured factory wins, else
 	// the builtin GTO scan. Either way the cycle loop sees one direct
 	// func field — no interface dispatch, no per-pick branching on the
@@ -179,6 +212,7 @@ func (s *SMX) LaunchAll(slotBase int32) {
 // mapping (used by the DRS wiring, where warps map to rows). The live
 // counter is maintained incrementally by the phase transition — this
 // remap costs O(warpSize), with no O(warps) recount.
+//
 //drslint:hotpath
 func (s *SMX) LaunchMapped(warp int, slots []int32) {
 	s.st.launch(warp, s.kernel.Entry(), slots)
@@ -284,6 +318,7 @@ func (s *SMX) RunEpoch(end int64) error {
 // provisional (L2-hit) estimate to the full DRAM round trip; the
 // estimate always reaches past the barrier, so the correction is never
 // late.
+//
 //drslint:hotpath
 func (s *SMX) ResolveEpoch() {
 	port := s.mem.Port()
@@ -336,6 +371,7 @@ func (s *SMX) RunFor(n int64) error {
 }
 
 // step advances the SMX by one cycle.
+//
 //drslint:hotpath
 func (s *SMX) step() {
 	s.cycle++
@@ -380,8 +416,7 @@ func (s *SMX) step() {
 				continue
 			}
 			s.stats.IssueSlotsUsed++
-			s.st.lastIssued[w] = s.cycle
-			s.lastWarp[sched] = w
+			s.noteIssue(sched, w)
 			if s.onIssueFn != nil {
 				s.onIssueFn(w)
 			}
@@ -437,28 +472,65 @@ func (s *SMX) recordWake(sched int) {
 	s.schedWakeGen[sched] = st.wakeGen
 }
 
+// noteIssue records warp w's first issue of the cycle for scheduler
+// sched: its age key, the greedy choice, and its move to the back of
+// the GTO age list. The move is O(1) whatever the policy, and it
+// restarts the list's walk, since the order changed.
+func (s *SMX) noteIssue(sched, w int) {
+	s.st.lastIssued[w] = s.cycle
+	s.lastWarp[sched] = w
+	g := &s.gto[w%s.nsched]
+	g.atCycle = -1
+	if int(g.tail) == w {
+		return
+	}
+	prev, next := s.gtoPrev[w], s.gtoNext[w] // next >= 0: w is not the tail
+	if prev >= 0 {
+		s.gtoNext[prev] = next
+	} else {
+		g.head = next
+	}
+	s.gtoPrev[next] = prev
+	s.gtoPushBack(w)
+}
+
+// gtoPushBack links warp w at the back of its scheduler's age list.
+func (s *SMX) gtoPushBack(w int) {
+	g := &s.gto[w%s.nsched]
+	s.gtoPrev[w], s.gtoNext[w] = g.tail, -1
+	if g.tail >= 0 {
+		s.gtoNext[g.tail] = int32(w)
+	} else {
+		g.head = int32(w)
+	}
+	g.tail = int32(w)
+}
+
 // pickGTO is greedy-then-oldest: prefer the warp this scheduler issued
 // from last; otherwise the ready warp that has waited longest (oldest
-// lastIssued, then lowest id). The scan reads two flat arrays (phase,
-// readyCycle) — no pointer chasing.
+// lastIssued, then lowest id) — the first issuable warp of the age
+// list. A retry within the same cycle and wake generation resumes the
+// walk at the warp returned last (checking it again) instead of
+// rescanning from the oldest, so a scheduler whose candidates keep
+// failing at issue — idle DRS warps stalling at rdctrl — walks its
+// list once per cycle, not once per failed try.
 func (s *SMX) pickGTO(sched int) int {
 	if last := s.lastWarp[sched]; last >= 0 {
 		if last%s.nsched == sched && s.issuable(last) {
 			return last
 		}
 	}
-	st := s.st
-	best := -1
-	var bestLast int64
-	for w := sched; w < st.n; w += s.nsched {
-		if !s.issuable(w) {
-			continue
-		}
-		if best < 0 || st.lastIssued[w] < bestLast {
-			best, bestLast = w, st.lastIssued[w]
-		}
+	g := &s.gto[sched]
+	w := g.at
+	if g.atCycle != s.cycle || g.atGen != s.st.wakeGen {
+		w = g.head
+		g.atCycle, g.atGen = s.cycle, s.st.wakeGen
 	}
-	return best
+	for w >= 0 && !s.issuable(int(w)) {
+		w = s.gtoNext[w]
+	}
+	g.at = w
+	return int(w)
 }
 
 // pickRR rotates through the scheduler's warps, starting after the one
@@ -823,6 +895,7 @@ func (s *SMX) LiveWarps() int { return s.st.live }
 // time plus `extraStall` cycles. Architecture hooks use this for
 // instruction overheads the kernel's block table does not contain
 // (DMK's micro-kernel spawn data dumping/loading).
+//
 //drslint:hotpath
 func (s *SMX) InjectInstrs(warp *Warp, count, active int, tag Tag, extraStall int) {
 	if count <= 0 {
@@ -843,6 +916,7 @@ func (s *SMX) InjectInstrs(warp *Warp, count, active int, tag Tag, extraStall in
 
 // AddBarrierStall records warp-cycles spent parked at a compaction
 // barrier (TBC).
+//
 //drslint:hotpath
 func (s *SMX) AddBarrierStall(cycles int64) {
 	if cycles > 0 {
@@ -852,6 +926,7 @@ func (s *SMX) AddBarrierStall(cycles int64) {
 
 // AddSpawnConflict records cycles lost to spawn-memory contention
 // (DMK).
+//
 //drslint:hotpath
 func (s *SMX) AddSpawnConflict(cycles int64) {
 	if cycles > 0 {
