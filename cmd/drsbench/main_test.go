@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -55,5 +56,19 @@ func TestBadBounceIsUsageError(t *testing.T) {
 				t.Fatalf("-bounce %s: exit %d, stderr:\n%s\nwant exit 2 and one line naming -bounce", b, code, stderr)
 			}
 		})
+	}
+}
+
+// A device-model file the register file cannot build is a usage error
+// too: exit 2 from the config validator, not a panic from inside the
+// register file.
+func TestUnbuildableArchConfigIsUsageError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "w.json")
+	if err := os.WriteFile(path, []byte(`{"name":"wide-rf","rf_banks":100}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, stderr := runDrsbench(t, "-arch-config @"+path+" -tris 1000 -w 32 -h 24 -bounce 1")
+	if code != 2 || strings.Contains(stderr, "panic") || !strings.Contains(stderr, "rf_banks") {
+		t.Fatalf("exit %d, stderr:\n%s\nwant exit 2 and an rf_banks error, no panic", code, stderr)
 	}
 }

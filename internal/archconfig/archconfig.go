@@ -233,8 +233,8 @@ func (c Config) Validate() error {
 		return &ConfigError{Field: "dram_lat", Reason: fmt.Sprintf("%d must be at least the L2 hit latency %d (it is the additional L2-miss cost)", c.DRAMLat, c.L2HitLat)}
 	case c.TxCycles < 1 || c.TxCycles > 64:
 		return &ConfigError{Field: "tx_cycles", Reason: fmt.Sprintf("%d out of range [1,64]", c.TxCycles)}
-	case c.RFBanks < 1 || c.RFBanks > 256:
-		return &ConfigError{Field: "rf_banks", Reason: fmt.Sprintf("%d out of range [1,256]", c.RFBanks)}
+	case c.RFBanks < 1 || c.RFBanks > regfile.MaxBanks:
+		return &ConfigError{Field: "rf_banks", Reason: fmt.Sprintf("%d out of range [1,%d] (the register file tracks bank occupancy in a uint64 mask; regfile.MaxBanks)", c.RFBanks, regfile.MaxBanks)}
 	case c.RFRegsPerSMX < 1024 || c.RFRegsPerSMX > 1<<24:
 		return &ConfigError{Field: "rf_regs_per_smx", Reason: fmt.Sprintf("%d out of range [1024,%d]", c.RFRegsPerSMX, 1<<24)}
 	case c.DRSBackupRows < 1 || c.DRSBackupRows > 16:

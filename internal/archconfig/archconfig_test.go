@@ -54,6 +54,7 @@ func TestDecodeRejections(t *testing.T) {
 		{"non-object", `[1,2]`, "body"},
 		{"not json", `shader model 6`, "body"},
 		{"oversized", `{"name":"` + strings.Repeat("a", MaxConfigBytes) + `"}`, "body"},
+		{"rf banks above the register file's cap", `{"name":"x","rf_banks":65}`, "rf_banks"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

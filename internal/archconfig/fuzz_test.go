@@ -3,13 +3,15 @@ package archconfig
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/regfile"
 )
 
 // FuzzArchConfig holds the decoder to its contract: arbitrary bytes
 // produce either a valid config or a typed *ConfigError — never a
 // panic, and never a config that fails Validate. Accepted configs must
 // also survive a normalize/validate round trip (Decode's output is a
-// fixed point).
+// fixed point) and build a register file.
 func FuzzArchConfig(f *testing.F) {
 	seeds := []string{
 		`{}`,
@@ -32,6 +34,7 @@ func FuzzArchConfig(f *testing.F) {
 		`{"name":"x","smx_count":3.5}`,
 		`{"name":"` + strings.Repeat("a", 65) + `"}`,
 		"{\"name\":\"x\",\n\"rf_banks\":0}",
+		`{"name":"x","rf_banks":65}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -50,5 +53,8 @@ func FuzzArchConfig(f *testing.F) {
 		if n := c.Normalized(); n != c {
 			t.Fatalf("decoded config is not a normalize fixed point:\n%+v\n%+v", c, n)
 		}
+		// An accepted config must build the parts that panic on
+		// parameters out of their range.
+		regfile.New(c.Simt().RF)
 	})
 }

@@ -221,8 +221,9 @@ func NewControl(cfg Config, kernel *kernels.WhileIf) (*Control, error) {
 // Hooks returns the engine hooks wiring this control to an SMX.
 func (c *Control) Hooks() simt.Hooks {
 	return simt.Hooks{
-		Gate: c.gate,
-		Tick: c.tick,
+		Gate:      c.gate,
+		GateHolds: c.gateHolds,
+		Tick:      c.tick,
 	}
 }
 
@@ -404,6 +405,15 @@ func (c *Control) gate(s *simt.SMX, warp int, now int64) simt.GateResult {
 	}
 	return simt.GateStall
 }
+
+// gateHolds implements simt.Hooks.GateHolds. A warp whose gate stalled
+// is unbound: it had no row, or the stall path unbound it. It stays
+// unbound until its own next gate call, because only the gate binds a
+// warp, and only the warp it serves. At idleStallVersion such a call
+// returns at one of the two stall memos and changes nothing. An
+// unsettled ideal regroup never records idleStallVersion, so there the
+// hook reports false and every retry calls the gate.
+func (c *Control) gateHolds() bool { return c.idleStallVersion == c.version }
 
 // bindThreshold returns the minimum live-ray count for handing a
 // growable uniform row to a warp.

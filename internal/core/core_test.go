@@ -66,6 +66,13 @@ func TestBuffersPerRole(t *testing.T) {
 // buildDRS constructs a small DRS machine over a scene.
 func buildDRS(t testing.TB, cfg Config, nrays int) (*simt.SMX, *Control, *kernels.WhileIf, *kernels.Pool, *bvh.BVH) {
 	t.Helper()
+	return buildDRSHooks(t, cfg, nrays, nil)
+}
+
+// buildDRSHooks is buildDRS with the control's engine hooks passed
+// through wrap (nil: unwrapped) before the SMX is built.
+func buildDRSHooks(t testing.TB, cfg Config, nrays int, wrap func(*Control, simt.Hooks) simt.Hooks) (*simt.SMX, *Control, *kernels.WhileIf, *kernels.Pool, *bvh.BVH) {
+	t.Helper()
 	s := scene.Generate(scene.ConferenceRoom, 1200)
 	bv, err := bvh.Build(s.Tris, bvh.DefaultOptions())
 	if err != nil {
@@ -90,7 +97,11 @@ func buildDRS(t testing.TB, cfg Config, nrays int) (*simt.SMX, *Control, *kernel
 	scfg.MaxWarpsPerSMX = cfg.Warps()
 	scfg.MaxCycles = 1 << 23
 	l2 := memsys.NewOrderedL2(scfg.Mem, 1)
-	smx, err := simt.NewSMX(0, scfg, k, ctrl.Hooks(), l2)
+	hooks := ctrl.Hooks()
+	if wrap != nil {
+		hooks = wrap(ctrl, hooks)
+	}
+	smx, err := simt.NewSMX(0, scfg, k, hooks, l2)
 	if err != nil {
 		t.Fatal(err)
 	}

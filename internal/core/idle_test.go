@@ -11,14 +11,15 @@ import (
 // 26 758 rays spread over 128 SMXs. With the default 58 warps most
 // warps find no row of rays for the whole run and retry rdctrl every
 // cycle, which is the regime the gate's shared stall memo and the GTO
-// scheduler's resumable walk are built for.
+// loop's held-gate charge are built for.
 const idleRays = 200
 
 // TestIdleWarpRegime pins the DRS machine in the idle-warp regime to
 // exact counters, run whole and in 97-cycle RunFor slices (any slice
 // length gives the same result). The numbers were recorded before the
-// GTO age list and the shared unbound-warp memo existed; both are host
-// speed-ups only and must leave every counter unchanged.
+// GTO age list, the shared unbound-warp memo and the held-gate charge
+// existed; all three are host speed-ups only and must leave every
+// counter unchanged.
 func TestIdleWarpRegime(t *testing.T) {
 	type want struct {
 		cycles, warpInstrs, ctrlInstrs, ctrlStalls int64
@@ -68,7 +69,7 @@ func TestIdleWarpRegime(t *testing.T) {
 
 // TestGatedLoopZeroAlloc is TestSteadyCycleLoopZeroAlloc for a
 // DRS-gated SMX in the idle-warp regime: once warm, epochs of rdctrl
-// retries, gate stalls, swaps and the GTO walk allocate nothing.
+// retries, gate stalls, swaps and the GTO loop allocate nothing.
 func TestGatedLoopZeroAlloc(t *testing.T) {
 	smx, _, _, _, _ := buildDRS(t, DefaultConfig(), idleRays)
 	epoch := func() {
@@ -88,21 +89,21 @@ func TestGatedLoopZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestUnsettledIdealStallNotShared covers the one stall the shared
-// unbound-warp memo must not record: an ideal regroup that cannot pad
-// every state onto fresh rows leaves a mixed free row, so the next
-// unbound warp's gate regroups again instead of doing nothing. With
-// the default bind threshold that needs three free rows or fewer, too
-// few for two unbound warps; a threshold above the row width reaches
-// it with four. Free rows 0, 1, 4, 5 hold 1 inner, 1 leaf and 95 fetch
-// rays and regroup into [inner], [leaf + 31 fetch], [32 fetch],
-// [32 fetch]; no row is bindable, so both unbound warps stall, and each
-// gate regroups, as it did before the shared memo existed.
-func TestUnsettledIdealStallNotShared(t *testing.T) {
+// unsettledIdeal builds the one state the shared unbound-warp memo must
+// not record: an ideal regroup that cannot pad every state onto fresh
+// rows leaves a mixed free row, so the next unbound warp's gate
+// regroups again instead of doing nothing. With the default bind
+// threshold that needs three free rows or fewer, too few for two
+// unbound warps; a threshold above the row width reaches it with four.
+// Free rows 0, 1, 4, 5 hold 1 inner, 1 leaf and 95 fetch rays and
+// regroup into [inner], [leaf + 31 fetch], [32 fetch], [32 fetch]; no
+// row is bindable, so both unbound warps (0 and 1) stall, and each gate
+// regroups. wrap wraps the control's engine hooks (nil: unwrapped).
+func unsettledIdeal(t *testing.T, wrap func(*Control, simt.Hooks) simt.Hooks) (*simt.SMX, *Control) {
 	cfg := DefaultConfig()
 	cfg.BackupRows, cfg.WarpsOverride, cfg.BindThreshold = 0, 4, 33
 	cfg.Ideal, cfg.SwapBuffers = true, 0
-	smx, c, k, _, _ := buildDRS(t, cfg, 128)
+	smx, c, k, _, _ := buildDRSHooks(t, cfg, 128, wrap)
 	k.Ctx(0).State = kernels.StateInner
 	k.Ctx(1).State = kernels.StateLeaf
 	// Rows in order 0, 1, 4, 5 (free), 2, 3 (bound to warps 2 and 3);
@@ -129,7 +130,14 @@ func TestUnsettledIdealStallNotShared(t *testing.T) {
 		c.refreshMixed(r)
 	}
 	c.version++
+	return smx, c
+}
 
+// TestUnsettledIdealStallNotShared covers the unsettledIdeal state:
+// each unbound warp's gate regroups, as it did before the shared memo
+// existed, and GateHolds reports false after each such stall.
+func TestUnsettledIdealStallNotShared(t *testing.T) {
+	smx, c := unsettledIdeal(t, nil)
 	for i, warp := range []int{0, 1} {
 		if got := c.gate(smx, warp, 1); got != simt.GateStall {
 			t.Fatalf("warp %d: gate = %v, want a stall", warp, got)
@@ -137,6 +145,9 @@ func TestUnsettledIdealStallNotShared(t *testing.T) {
 		if want := int64(i + 1); c.stats.IdealShuffles != want || !c.rowMixed[1] {
 			t.Fatalf("after warp %d: %d regroups, row 1 mixed %v; want %d regroups leaving row 1 mixed",
 				warp, c.stats.IdealShuffles, c.rowMixed[1], want)
+		}
+		if c.gateHolds() {
+			t.Fatalf("after warp %d: GateHolds is true after an unsettled regroup", warp)
 		}
 	}
 	if err := c.CheckInvariants(); err != nil {

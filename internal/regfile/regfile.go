@@ -81,20 +81,25 @@ func (s Stats) ShuffleShare() float64 {
 // ringSize bounds how far ahead bank reservations are tracked.
 const ringSize = 16
 
+// MaxBanks is the largest bank count the model supports: bank
+// occupancy is a uint64 bitmask per cycle.
+const MaxBanks = 64
+
 // File is the per-SMX register file model. It is not safe for
 // concurrent use; each SMX goroutine owns one.
 type File struct {
 	cfg   Config
 	stats Stats
 	// busy is a ring of per-cycle bank occupancy bitmasks (bit i =
-	// bank i busy). Supports up to 64 banks.
+	// bank i busy). Supports up to MaxBanks banks.
 	busy    [ringSize]uint64
 	current int64 // cycle corresponding to ring slot current%ringSize
 }
 
-// New creates a register file model.
+// New creates a register file model. It panics on a bank count outside
+// [1, MaxBanks]; simt.Config.Validate rejects those first.
 func New(cfg Config) *File {
-	if cfg.NumBanks <= 0 || cfg.NumBanks > 64 {
+	if cfg.NumBanks <= 0 || cfg.NumBanks > MaxBanks {
 		panic(fmt.Sprintf("regfile: unsupported bank count %d", cfg.NumBanks))
 	}
 	if cfg.WarpSize <= 0 {

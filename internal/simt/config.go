@@ -87,6 +87,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("simt: clock must be positive")
 	case c.EpochCycles < 0:
 		return fmt.Errorf("simt: epoch length %d must not be negative", c.EpochCycles)
+	case c.RF.NumBanks < 1 || c.RF.NumBanks > regfile.MaxBanks:
+		return fmt.Errorf("simt: register file bank count %d out of range [1,%d]", c.RF.NumBanks, regfile.MaxBanks)
 	}
 	return nil
 }

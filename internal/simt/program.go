@@ -137,6 +137,16 @@ const (
 type Hooks struct {
 	// Gate is consulted when a warp is about to enter a Gated block.
 	Gate func(s *SMX, warp int, now int64) GateResult
+	// GateHolds, if set, reports whether every warp whose last Gate
+	// call returned GateStall, and that has not been launched,
+	// remapped or resumed since, would get GateStall again now from a
+	// Gate call with no side effects. While it does, the engine charges
+	// such a warp's retry exactly what that call would — one CtrlStalls
+	// and a retry next cycle — without making the call. The engine asks
+	// at most once between two real issue attempts, since a charged
+	// stall changes nothing the hook can read. A hook that cannot
+	// answer cheaply leaves it nil, and every retry calls Gate.
+	GateHolds func() bool
 	// Tick runs once per SMX cycle before issue (co-processor state
 	// machines such as the DRS swap engine).
 	Tick func(s *SMX, now int64)

@@ -5,10 +5,10 @@ package simt
 // dispatch on the issue path: NewSMX calls the factory once and stores
 // the returned func values directly in the SMX's pickFn and onIssueFn
 // fields, exactly like the kernel Step method and the architecture
-// hooks. The steady-state cycle loop therefore makes one indirect call
-// per pick — the same shape as the builtin GTO scan a nil factory
-// binds — and allocates nothing as long as the policy's own funcs do
-// not.
+// hooks. A scheduler turn then makes one indirect Pick call per try,
+// and allocates nothing as long as the policy's own funcs do not. A nil
+// factory binds no funcs: the builtin greedy-then-oldest loop walks the
+// age list itself and makes no pick call at all.
 
 // SchedView is the window a warp-scheduler policy gets onto one SMX's
 // scheduling state. It is handed to a SchedFactory at NewSMX, after
@@ -45,19 +45,6 @@ func (v SchedView) LastIssued(w int) int64 { return v.s.st.lastIssued[w] }
 
 // LastPicked returns the warp the scheduler issued from last, or -1.
 func (v SchedView) LastPicked(sched int) int { return v.s.lastWarp[sched] }
-
-// PickGTO runs the canonical greedy-then-oldest pick for the
-// scheduler: prefer the warp it issued from last, else the issuable
-// warp with the oldest LastIssued, lowest id on ties — the first
-// issuable warp of the scheduler's age list, which every issue keeps
-// in order at O(1) cost. Calls within one cycle resume the walk where
-// the previous call stopped, so retries after failed issues cost one
-// walk of the list per cycle in all. The answer is still a pure
-// function of SchedView state, also when the caller discards it and
-// issues another warp. Registry policies that want the builtin
-// behavior (or a fallback tier of it) call this instead of
-// reimplementing the scan.
-func (v SchedView) PickGTO(sched int) int { return v.s.pickGTO(sched) }
 
 // PickLRR runs the canonical loose round-robin scan: rotate through
 // the scheduler's warps starting after the one it issued from last.

@@ -40,19 +40,22 @@ type SMX struct {
 	lastWarp []int
 	// GTO age order: each scheduler's warps as a doubly linked list in
 	// ascending (lastIssued, id) order, linked through gtoNext/gtoPrev
-	// (-1 ends a chain). gto[sched] holds the list's ends and the
-	// point pickGTO's walk resumes from.
+	// (-1 ends a chain). gto[sched] holds the list's ends.
 	gto     []gtoOrder
 	gtoNext []int32
 	gtoPrev []int32
 	// Idle cache: before cycle schedWake[sched] (valid while
-	// schedWakeGen[sched] matches the store's wakeGen) the scheduler's
-	// pick scan would find nothing issuable, so pickWarp returns -1
-	// without rescanning. Stalls only push wake-ups later and parks only
-	// remove candidates; the one event that wakes a warp early — a
-	// launch/resume resetting readyCycle — bumps wakeGen.
+	// schedWakeGen[sched] matches the store's wakeGen) none of the
+	// scheduler's warps is issuable, so its turn ends at once. Stalls
+	// only push wake-ups later and parks only remove candidates; the
+	// one event that wakes a warp early — a launch/resume resetting
+	// readyCycle — bumps wakeGen.
 	schedWake    []int64
 	schedWakeGen []uint64
+	// held caches gateHoldsFn's answer between two real issue attempts
+	// (0: not asked, 1: the gate holds, -1: it does not); step and
+	// issueOne clear it.
+	held int8
 
 	// Issue path devirtualized at NewSMX: the kernel's Step method
 	// value, the optional voter, the architecture hooks, and the
@@ -61,6 +64,7 @@ type SMX struct {
 	stepFn       func(slot int32, block int, res *StepResult)
 	voteFn       func(warp, block int, slots []int32, res []*StepResult)
 	gateFn       func(s *SMX, warp int, now int64) GateResult
+	gateHoldsFn  func() bool
 	tickFn       func(s *SMX, now int64)
 	onDivergeFn  func(s *SMX, warp, block int, lanes []int, targets []int) bool
 	onBlockEndFn func(s *SMX, warp, block int, lanes []int, targets []int) bool
@@ -89,21 +93,13 @@ type SMX struct {
 	l2 *memsys.OrderedL2
 }
 
-// gtoOrder is one scheduler's GTO age list and its resumable walk.
-// lastIssued is written only on a warp's first issue of a cycle, always
-// with the current cycle, and a scheduler makes at most one such issue
-// per cycle; so moving the issuing warp to the back keeps the list in
-// exact (lastIssued, id) order, with never-issued warps at the front
-// in id order.
+// gtoOrder is one scheduler's GTO age list. lastIssued is written only
+// on a warp's first issue of a cycle, always with the current cycle,
+// and a scheduler makes at most one such issue per cycle; so moving the
+// issuing warp to the back keeps the list in exact (lastIssued, id)
+// order, with never-issued warps at the front in id order.
 type gtoOrder struct {
 	head, tail int32 // oldest and youngest warp (-1: no warps)
-	// at is the warp the walk returned last (-1: walk exhausted). It is
-	// valid only within cycle atCycle and wake generation atGen: there,
-	// a warp the walk passed as not issuable stays so, because only a
-	// launch or resume (which bumps wakeGen) makes a warp issuable.
-	at      int32
-	atCycle int64
-	atGen   uint64
 }
 
 // NewSMX builds one SMX running kernel with the given hooks, attached
@@ -146,6 +142,7 @@ func NewSMX(id int, cfg Config, kernel Kernel, hooks Hooks, l2 *memsys.OrderedL2
 		launchBuf:     make([]int32, ws),
 		stepFn:        kernel.Step,
 		gateFn:        hooks.Gate,
+		gateHoldsFn:   hooks.GateHolds,
 		tickFn:        hooks.Tick,
 		onDivergeFn:   hooks.OnDiverge,
 		onBlockEndFn:  hooks.OnBlockEnd,
@@ -172,18 +169,15 @@ func NewSMX(id int, cfg Config, kernel Kernel, hooks Hooks, l2 *memsys.OrderedL2
 	}
 	s.gto = make([]gtoOrder, s.nsched)
 	for i := range s.gto {
-		s.gto[i] = gtoOrder{head: -1, tail: -1, atCycle: -1}
+		s.gto[i] = gtoOrder{head: -1, tail: -1}
 	}
 	s.gtoNext = make([]int32, s.st.n)
 	s.gtoPrev = make([]int32, s.st.n)
 	for w := 0; w < s.st.n; w++ {
 		s.gtoPushBack(w)
 	}
-	// Bind the warp-scheduler policy: a configured factory wins, else
-	// the builtin GTO scan. Either way the cycle loop sees one direct
-	// func field — no interface dispatch, no per-pick branching on the
-	// policy kind.
-	s.pickFn = s.pickGTO
+	// Bind the warp-scheduler policy: a configured factory's funcs, or
+	// none, which leaves the builtin greedy-then-oldest loop in charge.
 	if cfg.SchedFactory != nil {
 		prog := cfg.SchedFactory(SchedView{s: s})
 		if prog.Pick == nil {
@@ -375,6 +369,7 @@ func (s *SMX) RunFor(n int64) error {
 //drslint:hotpath
 func (s *SMX) step() {
 	s.cycle++
+	s.held = 0
 	s.rf.Advance(s.cycle)
 	if s.tickFn != nil {
 		s.tickFn(s, s.cycle)
@@ -398,65 +393,124 @@ func (s *SMX) step() {
 	}
 	for sched := 0; sched < s.nsched; sched++ {
 		s.stats.IssueSlotsTotal += int64(s.cfg.DispatchPerScheduler)
-		// A scheduler keeps trying candidate warps until one issues:
-		// every failed issue attempt (gate stall, memory stall, warp
-		// retirement) leaves the warp non-issuable this cycle, so the
-		// loop terminates.
-		guard := 0
-		for {
-			w := s.pickWarp(sched)
-			if w < 0 {
+		var w int
+		if s.pickFn == nil {
+			w = s.gtoTurn(sched)
+		} else {
+			w = s.pickTurn(sched)
+		}
+		if w < 0 {
+			continue
+		}
+		s.stats.IssueSlotsUsed++
+		s.noteIssue(sched, w)
+		if s.onIssueFn != nil {
+			s.onIssueFn(w)
+		}
+		for d := 1; d < s.cfg.DispatchPerScheduler; d++ {
+			if !s.issueOne(w) {
 				break
 			}
-			if !s.issueOne(w) {
-				guard++
-				if guard > s.st.n {
-					break
-				}
-				continue
-			}
 			s.stats.IssueSlotsUsed++
-			s.noteIssue(sched, w)
 			if s.onIssueFn != nil {
 				s.onIssueFn(w)
 			}
-			for d := 1; d < s.cfg.DispatchPerScheduler; d++ {
-				if !s.issueOne(w) {
-					break
-				}
-				s.stats.IssueSlotsUsed++
-				if s.onIssueFn != nil {
-					s.onIssueFn(w)
-				}
-			}
-			break
 		}
 	}
 }
 
-// pickWarp selects the next warp for a scheduler according to the
-// configured policy, returning its id (-1 = none issuable). A scan that
-// comes up empty records the earliest cycle any of the scheduler's
-// warps could become issuable; until then (and while no launch/resume
-// intervenes) subsequent picks return -1 in O(1) — on memory- and
-// gate-bound phases most cycles have no issuable warp, and rescanning
-// every warp per scheduler per cycle was the scheduler's dominant cost.
-func (s *SMX) pickWarp(sched int) int {
-	if s.schedWakeGen[sched] == s.st.wakeGen && s.cycle < s.schedWake[sched] {
+// gtoTurn is one turn of the builtin greedy-then-oldest scheduler: try
+// the warp the scheduler issued from last, then each issuable warp of
+// the age list from its head, until one issues. It returns that warp,
+// or -1 when none did.
+//
+// This is the order in which a pick-then-try loop over the
+// greedy-then-oldest pick tries warps. Within one (cycle, wakeGen) a
+// warp whose try failed stays non-issuable, and no warp becomes
+// issuable: only launch lowers readyCycle or leaves done/parked, and
+// launch bumps wakeGen. So each re-pick after a failed try returns the
+// next issuable warp of the list. A try that bumps wakeGen restarts
+// the turn from the greedy check, and a scheduler that fails more tries
+// than it has warps gives up the turn, as the pick loop does.
+func (s *SMX) gtoTurn(sched int) int {
+	if s.idle(sched) {
 		return -1
 	}
-	w := s.pickFn(sched)
-	if w < 0 {
+	st := s.st
+	fails, stalled := 0, false
+	gen := st.wakeGen
+	w, next := s.lastWarp[sched], s.gto[sched].head
+	for {
+		if w < 0 {
+			if next < 0 {
+				break
+			}
+			w, next = int(next), s.gtoNext[next]
+		}
+		if s.issuable(w) {
+			// try(w), written out so that a charged retry makes no call:
+			// idle warps retry here tens of millions of times a run.
+			if st.gateWait[w] && (s.held > 0 || s.held == 0 && s.askGateHolds()) {
+				s.stats.CtrlStalls++
+				st.readyCycle[w] = s.cycle + 1
+				stalled = true
+			} else if s.issueOne(w) {
+				return w
+			} else {
+				stalled = stalled || st.gateWait[w]
+			}
+			if fails++; fails > st.n {
+				return -1
+			}
+			if st.wakeGen != gen {
+				gen = st.wakeGen
+				w, next = s.lastWarp[sched], s.gto[sched].head
+				continue
+			}
+		}
+		w = -1
+	}
+	// A warp that stalled at a gate this turn is issuable next cycle,
+	// so the idle cache could only record cycle+1, which skips nothing.
+	if !stalled {
 		s.recordWake(sched)
 	}
-	return w
+	return -1
 }
 
-// recordWake caches the scheduler's next possible wake-up after an
-// empty pick scan: the minimum readyCycle over its live, unparked
-// warps (none of which is issuable now, so all exceed the current
-// cycle). With no live warps the cache holds until a launch bumps the
-// generation.
+// pickTurn is one scheduler turn under a registry policy: pick a warp,
+// try it, and pick again after a failed try, until a warp issues, the
+// policy finds none issuable, or the scheduler has failed more tries
+// than it has warps.
+func (s *SMX) pickTurn(sched int) int {
+	if s.idle(sched) {
+		return -1
+	}
+	for fails := 0; fails <= s.st.n; fails++ {
+		w := s.pickFn(sched)
+		if w < 0 {
+			s.recordWake(sched)
+			return -1
+		}
+		if s.issuable(w) && s.try(w) {
+			return w
+		}
+	}
+	return -1
+}
+
+// idle reports whether the idle cache rules out every warp of the
+// scheduler this cycle. Memory- and gate-bound phases leave most cycles
+// with no issuable warp; the cache ends those turns without a walk.
+func (s *SMX) idle(sched int) bool {
+	return s.schedWakeGen[sched] == s.st.wakeGen && s.cycle < s.schedWake[sched]
+}
+
+// recordWake caches the scheduler's next possible wake-up after a turn
+// found nothing to issue: the minimum readyCycle over its live,
+// unparked warps (none of which is issuable now, so all exceed the
+// current cycle). With no live warps the cache holds until a launch
+// bumps the generation.
 func (s *SMX) recordWake(sched int) {
 	st := s.st
 	wake := int64(1) << 62
@@ -473,14 +527,12 @@ func (s *SMX) recordWake(sched int) {
 }
 
 // noteIssue records warp w's first issue of the cycle for scheduler
-// sched: its age key, the greedy choice, and its move to the back of
-// the GTO age list. The move is O(1) whatever the policy, and it
-// restarts the list's walk, since the order changed.
+// sched: its age key, the greedy choice, and its O(1) move to the back
+// of the GTO age list, which every policy keeps current.
 func (s *SMX) noteIssue(sched, w int) {
 	s.st.lastIssued[w] = s.cycle
 	s.lastWarp[sched] = w
 	g := &s.gto[w%s.nsched]
-	g.atCycle = -1
 	if int(g.tail) == w {
 		return
 	}
@@ -504,33 +556,6 @@ func (s *SMX) gtoPushBack(w int) {
 		g.head = int32(w)
 	}
 	g.tail = int32(w)
-}
-
-// pickGTO is greedy-then-oldest: prefer the warp this scheduler issued
-// from last; otherwise the ready warp that has waited longest (oldest
-// lastIssued, then lowest id) — the first issuable warp of the age
-// list. A retry within the same cycle and wake generation resumes the
-// walk at the warp returned last (checking it again) instead of
-// rescanning from the oldest, so a scheduler whose candidates keep
-// failing at issue — idle DRS warps stalling at rdctrl — walks its
-// list once per cycle, not once per failed try.
-func (s *SMX) pickGTO(sched int) int {
-	if last := s.lastWarp[sched]; last >= 0 {
-		if last%s.nsched == sched && s.issuable(last) {
-			return last
-		}
-	}
-	g := &s.gto[sched]
-	w := g.at
-	if g.atCycle != s.cycle || g.atGen != s.st.wakeGen {
-		w = g.head
-		g.atCycle, g.atGen = s.cycle, s.st.wakeGen
-	}
-	for w >= 0 && !s.issuable(int(w)) {
-		w = s.gtoNext[w]
-	}
-	g.at = w
-	return int(w)
 }
 
 // pickRR rotates through the scheduler's warps, starting after the one
@@ -561,9 +586,34 @@ func (s *SMX) issuable(w int) bool {
 	return p != phaseDone && p != phaseParked && s.st.readyCycle[w] <= s.cycle
 }
 
+// try is a scheduler turn's issue attempt on issuable warp w. A warp
+// waiting at a gate that still holds (Hooks.GateHolds) is charged what
+// the gate call would cost it — one CtrlStalls and a retry next cycle —
+// without issueOne, enterBlock or the call.
+func (s *SMX) try(w int) bool {
+	if s.st.gateWait[w] && (s.held > 0 || s.held == 0 && s.askGateHolds()) {
+		s.stats.CtrlStalls++
+		s.st.readyCycle[w] = s.cycle + 1
+		return false
+	}
+	return s.issueOne(w)
+}
+
+// askGateHolds asks Hooks.GateHolds and keeps the answer in held until
+// the next real issue attempt: a charged stall changes nothing the hook
+// reads, so the engine asks at most once between two real attempts.
+func (s *SMX) askGateHolds() bool {
+	s.held = -1
+	if s.gateHoldsFn != nil && s.gateHoldsFn() {
+		s.held = 1
+	}
+	return s.held > 0
+}
+
 // issueOne attempts to issue one instruction from warp w. Returns false
 // if the warp could not issue (gate stall, memory stall, done, parked).
 func (s *SMX) issueOne(w int) bool {
+	s.held = 0 // the attempt may change what GateHolds reads
 	st := s.st
 	for {
 		p := st.phase[w]
@@ -589,7 +639,9 @@ func (s *SMX) enterBlock(w int) bool {
 	st := s.st
 	b := &s.blocks[st.block[w]]
 	if b.Gated && s.gateFn != nil {
-		switch s.gateFn(s, w, s.cycle) {
+		r := s.gateFn(s, w, s.cycle)
+		st.gateWait[w] = r == GateStall
+		switch r {
 		case GateStall:
 			s.stats.CtrlStalls++
 			// Push the warp's next attempt to the following cycle so a

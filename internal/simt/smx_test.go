@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/memsys"
+	"repro/internal/regfile"
 )
 
 // testKernel is a configurable synthetic kernel for engine tests. Each
@@ -415,6 +416,15 @@ func TestNewSMXValidation(t *testing.T) {
 	k2 := &testKernel{blocks: []BlockInfo{{Insts: 1}}, step: func(int32, int, *StepResult) {}}
 	if _, err := NewSMX(0, bad, k2, Hooks{}, l2); err == nil {
 		t.Errorf("invalid config accepted")
+	}
+	// Bank counts the register file cannot model are an error, not a
+	// panic inside regfile.New.
+	for _, banks := range []int{0, regfile.MaxBanks + 1} {
+		bad = cfg
+		bad.RF.NumBanks = banks
+		if _, err := NewSMX(0, bad, k2, Hooks{}, l2); err == nil {
+			t.Errorf("%d register file banks accepted", banks)
+		}
 	}
 	if _, err := NewSMX(1, cfg, k2, Hooks{}, l2); err == nil {
 		t.Errorf("SMX id beyond the L2's ports accepted")

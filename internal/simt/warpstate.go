@@ -80,6 +80,11 @@ type warpState struct {
 	// instructions, so the warp only stalls on it at block completion.
 	memReady   []int64
 	lastIssued []int64
+	// gateWait marks a warp whose last gate call stalled. Only launch
+	// and the warp's next gate call clear it; while Hooks.GateHolds
+	// reports true, a retry of a marked warp is charged its stall
+	// without the call (SMX.try).
+	gateWait []bool
 
 	// slots maps lane -> kernel context slot (-1 = empty lane);
 	// res holds the per-lane results for the current block.
@@ -119,6 +124,7 @@ func newWarpState(n, wsz int) *warpState {
 		readyCycle: make([]int64, n),
 		memReady:   make([]int64, n),
 		lastIssued: make([]int64, n),
+		gateWait:   make([]bool, n),
 		slots:      make([]int32, n*wsz),
 		res:        make([]StepResult, n*wsz),
 		stack:      make([]stackEntry, n*stackSlack*wsz),
@@ -182,6 +188,7 @@ func (st *warpState) launch(w, entry int, slots []int32) {
 	}
 	st.block[w] = int32(entry)
 	st.readyCycle[w] = 0
+	st.gateWait[w] = false
 	// Remaps only happen to warps with no in-flight memory (a warp with
 	// unresolved L2 requests cannot reach a gate or divergence point
 	// before the barrier that resolves them), so this is hygiene.

@@ -5,10 +5,10 @@ import "repro/internal/simt"
 // GTO is greedy-then-oldest, the engine's historical default and the
 // paper's Table 1 configuration, re-homed behind the registry: keep
 // issuing from the same warp; on a stall fall back to the issuable
-// warp that has waited longest (lowest id on ties). The canonical scan
-// lives in the engine (SchedView.PickGTO), so the registry policy and
-// the device default a nil simt.Config.SchedFactory binds are the same
-// code and byte-identical by construction.
+// warp that has waited longest (lowest id on ties). The policy is the
+// engine's builtin scheduler loop, so its factory is nil: registry
+// "gto" and the device default a nil simt.Config.SchedFactory binds
+// are one code path.
 type GTO struct{}
 
 // NewGTO returns the greedy-then-oldest scheduler.
@@ -25,9 +25,6 @@ func (GTO) Summary() string {
 // Validate implements Scheduler; GTO has no parameters.
 func (GTO) Validate() error { return nil }
 
-// Factory implements Scheduler.
-func (GTO) Factory() simt.SchedFactory {
-	return func(v simt.SchedView) simt.SchedProgram {
-		return simt.SchedProgram{Pick: v.PickGTO}
-	}
-}
+// Factory implements Scheduler. It returns nil, which binds the
+// engine's builtin greedy-then-oldest loop.
+func (GTO) Factory() simt.SchedFactory { return nil }

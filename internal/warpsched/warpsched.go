@@ -49,7 +49,8 @@ type Scheduler interface {
 	// state is built.
 	Validate() error
 	// Factory returns the per-SMX builder NewSMX devirtualizes the
-	// policy through.
+	// policy through. Nil means the engine's builtin greedy-then-oldest
+	// loop, which only GTO returns.
 	Factory() simt.SchedFactory
 }
 

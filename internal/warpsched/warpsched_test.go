@@ -99,8 +99,9 @@ func TestCatalog(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Errorf("%s default config rejected: %v", name, err)
 		}
-		if s.Factory() == nil {
-			t.Errorf("%s: nil factory", name)
+		// Only GTO binds the engine's builtin loop through a nil factory.
+		if (s.Factory() == nil) != (name == "gto") {
+			t.Errorf("%s: nil factory = %v", name, s.Factory() == nil)
 		}
 	}
 }
@@ -133,10 +134,9 @@ func TestRegistryRejectsBadRegistrations(t *testing.T) {
 	}
 }
 
-// The registry GTO policy must be byte-identical to the device default
-// (a nil SchedFactory binds the same builtin scan): same scan,
-// devirtualized the same way, so every counter of a completed run
-// matches exactly.
+// The registry GTO policy must be byte-identical to the device default:
+// its factory is nil, so both bind the engine's builtin loop, and every
+// counter of a completed run matches exactly.
 func TestFactoryMatchesEnum(t *testing.T) {
 	t.Run("gto", func(t *testing.T) {
 		viaDefault := runSMX(t, testConfig(6))
