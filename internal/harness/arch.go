@@ -12,9 +12,8 @@ import (
 // up the config's pool budgets (as a PolicyOverride, so an explicit
 // override or pinned Options.Policy still wins), and the config's
 // default scheduler fills Options.Sched when the caller has not chosen
-// one. Runtime knobs that are not device shape — scheduler factory,
-// epoch length, cycle cap, collector, parallelism, kernel flavor — are
-// preserved from base.
+// one. Runtime knobs that are not device shape — epoch length, cycle
+// cap, collector, parallelism, kernel flavor — are preserved from base.
 //
 // Applying the "gtx780" config (or any of the four builtin
 // architectures' configs) to DefaultOptions reproduces the hard-coded
@@ -27,7 +26,6 @@ func ApplyArch(ac archconfig.Config, base Options) (Options, error) {
 	o := base
 	dev := ac.Simt()
 	// Preserve base's runtime (non-device) engine knobs.
-	dev.SchedFactory = base.Simt.SchedFactory
 	dev.EpochCycles = base.Simt.EpochCycles
 	dev.MaxCycles = base.Simt.MaxCycles
 	dev.Collector = base.Simt.Collector

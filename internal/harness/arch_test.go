@@ -241,6 +241,29 @@ func TestSchedulerPin(t *testing.T) {
 	}
 }
 
+// Sched and Scheduler are the harness's only scheduler selectors. A
+// factory set on Options.Simt would run while Result.Sched reported
+// "gto", so the run is rejected with a typed error, and ApplyArch does
+// not carry the field across.
+func TestRunRejectsSimtSchedFactory(t *testing.T) {
+	data, traces, _ := testWorkload(t, scene.ConferenceRoom, 800)
+	rays := traces.Bounce(1).Rays
+
+	opt := smallOptions()
+	opt.Simt.SchedFactory = warpsched.NewLRR().Factory()
+	_, err := RunNamed("aila", rays, data, opt)
+	if oe, ok := AsOptionsError(err); !ok || oe.Field != "Simt.SchedFactory" {
+		t.Fatalf("want Simt.SchedFactory OptionsError, got %v", err)
+	}
+	got, err := ApplyArch(mustBuiltin(t, "modern-mid"), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Simt.SchedFactory != nil {
+		t.Error("ApplyArch carried Simt.SchedFactory across")
+	}
+}
+
 // Unknown scheduler names fail with the registry's typed error at the
 // harness boundary, before any device state is built.
 func TestRunUnknownScheduler(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/scene"
+	"repro/internal/warpsched"
 )
 
 // update regenerates the golden-stats file instead of comparing:
@@ -21,14 +22,37 @@ var update = flag.Bool("update", false, "rewrite testdata/golden_stats.json from
 
 const goldenPath = "testdata/golden_stats.json"
 
+// goldenRun is one entry of the golden file: a policy run under a warp
+// scheduler, nil for the device default (gto).
+type goldenRun struct {
+	key, policy string
+	sched       warpsched.Scheduler
+}
+
+// goldenWaSP has one runner per scheduler: smallOptions runs 2 warps
+// per scheduler, so the default 2 runners would make every warp a
+// runner. With one, all three of WaSP's tiers issue at this scale.
+var goldenWaSP = warpsched.WaSP{Runners: 1, Distance: 16}
+
 // goldenRuns defines the fixed matrix the golden file pins: every
-// architecture, which between them covers both traversal kernels
-// (aila/dmk/tbc run the while-while kernel, drs runs Kernel 1's
-// while-if kernel).
-var goldenRuns = []Arch{ArchAila, ArchDRS, ArchDMK, ArchTBC}
+// architecture under the default scheduler, which between them covers
+// both traversal kernels (aila/dmk/tbc run the while-while kernel, drs
+// runs Kernel 1's while-if kernel), plus aila and drs under the two
+// registry schedulers that bind a scheduler order.
+var goldenRuns = []goldenRun{
+	{"aila", "aila", nil},
+	{"drs", "drs", nil},
+	{"dmk", "dmk", nil},
+	{"tbc", "tbc", nil},
+	{"aila/lrr", "aila", warpsched.NewLRR()},
+	{"drs/lrr", "drs", warpsched.NewLRR()},
+	{"aila/wasp", "aila", goldenWaSP},
+	{"drs/wasp", "drs", goldenWaSP},
+}
 
 // TestGoldenStats pins the full metrics registry dump for a tiny
-// deterministic workload on all four architectures. The comparison is
+// deterministic workload on all four architectures, and on two of them
+// under LRR and WaSP. The comparison is
 // byte-exact: the epoch engine guarantees every counter is reproducible,
 // so any diff means the device model changed and the golden file must be
 // consciously regenerated with -update.
@@ -41,23 +65,23 @@ func TestGoldenStats(t *testing.T) {
 	if len(rays) > 500 {
 		rays = rays[:500]
 	}
-	opt := smallOptions()
-	opt.Observe = true
-
 	got := make(map[string]json.RawMessage, len(goldenRuns))
-	for _, arch := range goldenRuns {
-		res, err := RunNamed(arch.String(), rays, data, opt)
+	for _, r := range goldenRuns {
+		opt := smallOptions()
+		opt.Observe = true
+		opt.Scheduler = r.sched
+		res, err := RunNamed(r.policy, rays, data, opt)
 		if err != nil {
-			t.Fatalf("%v: %v", arch, err)
+			t.Fatalf("%s: %v", r.key, err)
 		}
 		if res.Metrics == nil || res.Metrics.Len() == 0 {
-			t.Fatalf("%v: empty metrics snapshot", arch)
+			t.Fatalf("%s: empty metrics snapshot", r.key)
 		}
 		b, err := json.Marshal(res.Metrics)
 		if err != nil {
-			t.Fatalf("%v: %v", arch, err)
+			t.Fatalf("%s: %v", r.key, err)
 		}
-		got[arch.String()] = b
+		got[r.key] = b
 	}
 	// encoding/json sorts map keys and the Snapshot marshaler emits
 	// sorted paths, so this serialization is canonical.
@@ -91,8 +115,8 @@ func TestGoldenStats(t *testing.T) {
 	if err := json.Unmarshal(want, &wantRuns); err != nil {
 		t.Fatalf("golden file corrupt: %v", err)
 	}
-	for _, arch := range goldenRuns {
-		name := arch.String()
+	for _, r := range goldenRuns {
+		name := r.key
 		var g, w map[string]int64
 		if err := json.Unmarshal(got[name], &g); err != nil {
 			t.Fatal(err)

@@ -157,10 +157,11 @@ type Options struct {
 	PolicyOverrides []reorder.Policy
 	// Sched names the warp-scheduler policy for the run ("gto", "lrr",
 	// "wasp"; Schedulers().Names() lists them). Empty keeps the device
-	// default — Simt.SchedFactory, nil for the builtin GTO scan — which
-	// is byte-identical to an explicit "gto": both run the engine's
-	// canonical greedy-then-oldest scan. A non-empty name is resolved
-	// through the registry and devirtualized at NewSMX.
+	// default, the builtin GTO scan, which is byte-identical to an
+	// explicit "gto": both run the engine's canonical greedy-then-oldest
+	// scan. A non-empty name is resolved through the registry and
+	// devirtualized at NewSMX. Sched and Scheduler are the only
+	// scheduler selectors: Simt.SchedFactory must stay nil.
 	Sched string
 	// Scheduler pins the run to one configured scheduler instance
 	// (e.g. warpsched.WaSP{Runners: 4, Distance: 128}). When set, Sched
@@ -246,11 +247,18 @@ func (o Options) ResolvePolicy(name string) (reorder.Policy, error) {
 // ResolveScheduler maps the options' scheduler request to the instance
 // that will serve it: Options.Scheduler if set (Sched, when also set,
 // must match its name), else the registry default for Options.Sched,
-// else nil — meaning Simt.SchedFactory (nil: builtin GTO) stays in
-// charge.
-// Unknown names fail with *warpsched.UnknownSchedulerError — the
-// registry is the only place a name is judged.
+// else nil — meaning the builtin GTO order. A factory set on
+// Options.Simt is rejected: the run would not report it in
+// Result.Sched. Unknown names fail with
+// *warpsched.UnknownSchedulerError — the registry is the only place a
+// name is judged.
 func (o Options) ResolveScheduler() (warpsched.Scheduler, error) {
+	if o.Simt.SchedFactory != nil {
+		return nil, &OptionsError{
+			Field:  "Simt.SchedFactory",
+			Reason: "choose the scheduler with Sched or Scheduler",
+		}
+	}
 	if o.Scheduler != nil {
 		if o.Sched != "" && o.Sched != o.Scheduler.Name() {
 			return nil, &OptionsError{

@@ -6,6 +6,17 @@ import "fmt"
 // can read the state a scheduler sees whatever policy s runs.
 func (s *SMX) View() SchedView { return SchedView{s: s} }
 
+// Cycle returns the current device cycle.
+func (v SchedView) Cycle() int64 { return v.s.cycle }
+
+// Issuable reports whether warp w could issue this cycle: live, not
+// parked, and not stalled on memory or a gate push-back.
+func (v SchedView) Issuable(w int) bool { return v.s.issuable(w) }
+
+// LastIssued returns the cycle warp w last issued an instruction, 0
+// before its first issue: the age key of the scheduler's age list.
+func (v SchedView) LastIssued(w int) int64 { return v.s.st.lastIssued[w] }
+
 // GateWaiting reports whether warp w is marked as waiting at its gate:
 // its last gate call stalled, and it has not been launched since.
 func (s *SMX) GateWaiting(w int) bool { return s.st.gateWait[w] }

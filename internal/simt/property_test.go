@@ -112,12 +112,25 @@ func (k *scriptKernel) expected(s int) []int {
 	return out
 }
 
+// reverseFactory binds an order that prefers a scheduler's highest warp
+// id: a policy unlike GTO's that runs through a factory.
+func reverseFactory(v SchedView) SchedProgram {
+	return SchedProgram{Order: func(sched int, link []int32) int32 {
+		first := int32(-1)
+		for w := sched; w < v.NumWarps(); w += v.NumSchedulers() {
+			link[w] = first
+			first = int32(w)
+		}
+		return first
+	}}
+}
+
 func TestRandomScriptsExecuteExactly(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		for _, pol := range []struct {
 			name    string
 			factory SchedFactory
-		}{{"gto", nil}, {"lrr", lrrFactory}} {
+		}{{"gto", nil}, {"reverse", reverseFactory}} {
 			warps := 5
 			k := newScriptKernel(warps*32, seed)
 			cfg := smallConfig(warps)

@@ -1,14 +1,17 @@
 package simt
 
-// Pluggable warp scheduling. Config.SchedFactory opens the per-cycle
-// pick to external policies (internal/warpsched) without interface
-// dispatch on the issue path: NewSMX calls the factory once and stores
-// the returned func values directly in the SMX's pickFn and onIssueFn
-// fields, exactly like the kernel Step method and the architecture
-// hooks. A scheduler turn then makes one indirect Pick call per try,
-// and allocates nothing as long as the policy's own funcs do not. A nil
-// factory binds no funcs: the builtin greedy-then-oldest loop walks the
-// age list itself and makes no pick call at all.
+// Pluggable warp scheduling. Config.SchedFactory opens the scheduler's
+// preference order to external policies (internal/warpsched) without
+// interface dispatch on the issue path: NewSMX calls the factory once
+// and stores the returned func values directly in the SMX's orderFn and
+// onIssueFn fields, exactly like the kernel Step method and the
+// architecture hooks. Once per non-idle scheduler turn, Order links the
+// scheduler's warps into a chain the SMX owns, and the engine's one
+// turn loop walks it, so a turn makes one indirect call however many
+// warps it tries, and allocates nothing as long as the policy's own
+// funcs do not. A nil factory binds no funcs: the same loop walks the
+// builtin greedy-then-oldest order, the greedy warp and then the age
+// list, and makes no call at all.
 
 // SchedView is the window a warp-scheduler policy gets onto one SMX's
 // scheduling state. It is handed to a SchedFactory at NewSMX, after
@@ -19,9 +22,6 @@ type SchedView struct {
 	s *SMX
 }
 
-// SMXID returns the SMX's index within the device.
-func (v SchedView) SMXID() int { return v.s.ID }
-
 // NumWarps returns the number of resident warps. Warp w belongs to
 // scheduler w % NumSchedulers; its rank within that scheduler's stride
 // is w / NumSchedulers.
@@ -30,39 +30,35 @@ func (v SchedView) NumWarps() int { return v.s.st.n }
 // NumSchedulers returns the number of warp schedulers per SMX.
 func (v SchedView) NumSchedulers() int { return v.s.nsched }
 
-// Cycle returns the current device cycle.
-func (v SchedView) Cycle() int64 { return v.s.cycle }
-
-// Issuable reports whether warp w could issue this cycle (live, not
-// parked, not stalled on memory or a gate push-back). A policy's Pick
-// must only return issuable warps.
-func (v SchedView) Issuable(w int) bool { return v.s.issuable(w) }
-
-// LastIssued returns the cycle warp w last issued an instruction
-// (0 before its first issue) — the age key of the builtin
-// oldest-first orders.
-func (v SchedView) LastIssued(w int) int64 { return v.s.st.lastIssued[w] }
-
 // LastPicked returns the warp the scheduler issued from last, or -1.
 func (v SchedView) LastPicked(sched int) int { return v.s.lastWarp[sched] }
 
-// PickLRR runs the canonical loose round-robin scan: rotate through
-// the scheduler's warps starting after the one it issued from last.
-func (v SchedView) PickLRR(sched int) int { return v.s.pickRR(sched) }
+// Oldest returns the first warp of the scheduler's age list, or -1 when
+// the scheduler owns no warps. The engine keeps every scheduler's warps
+// in ascending (last issue cycle, id) order, whatever the policy, so
+// the list runs from the warp that has waited longest to the one that
+// issued last, with never-issued warps first in id order.
+func (v SchedView) Oldest(sched int) int { return int(v.s.gto[sched].head) }
+
+// Younger returns the warp after w in its scheduler's age list, or -1
+// after the last.
+func (v SchedView) Younger(w int) int { return int(v.s.gtoNext[w]) }
 
 // SchedProgram is one SMX's bound warp-scheduler instance: the func
 // values NewSMX devirtualizes into the issue path.
 type SchedProgram struct {
-	// Pick selects the next warp for scheduler `sched`
-	// (0 ≤ sched < NumSchedulers), returning its id or -1 when none of
-	// the scheduler's warps is issuable. Determinism contract: the
-	// choice must be a pure function of SchedView state (no wall
-	// clock, no RNG, no map iteration), with ties broken lowest-id
-	// first. Pick should be total — returning -1 while an issuable
-	// warp exists is safe (the idle cache only short-circuits cycles
-	// where the scan would genuinely find nothing, so the machine
-	// re-asks every cycle) but wastes issue slots.
-	Pick func(sched int) int
+	// Order links scheduler sched's warps in preference order: it returns
+	// the first warp, or -1, and sets link[w] to the warp after w, -1 after
+	// the last. Every warp of the scheduler appears once, issuable or not.
+	// The order may change only when a warp issues.
+	//
+	// The engine calls Order once per scheduler turn that is not ruled
+	// out by the idle cache, then tries the chain's issuable warps in
+	// order until one issues. Determinism contract: the order must be a
+	// pure function of SchedView state and the policy's own state (no
+	// wall clock, no RNG, no map iteration), with ties broken lowest-id
+	// first.
+	Order func(sched int, link []int32) int32
 	// OnIssue, when non-nil, is called once per instruction issued
 	// from warp w, after the issue is charged. Policies that need
 	// progress counters (WaSP's runner/follower distance) maintain

@@ -1,27 +1,64 @@
-package simt
+package simt_test
 
 import (
 	"testing"
 
 	"repro/internal/memsys"
+	"repro/internal/simt"
+	"repro/internal/warpsched"
 )
 
-// lrrFactory binds the builtin loose round-robin scan through the
-// factory path, as the warpsched registry's "lrr" does.
-func lrrFactory(v SchedView) SchedProgram { return SchedProgram{Pick: v.PickLRR} }
+// stepKernel is a kernel given as its block table and a per-slot step
+// func, entered at block 0.
+type stepKernel struct {
+	blocks []simt.BlockInfo
+	step   func(slot int32, block int, res *simt.StepResult)
+}
 
-// Both policies must complete the same kernel with identical retirement
-// counts and identical total issued instructions (scheduling changes
-// timing, not work).
+func (k stepKernel) Blocks() []simt.BlockInfo { return k.blocks }
+func (k stepKernel) Entry() int               { return 0 }
+func (k stepKernel) Step(slot int32, block int, res *simt.StepResult) {
+	k.step(slot, block, res)
+}
+
+// runStandalone runs k to completion on one standalone SMX with warps
+// resident warps, under sched (nil: the builtin GTO order).
+func runStandalone(t *testing.T, warps int, sched warpsched.Scheduler, edit func(*simt.Config), k simt.Kernel) simt.Stats {
+	t.Helper()
+	cfg := simt.DefaultConfig()
+	cfg.NumSMX = 1
+	cfg.MaxWarpsPerSMX = warps
+	cfg.MaxCycles = 1 << 22
+	if sched != nil {
+		cfg.SchedFactory = sched.Factory()
+	}
+	if edit != nil {
+		edit(&cfg)
+	}
+	s, err := simt.NewSMX(0, cfg, k, simt.Hooks{}, memsys.NewOrderedL2(cfg.Mem, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.LaunchAll(0)
+	st, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// GTO and registry LRR must complete the same kernel with identical
+// retirement counts and identical total issued instructions
+// (scheduling changes timing, not work).
 func TestSchedulersDoSameWork(t *testing.T) {
-	run := func(factory SchedFactory) Stats {
+	run := func(sched warpsched.Scheduler) simt.Stats {
 		iters := make(map[int32]int)
-		k := &testKernel{
-			blocks: []BlockInfo{
+		k := stepKernel{
+			blocks: []simt.BlockInfo{
 				{Name: "loop", Insts: 6, Reconv: 1},
 				{Name: "tail", Insts: 2},
 			},
-			step: func(slot int32, block int, res *StepResult) {
+			step: func(slot int32, block int, res *simt.StepResult) {
 				switch block {
 				case 0:
 					iters[slot]++
@@ -31,22 +68,14 @@ func TestSchedulersDoSameWork(t *testing.T) {
 						res.Next = 1
 					}
 				case 1:
-					res.Next = BlockExit
+					res.Next = simt.BlockExit
 				}
 			},
 		}
-		cfg := smallConfig(6)
-		cfg.SchedFactory = factory
-		s := newTestSMX(t, cfg, k, Hooks{})
-		s.LaunchAll(0)
-		st, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
+		return runStandalone(t, 6, sched, nil, k)
 	}
 	gto := run(nil)
-	rr := run(lrrFactory)
+	rr := run(warpsched.NewLRR())
 	if gto.Retired != rr.Retired {
 		t.Errorf("retired differ: %d vs %d", gto.Retired, rr.Retired)
 	}
@@ -58,27 +87,22 @@ func TestSchedulersDoSameWork(t *testing.T) {
 	}
 }
 
-// Round-robin must rotate across warps instead of draining one.
+// Registry LRR must rotate across warps instead of draining one.
 func TestRRRotates(t *testing.T) {
 	order := make([]int32, 0, 64)
-	k := &testKernel{
-		blocks: []BlockInfo{{Name: "b", Insts: 1, Reconv: 0}},
-		step: func(slot int32, block int, res *StepResult) {
+	k := stepKernel{
+		blocks: []simt.BlockInfo{{Name: "b", Insts: 1, Reconv: 0}},
+		step: func(slot int32, block int, res *simt.StepResult) {
 			if slot%32 == 0 { // one recorder lane per warp
 				order = append(order, slot/32)
 			}
-			res.Next = BlockExit
+			res.Next = simt.BlockExit
 		},
 	}
-	cfg := smallConfig(4)
-	cfg.SchedFactory = lrrFactory
-	cfg.SchedulersPerSMX = 1
-	cfg.DispatchPerScheduler = 1
-	s := newTestSMX(t, cfg, k, Hooks{})
-	s.LaunchAll(0)
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runStandalone(t, 4, warpsched.NewLRR(), func(cfg *simt.Config) {
+		cfg.SchedulersPerSMX = 1
+		cfg.DispatchPerScheduler = 1
+	}, k)
 	if len(order) != 4 {
 		t.Fatalf("expected 4 warp entries, got %d", len(order))
 	}
@@ -88,34 +112,5 @@ func TestRRRotates(t *testing.T) {
 			t.Fatalf("warp %d entered twice before others finished: %v", w, order)
 		}
 		seen[w] = true
-	}
-}
-
-func TestRunFor(t *testing.T) {
-	k := &testKernel{
-		blocks: []BlockInfo{{Name: "spin", Insts: 4, Reconv: 0}},
-		step: func(slot int32, block int, res *StepResult) {
-			res.Next = 0 // spin forever
-		},
-	}
-	cfg := smallConfig(1)
-	l2 := memsys.NewOrderedL2(cfg.Mem, 1)
-	s, err := NewSMX(0, cfg, k, Hooks{}, l2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.LaunchAll(0)
-	if err := s.RunFor(100); err != nil {
-		t.Fatal(err)
-	}
-	if c := s.Cycle(); c < 100 || c > 110 {
-		t.Errorf("RunFor(100) advanced to cycle %d", c)
-	}
-	before := s.Cycle()
-	if err := s.RunFor(50); err != nil {
-		t.Fatal(err)
-	}
-	if s.Cycle() < before+50 {
-		t.Errorf("second RunFor did not advance")
 	}
 }

@@ -44,6 +44,9 @@ type SMX struct {
 	gto     []gtoOrder
 	gtoNext []int32
 	gtoPrev []int32
+	// orderLink is the chain a bound scheduler policy's Order links its
+	// warps into, once per non-idle turn (nil under the builtin order).
+	orderLink []int32
 	// Idle cache: before cycle schedWake[sched] (valid while
 	// schedWakeGen[sched] matches the store's wakeGen) none of the
 	// scheduler's warps is issuable, so its turn ends at once. Stalls
@@ -69,7 +72,7 @@ type SMX struct {
 	onDivergeFn  func(s *SMX, warp, block int, lanes []int, targets []int) bool
 	onBlockEndFn func(s *SMX, warp, block int, lanes []int, targets []int) bool
 	onWarpDoneFn func(s *SMX, warp int)
-	pickFn       func(sched int) int
+	orderFn      func(sched int, link []int32) int32
 	onIssueFn    func(w int)
 	nsched       int
 	wsz          int
@@ -177,14 +180,15 @@ func NewSMX(id int, cfg Config, kernel Kernel, hooks Hooks, l2 *memsys.OrderedL2
 		s.gtoPushBack(w)
 	}
 	// Bind the warp-scheduler policy: a configured factory's funcs, or
-	// none, which leaves the builtin greedy-then-oldest loop in charge.
+	// none, which leaves the builtin greedy-then-oldest order in charge.
 	if cfg.SchedFactory != nil {
 		prog := cfg.SchedFactory(SchedView{s: s})
-		if prog.Pick == nil {
-			return nil, fmt.Errorf("simt: scheduler factory returned a nil Pick func")
+		if prog.Order == nil {
+			return nil, fmt.Errorf("simt: scheduler factory returned a nil Order func")
 		}
-		s.pickFn = prog.Pick
+		s.orderFn = prog.Order
 		s.onIssueFn = prog.OnIssue
+		s.orderLink = make([]int32, s.st.n)
 	}
 	return s, nil
 }
@@ -393,12 +397,7 @@ func (s *SMX) step() {
 	}
 	for sched := 0; sched < s.nsched; sched++ {
 		s.stats.IssueSlotsTotal += int64(s.cfg.DispatchPerScheduler)
-		var w int
-		if s.pickFn == nil {
-			w = s.gtoTurn(sched)
-		} else {
-			w = s.pickTurn(sched)
-		}
+		w := s.turn(sched)
 		if w < 0 {
 			continue
 		}
@@ -419,37 +418,47 @@ func (s *SMX) step() {
 	}
 }
 
-// gtoTurn is one turn of the builtin greedy-then-oldest scheduler: try
-// the warp the scheduler issued from last, then each issuable warp of
-// the age list from its head, until one issues. It returns that warp,
-// or -1 when none did.
+// turn is one scheduler turn: walk the scheduler's warps in preference
+// order, trying each issuable one until one issues. It returns that
+// warp, or -1 when none did. The builtin greedy-then-oldest order is
+// the warp the scheduler issued from last, then the age list from its
+// head. A bound policy's order is the chain its Order links into
+// orderLink, once per non-idle turn.
 //
-// This is the order in which a pick-then-try loop over the
-// greedy-then-oldest pick tries warps. Within one (cycle, wakeGen) a
-// warp whose try failed stays non-issuable, and no warp becomes
-// issuable: only launch lowers readyCycle or leaves done/parked, and
-// launch bumps wakeGen. So each re-pick after a failed try returns the
-// next issuable warp of the list. A try that bumps wakeGen restarts
-// the turn from the greedy check, and a scheduler that fails more tries
-// than it has warps gives up the turn, as the pick loop does.
-func (s *SMX) gtoTurn(sched int) int {
+// This is the order in which a pick-then-try loop over the same
+// preference tries warps. Within one (cycle, wakeGen) a warp whose try
+// failed stays non-issuable, and no warp becomes issuable: only launch
+// lowers readyCycle or leaves done/parked, and launch bumps wakeGen. No
+// warp issues before the turn ends, so the order holds too, and each
+// re-pick after a failed try would return the next issuable warp of the
+// chain. A try that bumps wakeGen restarts the walk from the chain's
+// start; the chain holds every warp of the scheduler, so a warp the try
+// resumed is on it. A scheduler that fails more tries than the SMX has
+// warps gives up the turn, as the pick loop does.
+func (s *SMX) turn(sched int) int {
 	if s.idle(sched) {
 		return -1
 	}
 	st := s.st
 	fails, stalled := 0, false
 	gen := st.wakeGen
-	w, next := s.lastWarp[sched], s.gto[sched].head
+	greedy, head, link := s.lastWarp[sched], s.gto[sched].head, s.gtoNext
+	if s.orderFn != nil {
+		greedy, head, link = -1, s.orderFn(sched, s.orderLink), s.orderLink
+	}
+	w, next := greedy, head
 	for {
 		if w < 0 {
 			if next < 0 {
 				break
 			}
-			w, next = int(next), s.gtoNext[next]
+			w, next = int(next), link[next]
 		}
 		if s.issuable(w) {
-			// try(w), written out so that a charged retry makes no call:
-			// idle warps retry here tens of millions of times a run.
+			// A warp waiting at a gate that still holds (Hooks.GateHolds)
+			// is charged what the gate call would cost it, one CtrlStalls
+			// and a retry next cycle, with no call: idle warps retry here
+			// tens of millions of times a run.
 			if st.gateWait[w] && (s.held > 0 || s.held == 0 && s.askGateHolds()) {
 				s.stats.CtrlStalls++
 				st.readyCycle[w] = s.cycle + 1
@@ -464,7 +473,7 @@ func (s *SMX) gtoTurn(sched int) int {
 			}
 			if st.wakeGen != gen {
 				gen = st.wakeGen
-				w, next = s.lastWarp[sched], s.gto[sched].head
+				w, next = greedy, head
 				continue
 			}
 		}
@@ -474,27 +483,6 @@ func (s *SMX) gtoTurn(sched int) int {
 	// so the idle cache could only record cycle+1, which skips nothing.
 	if !stalled {
 		s.recordWake(sched)
-	}
-	return -1
-}
-
-// pickTurn is one scheduler turn under a registry policy: pick a warp,
-// try it, and pick again after a failed try, until a warp issues, the
-// policy finds none issuable, or the scheduler has failed more tries
-// than it has warps.
-func (s *SMX) pickTurn(sched int) int {
-	if s.idle(sched) {
-		return -1
-	}
-	for fails := 0; fails <= s.st.n; fails++ {
-		w := s.pickFn(sched)
-		if w < 0 {
-			s.recordWake(sched)
-			return -1
-		}
-		if s.issuable(w) && s.try(w) {
-			return w
-		}
 	}
 	return -1
 }
@@ -558,45 +546,11 @@ func (s *SMX) gtoPushBack(w int) {
 	g.tail = int32(w)
 }
 
-// pickRR rotates through the scheduler's warps, starting after the one
-// it issued from last.
-func (s *SMX) pickRR(sched int) int {
-	n := s.nsched
-	count := (s.st.n - sched + n - 1) / n
-	if count <= 0 {
-		return -1
-	}
-	start := 0
-	if last := s.lastWarp[sched]; last >= 0 {
-		start = (last-sched)/n + 1
-	}
-	for k := 0; k < count; k++ {
-		w := sched + ((start+k)%count)*n
-		if s.issuable(w) {
-			return w
-		}
-	}
-	return -1
-}
-
 // issuable reports whether a warp could issue this cycle (ignoring
 // gate outcomes, which are only known at issue time).
 func (s *SMX) issuable(w int) bool {
 	p := s.st.phase[w]
 	return p != phaseDone && p != phaseParked && s.st.readyCycle[w] <= s.cycle
-}
-
-// try is a scheduler turn's issue attempt on issuable warp w. A warp
-// waiting at a gate that still holds (Hooks.GateHolds) is charged what
-// the gate call would cost it — one CtrlStalls and a retry next cycle —
-// without issueOne, enterBlock or the call.
-func (s *SMX) try(w int) bool {
-	if s.st.gateWait[w] && (s.held > 0 || s.held == 0 && s.askGateHolds()) {
-		s.stats.CtrlStalls++
-		s.st.readyCycle[w] = s.cycle + 1
-		return false
-	}
-	return s.issueOne(w)
 }
 
 // askGateHolds asks Hooks.GateHolds and keeps the answer in held until

@@ -520,3 +520,32 @@ func TestRunGPU(t *testing.T) {
 		t.Errorf("retired = %d", res.Stats.Retired)
 	}
 }
+
+func TestRunFor(t *testing.T) {
+	k := &testKernel{
+		blocks: []BlockInfo{{Name: "spin", Insts: 4, Reconv: 0}},
+		step: func(slot int32, block int, res *StepResult) {
+			res.Next = 0 // spin forever
+		},
+	}
+	cfg := smallConfig(1)
+	l2 := memsys.NewOrderedL2(cfg.Mem, 1)
+	s, err := NewSMX(0, cfg, k, Hooks{}, l2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.LaunchAll(0)
+	if err := s.RunFor(100); err != nil {
+		t.Fatal(err)
+	}
+	if c := s.Cycle(); c < 100 || c > 110 {
+		t.Errorf("RunFor(100) advanced to cycle %d", c)
+	}
+	before := s.Cycle()
+	if err := s.RunFor(50); err != nil {
+		t.Fatal(err)
+	}
+	if s.Cycle() < before+50 {
+		t.Errorf("second RunFor did not advance")
+	}
+}

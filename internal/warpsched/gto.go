@@ -6,7 +6,7 @@ import "repro/internal/simt"
 // paper's Table 1 configuration, re-homed behind the registry: keep
 // issuing from the same warp; on a stall fall back to the issuable
 // warp that has waited longest (lowest id on ties). The policy is the
-// engine's builtin scheduler loop, so its factory is nil: registry
+// engine's builtin scheduler order, so its factory is nil: registry
 // "gto" and the device default a nil simt.Config.SchedFactory binds
 // are one code path.
 type GTO struct{}
@@ -26,5 +26,5 @@ func (GTO) Summary() string {
 func (GTO) Validate() error { return nil }
 
 // Factory implements Scheduler. It returns nil, which binds the
-// engine's builtin greedy-then-oldest loop.
+// engine's builtin greedy-then-oldest order.
 func (GTO) Factory() simt.SchedFactory { return nil }

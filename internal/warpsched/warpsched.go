@@ -9,23 +9,25 @@
 //
 // # Devirtualization contract
 //
-// The warp pick runs once per scheduler per cycle on the engine's
-// hottest loop, so a Scheduler is not consulted through its interface
-// at issue time. Instead Factory returns a simt.SchedFactory; NewSMX
-// calls it once per SMX and stores the resulting SchedProgram's funcs
-// in direct func fields next to the kernel Step binding (see
-// internal/simt/sched.go). Per-SMX policy state (WaSP's issue
-// counters) is allocated inside the factory; the bound funcs must not
-// allocate, which TestWarpSchedZeroAlloc pins the same way
-// TestSteadyCycleLoopZeroAlloc pins the engine's own loop.
+// A policy is its preference order. Once per scheduler turn, on the
+// engine's hottest loop, the bound SchedProgram.Order links the
+// scheduler's warps in that order, and the engine's one turn loop
+// tries the issuable ones until one issues. So a Scheduler is not
+// consulted through its interface at issue time: Factory returns a
+// simt.SchedFactory, and NewSMX calls it once per SMX and stores the
+// resulting SchedProgram's funcs in direct func fields next to the
+// kernel Step binding (see internal/simt/sched.go). Per-SMX policy
+// state (WaSP's issue counters) is allocated inside the factory; the
+// bound funcs must not allocate, which TestWarpSchedZeroAlloc pins the
+// same way TestSteadyCycleLoopZeroAlloc pins the engine's own loop.
 //
 // # Determinism obligations
 //
 // Policies run inside the bit-deterministic epoch-barrier engine: every
-// pick must be a pure function of SchedView state, with ties broken
-// lowest-warp-id first (the engine's own convention). No wall clock, no
-// RNG, no map iteration — drslint enforces this for the package like
-// any other engine code.
+// order must be a pure function of SchedView state and the policy's
+// own counters, with ties broken lowest-warp-id first (the engine's own
+// convention). No wall clock, no RNG, no map iteration — drslint
+// enforces this for the package like any other engine code.
 package warpsched
 
 import (
@@ -50,7 +52,7 @@ type Scheduler interface {
 	Validate() error
 	// Factory returns the per-SMX builder NewSMX devirtualizes the
 	// policy through. Nil means the engine's builtin greedy-then-oldest
-	// loop, which only GTO returns.
+	// order, which only GTO returns.
 	Factory() simt.SchedFactory
 }
 

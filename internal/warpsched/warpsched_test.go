@@ -181,37 +181,64 @@ func TestWaSPDeterministicSameWork(t *testing.T) {
 	}
 }
 
-// The WaSP tier contract: a follower warp is only ever picked when
-// none of the scheduler's runners is issuable (tiers 2/3 run strictly
-// after tier 1 comes up empty). Asserted by wrapping the bound Pick
-// with a checker that re-inspects runner issuability on every
-// follower pick.
+// The WaSP tier contract: every order lists the scheduler's runners
+// first, then the followers at least Distance behind the lead runner,
+// then the other followers, each tier in the engine's age-list order
+// (oldest-first, lowest id on ties). The test keeps its own progress
+// counters on OnIssue and checks every order the engine asks for
+// against them. Its short distance makes every tier issue.
 func TestWaSPRunnersFirst(t *testing.T) {
-	w := warpsched.DefaultWaSP()
+	w := warpsched.WaSP{Runners: 1, Distance: 4}
 	inner := w.Factory()
 	cfg := testConfig(8)
 	cfg.SchedulersPerSMX = 2
-	followerPicks := 0
+	var tierIssues [3]int
 	cfg.SchedFactory = func(v simt.SchedView) simt.SchedProgram {
 		prog := inner(v)
-		pick := prog.Pick
-		prog.Pick = func(sched int) int {
-			got := pick(sched)
-			if got >= 0 && got/v.NumSchedulers() >= w.Runners {
-				followerPicks++
-				for k, r := 0, sched; k < w.Runners && r < v.NumWarps(); k, r = k+1, r+v.NumSchedulers() {
-					if v.Issuable(r) {
-						t.Fatalf("follower %d picked for scheduler %d while runner %d issuable", got, sched, r)
+		n := v.NumSchedulers()
+		issued := make([]int64, v.NumWarps())
+		lead := make([]int64, n)
+		tier := func(x int) int {
+			switch {
+			case x/n < w.Runners:
+				return 0
+			case lead[x%n]-issued[x] >= w.Distance:
+				return 1
+			}
+			return 2
+		}
+		order, onIssue := prog.Order, prog.OnIssue
+		prog.Order = func(sched int, link []int32) int32 {
+			head := order(sched, link)
+			got := head
+			for want := 0; want < 3; want++ {
+				for x := v.Oldest(sched); x >= 0; x = v.Younger(x) {
+					if tier(x) != want {
+						continue
 					}
+					if int(got) != x {
+						t.Fatalf("scheduler %d: order has warp %d where tier %d's warp %d belongs", sched, got, want, x)
+					}
+					got = link[got]
 				}
 			}
-			return got
+			if got != -1 {
+				t.Fatalf("scheduler %d: order links warp %d past its last tier", sched, got)
+			}
+			return head
+		}
+		prog.OnIssue = func(x int) {
+			tierIssues[tier(x)]++
+			if issued[x]++; x/n < w.Runners && issued[x] > lead[x%n] {
+				lead[x%n] = issued[x]
+			}
+			onIssue(x)
 		}
 		return prog
 	}
 	runSMX(t, cfg)
-	if followerPicks == 0 {
-		t.Error("no follower ever picked; tier contract vacuously true")
+	if tierIssues[0] == 0 || tierIssues[1] == 0 || tierIssues[2] == 0 {
+		t.Errorf("issues by tier %v; tier contract vacuously true", tierIssues)
 	}
 }
 
@@ -263,12 +290,12 @@ func (steadyKernel) Step(slot int32, block int, res *simt.StepResult) {
 }
 
 // TestWarpSchedZeroAlloc is TestSteadyCycleLoopZeroAlloc for the
-// registry schedulers: once warm, a 64-cycle epoch under LRR or WaSP
-// performs zero heap allocations — the per-SMX policy state (WaSP's
-// counters) is allocated by the factory at NewSMX, and the bound
-// Pick/OnIssue funcs never allocate.
+// registry schedulers: once warm, a 64-cycle epoch under GTO, LRR or
+// WaSP performs zero heap allocations — the per-SMX policy state (the
+// order's chain, WaSP's counters) is allocated at NewSMX, and the
+// bound Order/OnIssue funcs never allocate.
 func TestWarpSchedZeroAlloc(t *testing.T) {
-	for _, name := range []string{"lrr", "wasp"} {
+	for _, name := range []string{"gto", "lrr", "wasp"} {
 		t.Run(name, func(t *testing.T) {
 			sched, err := warpsched.Builtin().New(name)
 			if err != nil {

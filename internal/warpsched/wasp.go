@@ -14,24 +14,25 @@ import (
 // instruction distance behind — then hit the lines the runners already
 // fetched.
 //
-// Pick order per scheduler, oldest-first (lowest warp id on ties)
-// within each tier:
+// Preference order per scheduler, oldest-first (lowest warp id on
+// ties) within each tier:
 //
-//  1. issuable runners — the first Runners warps of the scheduler's
-//     stride — so the warm-up front keeps extending its lead;
-//  2. issuable followers lagging the lead runner by at least Distance
-//     issued instructions — far enough behind that the runner's
-//     accesses have landed;
-//  3. any remaining issuable follower.
+//  1. runners — the first Runners warps of the scheduler's stride — so
+//     the warm-up front keeps extending its lead;
+//  2. followers lagging the lead runner by at least Distance issued
+//     instructions — far enough behind that the runner's accesses have
+//     landed;
+//  3. the other followers.
 //
-// Tier 3 makes the policy soft: when only close followers can issue,
-// they issue. WaSP never idles an issue slot to enforce the distance,
+// The engine issues from the first issuable warp of the order, so tier
+// 3 makes the policy soft: when only close followers can issue, they
+// issue. WaSP never idles an issue slot to enforce the distance,
 // so it cannot deadlock against gate/parking policies (DRS parks donor
 // warps for whole bounce phases; a hard-blocking scheduler would wait
 // on warps that cannot progress).
 //
 // Per-warp issue counters live in per-SMX state allocated by the
-// factory; the bound Pick/OnIssue funcs allocate nothing.
+// factory; the bound Order/OnIssue funcs allocate nothing.
 type WaSP struct {
 	// Runners is the number of runner warps per scheduler (the warm-up
 	// front). The paper-shaped default is 2 — with 4 schedulers per
@@ -72,15 +73,14 @@ func (w WaSP) Factory() simt.SchedFactory {
 	runners, distance := w.Runners, w.Distance
 	return func(v simt.SchedView) simt.SchedProgram {
 		st := &waspState{
-			v:         v,
-			runners:   runners,
-			distance:  distance,
-			nwarps:    v.NumWarps(),
-			nsched:    v.NumSchedulers(),
-			issued:    make([]int64, v.NumWarps()),
-			runnerMax: make([]int64, v.NumSchedulers()),
+			v:             v,
+			firstFollower: runners * v.NumSchedulers(),
+			distance:      distance,
+			nsched:        v.NumSchedulers(),
+			issued:        make([]int64, v.NumWarps()),
+			runnerMax:     make([]int64, v.NumSchedulers()),
 		}
-		return simt.SchedProgram{Pick: st.pick, OnIssue: st.onIssue}
+		return simt.SchedProgram{Order: st.order, OnIssue: st.onIssue}
 	}
 }
 
@@ -88,11 +88,12 @@ func (w WaSP) Factory() simt.SchedFactory {
 // the per-scheduler lead-runner watermark. Single-goroutine, like the
 // SMX that owns it.
 type waspState struct {
-	v        simt.SchedView
-	runners  int
-	distance int64
-	nwarps   int
-	nsched   int
+	v simt.SchedView
+	// firstFollower is the lowest follower id: warp w is a runner when
+	// its rank w / nsched is below Runners, that is, w < firstFollower.
+	firstFollower int
+	distance      int64
+	nsched        int
 	// issued counts instructions issued per warp.
 	issued []int64
 	// runnerMax[sched] is the max issued count over the scheduler's
@@ -104,59 +105,49 @@ type waspState struct {
 // instruction and allocates nothing.
 func (st *waspState) onIssue(w int) {
 	st.issued[w]++
-	if w/st.nsched < st.runners {
+	if w < st.firstFollower {
 		if sched := w % st.nsched; st.issued[w] > st.runnerMax[sched] {
 			st.runnerMax[sched] = st.issued[w]
 		}
 	}
 }
 
-// pick implements the three-tier scan. Each tier walks the
-// scheduler's stride in ascending warp id, so ties break lowest-id
-// first like the builtin policies.
-func (st *waspState) pick(sched int) int {
-	v := st.v
-	// Tier 1: runners, oldest-first.
-	best := -1
-	var bestLast int64
-	firstFollower := st.nwarps
-	for k, w := 0, sched; w < st.nwarps; k, w = k+1, w+st.nsched {
-		if k >= st.runners {
-			firstFollower = w
-			break
-		}
-		if !v.Issuable(w) {
-			continue
-		}
-		if last := v.LastIssued(w); best < 0 || last < bestLast {
-			best, bestLast = w, last
-		}
-	}
-	if best >= 0 {
-		return best
-	}
-	// Tier 2: followers safely behind the lead runner, oldest-first.
+// order walks the engine's age list once and appends each warp to its
+// tier's chain, then joins the three chains. The age list runs
+// oldest-first with ties lowest-id first, so each tier is in that
+// order too.
+func (st *waspState) order(sched int, link []int32) int32 {
 	lead := st.runnerMax[sched]
-	for w := firstFollower; w < st.nwarps; w += st.nsched {
-		if !v.Issuable(w) || lead-st.issued[w] < st.distance {
+	head, tail := [3]int32{-1, -1, -1}, [3]int32{-1, -1, -1}
+	for w := st.v.Oldest(sched); w >= 0; w = st.v.Younger(w) {
+		t := 2
+		switch {
+		case w < st.firstFollower:
+			t = 0
+		case lead-st.issued[w] >= st.distance:
+			t = 1
+		}
+		if tail[t] < 0 {
+			head[t] = int32(w)
+		} else {
+			link[tail[t]] = int32(w)
+		}
+		tail[t] = int32(w)
+	}
+	first, last := int32(-1), int32(-1)
+	for t := range head {
+		if head[t] < 0 {
 			continue
 		}
-		if last := v.LastIssued(w); best < 0 || last < bestLast {
-			best, bestLast = w, last
+		if last < 0 {
+			first = head[t]
+		} else {
+			link[last] = head[t]
 		}
+		last = tail[t]
 	}
-	if best >= 0 {
-		return best
+	if last >= 0 {
+		link[last] = -1
 	}
-	// Tier 3: any issuable follower, oldest-first (never idle a slot
-	// to enforce the distance).
-	for w := firstFollower; w < st.nwarps; w += st.nsched {
-		if !v.Issuable(w) || lead-st.issued[w] >= st.distance {
-			continue
-		}
-		if last := v.LastIssued(w); best < 0 || last < bestLast {
-			best, bestLast = w, last
-		}
-	}
-	return best
+	return first
 }
