@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -32,7 +33,7 @@ func BenchmarkFigure2(b *testing.B) {
 	p := benchParams()
 	p.Bounces = 8
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure2(p)
+		rows, err := experiments.Figure2Ctx(context.Background(), p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -52,7 +53,7 @@ func BenchmarkFigure2(b *testing.B) {
 func BenchmarkFigure8(b *testing.B) {
 	p := benchParams()
 	for i := 0; i < b.N; i++ {
-		cells, err := experiments.Figure8(p, 2, []scene.Benchmark{scene.ConferenceRoom})
+		cells, err := experiments.Figure8Ctx(context.Background(), p, 2, []scene.Benchmark{scene.ConferenceRoom})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -79,7 +80,7 @@ func BenchmarkFigure8(b *testing.B) {
 func BenchmarkFigure9(b *testing.B) {
 	p := benchParams()
 	for i := 0; i < b.N; i++ {
-		cells, err := experiments.Figure8(p, 2, []scene.Benchmark{scene.ConferenceRoom})
+		cells, err := experiments.Figure8Ctx(context.Background(), p, 2, []scene.Benchmark{scene.ConferenceRoom})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -106,7 +107,7 @@ func BenchmarkFigure9(b *testing.B) {
 func BenchmarkTable2(b *testing.B) {
 	p := benchParams()
 	for i := 0; i < b.N; i++ {
-		cells, err := experiments.Table2(p, 2, []scene.Benchmark{scene.FairyForest})
+		cells, err := experiments.Table2Ctx(context.Background(), p, 2, []scene.Benchmark{scene.FairyForest})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -133,7 +134,7 @@ func BenchmarkTable2(b *testing.B) {
 func BenchmarkFigure10(b *testing.B) {
 	p := benchParams()
 	for i := 0; i < b.N; i++ {
-		cells, err := experiments.Figure10(p, 3, []scene.Benchmark{scene.ConferenceRoom})
+		cells, err := experiments.Figure10Ctx(context.Background(), p, 3, []scene.Benchmark{scene.ConferenceRoom})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -155,7 +156,7 @@ func BenchmarkFigure10(b *testing.B) {
 func BenchmarkFigure11(b *testing.B) {
 	p := benchParams()
 	for i := 0; i < b.N; i++ {
-		cells, err := experiments.Figure10(p, 3, []scene.Benchmark{scene.ConferenceRoom})
+		cells, err := experiments.Figure10Ctx(context.Background(), p, 3, []scene.Benchmark{scene.ConferenceRoom})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -195,7 +196,7 @@ func benchFigure10Par(b *testing.B, par int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cells, err := experiments.Figure10(p, 2, []scene.Benchmark{scene.ConferenceRoom})
+		cells, err := experiments.Figure10Ctx(context.Background(), p, 2, []scene.Benchmark{scene.ConferenceRoom})
 		if err != nil {
 			b.Fatal(err)
 		}

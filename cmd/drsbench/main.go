@@ -145,6 +145,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-bounce must be in [1, %d]\n", trace.MaxBounces)
 		os.Exit(2)
 	}
+	if *sweepB < 1 || *sweepB > trace.MaxBounces {
+		fmt.Fprintf(os.Stderr, "-sweepbounces must be in [1, %d]\n", trace.MaxBounces)
+		os.Exit(2)
+	}
 
 	flushProfiles = startProfiles(*cpuprofile, *memprofile)
 	defer flushProfiles()

@@ -44,16 +44,31 @@ func runDrsbench(t *testing.T, args string) (int, string) {
 	return 0, ""
 }
 
-// A -bounce outside [1, trace.MaxBounces] is a usage error: exit 2
-// with a one-line message, before any workload is built — not a panic
-// from inside the trace set with a goroutine dump.
+// A -bounce or -sweepbounces outside [1, trace.MaxBounces] is a usage
+// error: exit 2 with a one-line message naming the flag, before any
+// workload is built — not a panic from inside the trace set with a
+// goroutine dump. The -bounce cases are named by their value alone.
 func TestBadBounceIsUsageError(t *testing.T) {
-	for _, b := range []string{"0", "-1", "9", "99"} {
-		t.Run(b, func(t *testing.T) {
-			code, stderr := runDrsbench(t, "-tris 2000 -w 32 -h 24 -bounce "+b+" -stats-json "+t.TempDir()+"/x.json")
+	cases := []struct{ flag, v, args string }{
+		{"-bounce", "0", "-stats-json " + t.TempDir() + "/x.json"},
+		{"-bounce", "-1", "-stats-json " + t.TempDir() + "/x.json"},
+		{"-bounce", "9", "-stats-json " + t.TempDir() + "/x.json"},
+		{"-bounce", "99", "-stats-json " + t.TempDir() + "/x.json"},
+		{"-sweepbounces", "0", "-exp table2 -scene conference"},
+		{"-sweepbounces", "9", "-exp table2 -scene conference"},
+		{"-sweepbounces", "9", "-exp fig8 -scene conference"},
+		{"-sweepbounces", "9", "-exp sweeps -scene conference"},
+	}
+	for _, tc := range cases {
+		name := tc.v
+		if tc.flag != "-bounce" {
+			name = tc.flag + " " + tc.v + " " + tc.args
+		}
+		t.Run(name, func(t *testing.T) {
+			code, stderr := runDrsbench(t, "-tris 500 -w 16 -h 12 "+tc.flag+" "+tc.v+" "+tc.args)
 			lines := strings.Split(strings.TrimSpace(stderr), "\n")
-			if code != 2 || len(lines) != 1 || !strings.Contains(stderr, "-bounce") {
-				t.Fatalf("-bounce %s: exit %d, stderr:\n%s\nwant exit 2 and one line naming -bounce", b, code, stderr)
+			if code != 2 || len(lines) != 1 || !strings.Contains(stderr, tc.flag) {
+				t.Fatalf("%s %s: exit %d, stderr:\n%s\nwant exit 2 and one line naming %s", tc.flag, tc.v, code, stderr, tc.flag)
 			}
 		})
 	}

@@ -49,43 +49,3 @@ func (wc *WorkloadCache) Get(b scene.Benchmark, p Params) (*Workload, error) {
 func (wc *WorkloadCache) Stats() cellsched.CacheStats {
 	return wc.cache.Stats()
 }
-
-// ensureCache gives the runner a private cache when the caller did not
-// supply a shared one, so each scene is still built exactly once per
-// runner call (the pre-cache behavior) and the prefetch cells have
-// somewhere to put their builds.
-func (p Params) ensureCache() Params {
-	if p.Cache == nil {
-		p.Cache = NewWorkloadCache()
-	}
-	return p
-}
-
-// workload fetches benchmark b through the cache. Only call after
-// ensureCache.
-func (p Params) workload(b scene.Benchmark) (*Workload, error) {
-	return p.Cache.Get(b, p)
-}
-
-// par is the cell scheduler's worker count (harness.Options.Parallelism;
-// 0 means GOMAXPROCS).
-func (p Params) par() int { return p.Options.Parallelism }
-
-// workloadCells returns one prefetch cell per scene. Runners put these
-// at the front of their grids so that with N workers the first N scene
-// builds run concurrently, instead of every worker blocking on the
-// singleflighted build of the first scene's simulation cells.
-func workloadCells[T any](p Params, scenes []scene.Benchmark) []cellsched.Cell[T] {
-	cells := make([]cellsched.Cell[T], len(scenes))
-	for i, b := range scenes {
-		cells[i] = cellsched.Cell[T]{
-			Key: "workload/" + b.String(),
-			Run: func() (T, error) {
-				var zero T
-				_, err := p.workload(b)
-				return zero, err
-			},
-		}
-	}
-	return cells
-}

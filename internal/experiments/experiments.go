@@ -12,7 +12,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -144,18 +143,6 @@ func (w *Workload) BounceRays(b int, p Params) []geom.Ray {
 		rays = rays[:p.MaxRaysPerBounce]
 	}
 	return rays
-}
-
-// simulateCtx runs one named reordering policy (resolved through the
-// harness registry) on one bounce stream, with cancellation threaded
-// into the engine: an in-flight device run aborts at its next epoch
-// barrier once ctx is done.
-func (w *Workload) simulateCtx(ctx context.Context, policy string, bounce int, p Params) (*harness.Result, error) {
-	rays := w.BounceRays(bounce, p)
-	if len(rays) == 0 {
-		return nil, fmt.Errorf("experiments: %s bounce %d has no rays", w.Benchmark, bounce)
-	}
-	return harness.RunNamedCtx(ctx, policy, rays, w.Data, p.Options)
 }
 
 // table renders rows of columns with a header as aligned text.

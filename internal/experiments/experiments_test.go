@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -49,7 +50,7 @@ func TestBuildWorkload(t *testing.T) {
 
 func TestFigure2(t *testing.T) {
 	p := tinyParams()
-	rows, err := Figure2(p)
+	rows, err := Figure2Ctx(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestTable1(t *testing.T) {
 
 func TestFigure8AndRenderers(t *testing.T) {
 	p := tinyParams()
-	cells, err := Figure8(p, 2, []scene.Benchmark{scene.ConferenceRoom})
+	cells, err := Figure8Ctx(context.Background(), p, 2, []scene.Benchmark{scene.ConferenceRoom})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestFigure8AndRenderers(t *testing.T) {
 
 func TestTable2Runner(t *testing.T) {
 	p := tinyParams()
-	cells, err := Table2(p, 1, []scene.Benchmark{scene.FairyForest})
+	cells, err := Table2Ctx(context.Background(), p, 1, []scene.Benchmark{scene.FairyForest})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestTable2Runner(t *testing.T) {
 func TestFigure10And11(t *testing.T) {
 	p := tinyParams()
 	p.Bounces = 2
-	cells, err := Figure10(p, 2, []scene.Benchmark{scene.ConferenceRoom})
+	cells, err := Figure10Ctx(context.Background(), p, 2, []scene.Benchmark{scene.ConferenceRoom})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestPoliciesFigure(t *testing.T) {
 	p := tinyParams()
 	p.Bounces = 2
 	pols := []string{"noop", "ser", "drs"}
-	cells, err := PoliciesFigure(p, 2, []scene.Benchmark{scene.ConferenceRoom}, pols)
+	cells, err := PoliciesFigureCtx(context.Background(), p, 2, []scene.Benchmark{scene.ConferenceRoom}, pols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,12 +204,34 @@ func TestPoliciesFigure(t *testing.T) {
 	p2 := p
 	p2.Options.Parallelism = 3
 	p2.Cache = NewWorkloadCache()
-	again, err := PoliciesFigure(p2, 2, []scene.Benchmark{scene.ConferenceRoom}, pols)
+	again, err := PoliciesFigureCtx(context.Background(), p2, 2, []scene.Benchmark{scene.ConferenceRoom}, pols)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if RenderPolicies(again, 2) != txt {
 		t.Fatalf("policies figure not byte-identical across worker counts")
+	}
+}
+
+// A bounce count above trace.MaxBounces is an error from every runner
+// that takes one, returned before any cell runs, not a panic inside a
+// scheduler worker.
+func TestRunnersRejectTooManyBounces(t *testing.T) {
+	p := tinyParams()
+	ctx := context.Background()
+	scenes := []scene.Benchmark{scene.ConferenceRoom}
+	runners := []struct {
+		name string
+		run  func() error
+	}{
+		{"Table2Ctx", func() error { _, err := Table2Ctx(ctx, p, 9, scenes); return err }},
+		{"Figure8Ctx", func() error { _, err := Figure8Ctx(ctx, p, 9, scenes); return err }},
+		{"SweepsFigureCtx", func() error { _, err := SweepsFigureCtx(ctx, p, 9, scenes); return err }},
+	}
+	for _, r := range runners {
+		if err := r.run(); err == nil || !strings.Contains(err.Error(), "bounce count 9") {
+			t.Errorf("%s with 9 bounces: err = %v, want a bounce-count error", r.name, err)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/cellsched"
 	"repro/internal/harness"
 	"repro/internal/scene"
 	"repro/internal/simt"
@@ -35,32 +34,19 @@ var ComparisonArchs = []harness.Arch{
 	harness.ArchAila, harness.ArchDMK, harness.ArchTBC, harness.ArchDRS,
 }
 
-// fig10Result is one (scene, arch, bounce) cell outcome plus the raw
-// stats the overall row aggregates from.
-type fig10Result struct {
-	ok    bool // false: the bounce stream was empty, cell skipped
-	cell  ArchCell
-	stats simt.Stats
-	rays  int
-}
-
-// Figure10 reproduces Figures 10 and 11: SIMD efficiency with
+// Figure10Ctx reproduces Figures 10 and 11: SIMD efficiency with
 // utilization breakdown and ray tracing performance for Aila's method,
-// DMK, TBC and the DRS, per bounce plus overall. The paper shows
-// bounces 1-3 and the overall result over all 8 bounces.
+// DMK, TBC and the DRS, per bounce (the first perBounce, 0 selects 3)
+// plus overall, over each scene (nil selects all four). The paper
+// shows bounces 1-3 and the overall result over all 8 bounces
+// (p.Bounces; 0 selects 8).
 //
 // Every (scene, arch, bounce) simulation is an independent scheduler
 // cell; the grid runs on Options.Parallelism workers and the rows are
 // assembled positionally in the canonical scene/arch/bounce order, so
-// the output is byte-identical at any worker count.
-func Figure10(p Params, perBounce int, scenes []scene.Benchmark) ([]ArchCell, error) {
-	return Figure10Ctx(context.Background(), p, perBounce, scenes)
-}
-
-// Figure10Ctx is Figure10 with cancellation: scheduler workers stop
-// claiming cells once ctx is done and in-flight device runs abort at
-// their next epoch barrier. An uncancelled call is byte-identical to
-// Figure10.
+// the output is byte-identical at any worker count. Scheduler workers
+// stop claiming cells once ctx is done and in-flight device runs abort
+// at their next epoch barrier.
 func Figure10Ctx(ctx context.Context, p Params, perBounce int, scenes []scene.Benchmark) ([]ArchCell, error) {
 	if perBounce <= 0 {
 		perBounce = 3
@@ -72,86 +58,41 @@ func Figure10Ctx(ctx context.Context, p Params, perBounce int, scenes []scene.Be
 	if bounces <= 0 {
 		bounces = 8
 	}
-	p = p.ensureCache()
-
-	grid := workloadCells[fig10Result](p, scenes)
-	prefetch := len(grid)
+	var points []point
 	for _, b := range scenes {
 		for _, arch := range ComparisonArchs {
-			for bounce := 1; bounce <= bounces; bounce++ {
-				grid = append(grid, cellsched.Cell[fig10Result]{
-					Key: fmt.Sprintf("fig10/%s/%s/B%d", b, arch, bounce),
-					Run: func() (fig10Result, error) {
-						w, err := p.workload(b)
-						if err != nil {
-							return fig10Result{}, err
-						}
-						if len(w.BounceRays(bounce, p)) == 0 {
-							return fig10Result{}, nil
-						}
-						res, err := w.simulateCtx(ctx, arch.String(), bounce, p)
-						if err != nil {
-							return fig10Result{}, fmt.Errorf("fig10 %s %s B%d: %w", b, arch, bounce, err)
-						}
-						st := res.GPU.Stats
-						return fig10Result{
-							ok:    true,
-							stats: st,
-							rays:  res.Rays,
-							cell: ArchCell{
-								Scene: b, Arch: arch, Bounce: bounce,
-								Rays: res.Rays, Eff: res.SIMDEff,
-								Breakdown:          st.UtilizationBreakdown(p.Options.Simt.WarpSize),
-								Mrays:              res.Mrays,
-								RFShuffleShare:     res.GPU.RFShuffleShare,
-								L1TexMissRate:      res.GPU.L1TexMissRate,
-								SpawnConflictShare: spawnShare(st),
-							},
-						}, nil
-					},
-				})
-			}
+			points = append(points, point{key: fmt.Sprintf("fig10/%s/%s", b, arch), scene: b, policy: arch.String(), opt: p.Options})
 		}
 	}
-	results, err := cellsched.RunCtx(ctx, grid, p.par())
+	runs, err := simulate(ctx, p, scenes, points, bounces)
 	if err != nil {
 		return nil, err
 	}
-	results = results[prefetch:]
-
+	warp, clock := p.Options.Simt.WarpSize, p.Options.Simt.ClockMHz
 	var cells []ArchCell
-	i := 0
-	for _, b := range scenes {
-		for _, arch := range ComparisonArchs {
-			var overall simt.Stats
-			var cycleSum int64
-			overallRays := 0
-			for bounce := 1; bounce <= bounces; bounce++ {
-				r := results[i]
-				i++
-				if !r.ok {
-					continue
-				}
-				overall.Add(r.stats)
-				// The paper's overall performance is total rays over the
-				// total cycles of all 8 bounces (each bounce is a
-				// separate kernel launch).
-				cycleSum += r.stats.Cycles
-				overallRays += r.rays
-				if bounce <= perBounce {
-					cells = append(cells, r.cell)
-				}
+	for i, pt := range points {
+		arch := ComparisonArchs[i%len(ComparisonArchs)] // architectures vary fastest
+		for bi, r := range runs[i][:min(perBounce, bounces)] {
+			if r.ok {
+				cells = append(cells, ArchCell{
+					Scene: pt.scene, Arch: arch, Bounce: bi + 1,
+					Rays: r.rays, Eff: r.eff,
+					Breakdown:          r.stats.UtilizationBreakdown(warp),
+					Mrays:              r.mrays,
+					RFShuffleShare:     r.rfShuffle,
+					L1TexMissRate:      r.l1texMiss,
+					SpawnConflictShare: spawnShare(r.stats),
+				})
 			}
-			overall.Cycles = cycleSum
-			cells = append(cells, ArchCell{
-				Scene: b, Arch: arch, Bounce: 0,
-				Rays: overallRays,
-				Eff:  overall.SIMDEfficiency(p.Options.Simt.WarpSize),
-				Breakdown: overall.UtilizationBreakdown(
-					p.Options.Simt.WarpSize),
-				Mrays: overall.MraysPerSec(int64(overallRays), p.Options.Simt.ClockMHz),
-			})
 		}
+		overall, rays, _ := merge(runs[i])
+		cells = append(cells, ArchCell{
+			Scene: pt.scene, Arch: arch, Bounce: 0,
+			Rays:      rays,
+			Eff:       overall.SIMDEfficiency(warp),
+			Breakdown: overall.UtilizationBreakdown(warp),
+			Mrays:     overall.MraysPerSec(int64(rays), clock),
+		})
 	}
 	return cells, nil
 }
@@ -163,30 +104,20 @@ func spawnShare(st simt.Stats) float64 {
 	return float64(st.SpawnConflictCycles) / float64(st.Cycles)
 }
 
-// archKey indexes ArchCells for the renderers: one map build per
-// render instead of a linear scan over the cell slice per row.
+// archKey indexes ArchCells for the renderers.
 type archKey struct {
 	scene  scene.Benchmark
 	arch   harness.Arch
 	bounce int
 }
 
-func indexArchCells(cells []ArchCell) map[archKey]ArchCell {
-	m := make(map[archKey]ArchCell, len(cells))
-	for _, c := range cells {
-		k := archKey{c.Scene, c.Arch, c.Bounce}
-		if _, ok := m[k]; !ok { // first match wins, like the old scans
-			m[k] = c
-		}
-	}
-	return m
-}
+func archKeyOf(c ArchCell) archKey { return archKey{c.Scene, c.Arch, c.Bounce} }
 
 // RenderFigure10 prints the SIMD efficiency / breakdown comparison.
 func RenderFigure10(cells []ArchCell, perBounce int) string {
 	out := "Figure 10: SIMD efficiency and utilization breakdown (Aila / DMK / TBC / DRS)\n"
 	header := []string{"scene", "bounce", "arch", "SIMD eff", "W1:8", "W9:16", "W17:24", "W25:32", "SI"}
-	idx := indexArchCells(cells)
+	idx := index(cells, archKeyOf)
 	var rows [][]string
 	for _, b := range scene.Benchmarks {
 		for bounce := 1; bounce <= perBounce+1; bounce++ {
@@ -219,7 +150,7 @@ func RenderFigure10(cells []ArchCell, perBounce int) string {
 func RenderFigure11(cells []ArchCell, perBounce int) string {
 	out := "Figure 11: ray tracing performance (Mrays/s) and speedup vs Aila\n"
 	header := []string{"scene", "bounce", "aila", "dmk", "tbc", "drs", "dmk x", "tbc x", "drs x"}
-	idx := indexArchCells(cells)
+	idx := index(cells, archKeyOf)
 	var rows [][]string
 	for _, b := range scene.Benchmarks {
 		for bounce := 1; bounce <= perBounce+1; bounce++ {

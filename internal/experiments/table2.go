@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/cellsched"
 	"repro/internal/core"
 	"repro/internal/scene"
 )
@@ -23,26 +22,13 @@ type Table2Cell struct {
 // Table2Buffers is the paper's swap-buffer sweep.
 var Table2Buffers = []int{6, 9, 12, 18}
 
-// table2Result is one cell outcome; ok is false when the bounce stream
-// was empty and the cell was skipped.
-type table2Result struct {
-	ok   bool
-	cell Table2Cell
-}
-
-// Table2 reproduces Table 2: ray tracing performance under 6, 9, 12
-// and 18 swap buffers, for the first `bounces` bounces of each scene
-// (the paper evaluates B1-B4). Cells run on the scheduler
-// (Options.Parallelism workers) and assemble positionally, so output
-// is identical at any worker count.
-func Table2(p Params, bounces int, scenes []scene.Benchmark) ([]Table2Cell, error) {
-	return Table2Ctx(context.Background(), p, bounces, scenes)
-}
-
-// Table2Ctx is Table2 with cancellation: scheduler workers stop
-// claiming cells once ctx is done and in-flight device runs abort at
-// their next epoch barrier. An uncancelled call is byte-identical to
-// Table2.
+// Table2Ctx reproduces Table 2: ray tracing performance under 6, 9, 12
+// and 18 swap buffers, for the first `bounces` bounces (0 selects 4)
+// of each scene (nil selects all four); the paper evaluates B1-B4.
+// Cells run on the scheduler (Options.Parallelism workers) and
+// assemble positionally, so output is identical at any worker count;
+// scheduler workers stop claiming cells once ctx is done and in-flight
+// device runs abort at their next epoch barrier.
 func Table2Ctx(ctx context.Context, p Params, bounces int, scenes []scene.Benchmark) ([]Table2Cell, error) {
 	if bounces <= 0 {
 		bounces = 4
@@ -50,51 +36,32 @@ func Table2Ctx(ctx context.Context, p Params, bounces int, scenes []scene.Benchm
 	if scenes == nil {
 		scenes = scene.Benchmarks
 	}
-	p = p.ensureCache()
-
-	grid := workloadCells[table2Result](p, scenes)
-	prefetch := len(grid)
+	var points []point
 	for _, b := range scenes {
 		for _, bufs := range Table2Buffers {
-			pp := p
 			cfg := core.DefaultConfig()
 			cfg.SwapBuffers = bufs
-			pp.Options.Policy = core.NewPolicy(cfg)
-			for bounce := 1; bounce <= bounces; bounce++ {
-				grid = append(grid, cellsched.Cell[table2Result]{
-					Key: fmt.Sprintf("table2/%s/#%d/B%d", b, bufs, bounce),
-					Run: func() (table2Result, error) {
-						w, err := pp.workload(b)
-						if err != nil {
-							return table2Result{}, err
-						}
-						if len(w.BounceRays(bounce, pp)) == 0 {
-							return table2Result{}, nil
-						}
-						res, err := w.simulateCtx(ctx, "drs", bounce, pp)
-						if err != nil {
-							return table2Result{}, fmt.Errorf("table2 %s #%d B%d: %w", b, bufs, bounce, err)
-						}
-						return table2Result{ok: true, cell: Table2Cell{
-							Scene:          b,
-							Bounce:         bounce,
-							Buffers:        bufs,
-							Mrays:          res.Mrays,
-							MeanSwapCycles: res.DRS.MeanSwapCycles(),
-						}}, nil
-					},
-				})
-			}
+			opt := p.Options
+			opt.Policy = core.NewPolicy(cfg)
+			points = append(points, point{key: fmt.Sprintf("table2/%s/#%d", b, bufs), scene: b, policy: "drs", opt: opt})
 		}
 	}
-	results, err := cellsched.RunCtx(ctx, grid, p.par())
+	runs, err := simulate(ctx, p, scenes, points, bounces)
 	if err != nil {
 		return nil, err
 	}
 	var cells []Table2Cell
-	for _, r := range results[prefetch:] {
-		if r.ok {
-			cells = append(cells, r.cell)
+	for i, pt := range points {
+		for bi, r := range runs[i] {
+			if r.ok {
+				cells = append(cells, Table2Cell{
+					Scene:          pt.scene,
+					Bounce:         bi + 1,
+					Buffers:        Table2Buffers[i%len(Table2Buffers)], // buffer counts vary fastest
+					Mrays:          r.mrays,
+					MeanSwapCycles: r.swapCycles,
+				})
+			}
 		}
 	}
 	return cells, nil
@@ -114,13 +81,7 @@ func RenderTable2(cells []Table2Cell, bounces int) string {
 	for _, bufs := range Table2Buffers {
 		header = append(header, fmt.Sprintf("#%d", bufs))
 	}
-	idx := make(map[table2Key]Table2Cell, len(cells))
-	for _, c := range cells {
-		k := table2Key{c.Scene, c.Bounce, c.Buffers}
-		if _, ok := idx[k]; !ok {
-			idx[k] = c
-		}
-	}
+	idx := index(cells, func(c Table2Cell) table2Key { return table2Key{c.Scene, c.Bounce, c.Buffers} })
 	var rows [][]string
 	for _, b := range scene.Benchmarks {
 		for bounce := 1; bounce <= bounces; bounce++ {

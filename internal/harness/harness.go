@@ -48,31 +48,28 @@ const (
 	ArchTBC
 )
 
+// archNames is the name table of the four legacy architectures,
+// indexed by Arch.
+var archNames = [...]string{"aila", "drs", "dmk", "tbc"}
+
 func (a Arch) String() string {
-	switch a {
-	case ArchAila:
-		return "aila"
-	case ArchDRS:
-		return "drs"
-	case ArchDMK:
-		return "dmk"
-	case ArchTBC:
-		return "tbc"
-	default:
+	if a < 0 || int(a) >= len(archNames) {
 		return "unknown"
 	}
+	return archNames[a]
 }
 
-// archOf maps a policy name back to its legacy Arch value, or -1 for
-// policies that postdate the enum. Result.Arch and the run/arch metric
-// keep their historical values through this mapping.
-func archOf(name string) Arch {
-	for _, a := range []Arch{ArchAila, ArchDRS, ArchDMK, ArchTBC} {
-		if a.String() == name {
-			return a
+// LegacyArch maps a policy name back to its legacy Arch value; ok is
+// false, and a is -1, for policies that postdate the enum. The run/arch
+// metric keeps its historical values through this mapping, and the
+// service folds legacy policy spellings into its arch field with it.
+func LegacyArch(name string) (a Arch, ok bool) {
+	for i, n := range archNames {
+		if n == name {
+			return Arch(i), true
 		}
 	}
-	return Arch(-1)
+	return -1, false
 }
 
 // policies is the process-wide registry, built once. Registration
@@ -276,10 +273,6 @@ func (o Options) ResolveScheduler() (warpsched.Scheduler, error) {
 
 // Result is a completed run.
 type Result struct {
-	// Arch is the legacy enum value for the four original
-	// architectures, -1 for policies that postdate it; Policy is the
-	// authoritative identity.
-	Arch Arch
 	// Policy is the name of the reordering policy that ran.
 	Policy string
 	// Sched is the name of the warp-scheduler policy that ran ("gto"
@@ -433,7 +426,8 @@ func runOnce(ctx context.Context, pol reorder.Policy, rays []geom.Ray, data *ker
 	if opt.Observe {
 		col = metrics.NewCollector(opt.SeriesCap)
 		col.Registry.Const("run/rays", int64(len(rays)))
-		col.Registry.Const("run/arch", int64(archOf(name)))
+		arch, _ := LegacyArch(name)
+		col.Registry.Const("run/arch", int64(arch))
 		col.Registry.Const("run/num_smx", int64(cfg.NumSMX))
 		col.Registry.Const("run/epoch_cycles", cfg.EpochLen())
 		if perm != nil {
@@ -493,7 +487,6 @@ func runOnce(ctx context.Context, pol reorder.Policy, rays []geom.Ray, data *ker
 		return nil, err
 	}
 	res := &Result{
-		Arch:   archOf(name),
 		Policy: name,
 		Sched:  schedName,
 		GPU:    gpu,

@@ -143,8 +143,8 @@ func TestChromeTraceExport(t *testing.T) {
 }
 
 // The trace's process is named after the policy that ran, so policies
-// outside the four-architecture Arch enum (whose Arch is -1) get their
-// own name rather than gpu/unknown.
+// outside the four-architecture Arch enum (whose run/arch metric is -1)
+// get their own name rather than gpu/unknown.
 func TestChromeTraceProcessNameIsPolicy(t *testing.T) {
 	data, traces, _ := testWorkload(t, scene.ConferenceRoom, 1200)
 	rays := traces.Bounce(2).Rays[:400]
@@ -153,6 +153,9 @@ func TestChromeTraceProcessNameIsPolicy(t *testing.T) {
 	res, err := RunNamed("ser", rays, data, opt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if v, ok := res.Metrics.Get("run/arch"); !ok || v != -1 {
+		t.Errorf("run/arch = %d (present %v), want -1 for a policy that postdates the Arch enum", v, ok)
 	}
 	tr, err := res.ChromeTrace()
 	if err != nil {

@@ -35,22 +35,14 @@ func AsOptionsError(err error) (*OptionsError, bool) {
 // not a tuning choice.
 const MaxParallelism = 4096
 
-// Validate checks the options against the architecture they will run
-// and returns a typed *OptionsError for the first rejected field.
-// RunNamed and RunNamedCtx perform the same validation before building
-// any device state, so a malformed configuration fails fast with a
-// named field instead of panicking in the engine.
-func (o Options) Validate(arch Arch) error {
-	if arch < ArchAila || arch > ArchTBC {
-		return &OptionsError{Field: "Arch", Reason: fmt.Sprintf("unknown architecture %d", arch)}
-	}
-	return o.ValidatePolicy(arch.String())
-}
-
-// ValidatePolicy is Validate for a named policy run: it resolves the
-// name (unknown names fail with the registry's typed
-// *reorder.UnknownPolicyError), asks the policy to validate its own
-// configuration, and checks the harness-level fields.
+// ValidatePolicy checks the options against the named policy they will
+// run and returns the first rejection: the registry's typed
+// *reorder.UnknownPolicyError for an unknown name, otherwise a typed
+// *OptionsError naming the field. It asks the policy to validate its
+// own configuration and checks the harness-level fields. RunNamed and
+// RunNamedCtx perform the same validation before building any device
+// state, so a malformed configuration fails fast with a named field
+// instead of panicking in the engine.
 func (o Options) ValidatePolicy(name string) error {
 	pol, err := o.ResolvePolicy(name)
 	if err != nil {

@@ -49,11 +49,6 @@ func TestValidateRejections(t *testing.T) {
 			field:  "Policy",
 		},
 		{
-			name: "unknown architecture", arch: Arch(99),
-			mutate: func(o *Options) {},
-			field:  "Arch",
-		},
-		{
 			name: "negative parallelism", arch: ArchAila,
 			mutate: func(o *Options) { o.Parallelism = -1 },
 			field:  "Parallelism",
@@ -83,9 +78,9 @@ func TestValidateRejections(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := DefaultOptions()
 			tc.mutate(&opt)
-			err := opt.Validate(tc.arch)
+			err := opt.ValidatePolicy(tc.arch.String())
 			if err == nil {
-				t.Fatalf("Validate accepted a %s configuration", tc.name)
+				t.Fatalf("ValidatePolicy accepted a %s configuration", tc.name)
 			}
 			oe, ok := AsOptionsError(err)
 			if !ok {
@@ -99,13 +94,8 @@ func TestValidateRejections(t *testing.T) {
 }
 
 // TestValidateAcceptsDefaults: the paper configuration must pass for
-// every architecture and every registered policy.
+// every registered policy, the four architectures among them.
 func TestValidateAcceptsDefaults(t *testing.T) {
-	for _, arch := range []Arch{ArchAila, ArchDRS, ArchDMK, ArchTBC} {
-		if err := DefaultOptions().Validate(arch); err != nil {
-			t.Fatalf("defaults rejected for %s: %v", arch, err)
-		}
-	}
 	for _, name := range Policies().Names() {
 		if err := DefaultOptions().ValidatePolicy(name); err != nil {
 			t.Fatalf("defaults rejected for policy %s: %v", name, err)

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -41,11 +42,11 @@ func simtcoreTables(t *testing.T, par int, cache *experiments.WorkloadCache) (fi
 	t.Helper()
 	p := simtcoreParams(par)
 	p.Cache = cache
-	cells10, err := experiments.Figure10(p, 2, []scene.Benchmark{scene.ConferenceRoom})
+	cells10, err := experiments.Figure10Ctx(context.Background(), p, 2, []scene.Benchmark{scene.ConferenceRoom})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cellsT2, err := experiments.Table2(p, 2, []scene.Benchmark{scene.FairyForest})
+	cellsT2, err := experiments.Table2Ctx(context.Background(), p, 2, []scene.Benchmark{scene.FairyForest})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestSimtCoreCheckDeterminism(t *testing.T) {
 		p := simtcoreParams(par)
 		p.Cache = cache
 		p.Options.CheckDeterminism = true
-		if _, err := experiments.Figure10(p, 2, []scene.Benchmark{scene.ConferenceRoom}); err != nil {
+		if _, err := experiments.Figure10Ctx(context.Background(), p, 2, []scene.Benchmark{scene.ConferenceRoom}); err != nil {
 			t.Fatalf("par %d: determinism check failed: %v", par, err)
 		}
 	}
