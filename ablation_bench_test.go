@@ -42,7 +42,10 @@ func BenchmarkAblationScheduler(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, sched := range []string{"gto", "lrr"} {
 			opt := harness.DefaultOptions()
-			opt.Sched = sched
+			var err error
+			if opt.Scheduler, err = harness.Schedulers().New(sched); err != nil {
+				b.Fatal(err)
+			}
 			r, err := harness.RunNamed("drs", rays, data, opt)
 			if err != nil {
 				b.Fatal(err)

@@ -29,6 +29,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/harness"
 	"repro/internal/scene"
+	"repro/internal/simt"
 	"repro/internal/trace"
 )
 
@@ -93,11 +94,15 @@ func main() {
 		p.Width, p.Height, p.SPP = *width, *height, *spp
 		p.MaxRaysPerBounce = *rays
 	}
+	if *smx < 0 || *smx > simt.MaxSMX {
+		fmt.Fprintf(os.Stderr, "-smx must be in [0, %d]\n", simt.MaxSMX)
+		os.Exit(2)
+	}
 	if *smx > 0 {
 		p.Options.Simt.NumSMX = *smx
 	}
-	if *par < 0 {
-		fmt.Fprintf(os.Stderr, "-par must be >= 0\n")
+	if *par < 0 || *par > harness.MaxParallelism {
+		fmt.Fprintf(os.Stderr, "-par must be in [0, %d]\n", harness.MaxParallelism)
 		os.Exit(2)
 	}
 	p.Options.Parallelism = *par
@@ -115,11 +120,12 @@ func main() {
 		}
 	}
 	if *schedFlag != "" {
-		if _, err := harness.Schedulers().New(*schedFlag); err != nil {
+		sched, err := harness.Schedulers().New(*schedFlag)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "drsbench: %v\n", err)
 			os.Exit(2)
 		}
-		p.Options.Sched = *schedFlag
+		p.Options.Scheduler = sched
 	}
 	var scenes []scene.Benchmark
 	if *scen != "" {
@@ -147,6 +153,10 @@ func main() {
 	}
 	if *sweepB < 1 || *sweepB > trace.MaxBounces {
 		fmt.Fprintf(os.Stderr, "-sweepbounces must be in [1, %d]\n", trace.MaxBounces)
+		os.Exit(2)
+	}
+	if *cmpB < 1 || *cmpB > trace.MaxBounces {
+		fmt.Fprintf(os.Stderr, "-cmpbounces must be in [1, %d]\n", trace.MaxBounces)
 		os.Exit(2)
 	}
 

@@ -44,10 +44,21 @@ func runDrsbench(t *testing.T, args string) (int, string) {
 	return 0, ""
 }
 
-// A -bounce or -sweepbounces outside [1, trace.MaxBounces] is a usage
-// error: exit 2 with a one-line message naming the flag, before any
-// workload is built — not a panic from inside the trace set with a
-// goroutine dump. The -bounce cases are named by their value alone.
+// wantUsageError runs drsbench with args and requires a usage error:
+// exit 2 with a one-line message naming flag.
+func wantUsageError(t *testing.T, flag, args string) {
+	t.Helper()
+	code, stderr := runDrsbench(t, args)
+	lines := strings.Split(strings.TrimSpace(stderr), "\n")
+	if code != 2 || len(lines) != 1 || !strings.Contains(stderr, flag) {
+		t.Fatalf("%s: exit %d, stderr:\n%s\nwant exit 2 and one line naming %s", args, code, stderr, flag)
+	}
+}
+
+// A -bounce, -sweepbounces or -cmpbounces outside [1, trace.MaxBounces]
+// is a usage error, reported before any workload is built — not a
+// panic from inside the trace set with a goroutine dump, nor a figure
+// with missing rows. The -bounce cases are named by their value alone.
 func TestBadBounceIsUsageError(t *testing.T) {
 	cases := []struct{ flag, v, args string }{
 		{"-bounce", "0", "-stats-json " + t.TempDir() + "/x.json"},
@@ -58,6 +69,9 @@ func TestBadBounceIsUsageError(t *testing.T) {
 		{"-sweepbounces", "9", "-exp table2 -scene conference"},
 		{"-sweepbounces", "9", "-exp fig8 -scene conference"},
 		{"-sweepbounces", "9", "-exp sweeps -scene conference"},
+		{"-cmpbounces", "0", "-exp fig10 -scene conference"},
+		{"-cmpbounces", "-2", "-exp fig11 -scene conference"},
+		{"-cmpbounces", "9", "-exp policies -scene conference"},
 	}
 	for _, tc := range cases {
 		name := tc.v
@@ -65,11 +79,23 @@ func TestBadBounceIsUsageError(t *testing.T) {
 			name = tc.flag + " " + tc.v + " " + tc.args
 		}
 		t.Run(name, func(t *testing.T) {
-			code, stderr := runDrsbench(t, "-tris 500 -w 16 -h 12 "+tc.flag+" "+tc.v+" "+tc.args)
-			lines := strings.Split(strings.TrimSpace(stderr), "\n")
-			if code != 2 || len(lines) != 1 || !strings.Contains(stderr, tc.flag) {
-				t.Fatalf("%s %s: exit %d, stderr:\n%s\nwant exit 2 and one line naming %s", tc.flag, tc.v, code, stderr, tc.flag)
-			}
+			wantUsageError(t, tc.flag, "-tris 500 -w 16 -h 12 "+tc.flag+" "+tc.v+" "+tc.args)
+		})
+	}
+}
+
+// An SMX count beyond simt.MaxSMX, a negative one, or more cell workers
+// than harness.MaxParallelism is a usage error too, reported before any
+// workload or device is built.
+func TestBadDeviceSizeIsUsageError(t *testing.T) {
+	cases := []struct{ flag, args string }{
+		{"-smx", "-exp table1 -smx 5000"},
+		{"-smx", "-exp table1 -smx -3"},
+		{"-par", "-exp table2 -sweepbounces 1 -scene conference -par 5000"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.args, func(t *testing.T) {
+			wantUsageError(t, tc.flag, "-tris 500 -w 16 -h 12 "+tc.args)
 		})
 	}
 }

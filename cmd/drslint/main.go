@@ -59,9 +59,7 @@ const (
 	exitInternal                // load/build/usage failure (32)
 )
 
-// kernelVariant is one (name, caps, builder) row of the registry. The
-// builder constructs the kernel with verification disabled — drslint
-// reports findings itself rather than letting MustVerify panic.
+// kernelVariant is one (name, caps, build) row of the registry.
 type kernelVariant struct {
 	name  string
 	caps  progcheck.Caps
@@ -70,19 +68,19 @@ type kernelVariant struct {
 
 var variants = []kernelVariant{
 	{"aila", progcheck.Caps{}, func(d *kernels.SceneData, p *kernels.Pool, n int) simt.Kernel {
-		return kernels.NewAila(d, p, n, kernels.AilaConfig{Speculative: true, SkipVerify: true})
+		return kernels.NewAila(d, p, n, kernels.AilaConfig{Speculative: true})
 	}},
 	{"aila-nospec", progcheck.Caps{}, func(d *kernels.SceneData, p *kernels.Pool, n int) simt.Kernel {
-		return kernels.NewAila(d, p, n, kernels.AilaConfig{SkipVerify: true})
+		return kernels.NewAila(d, p, n, kernels.AilaConfig{})
 	}},
 	{"aila-anyhit", progcheck.Caps{}, func(d *kernels.SceneData, p *kernels.Pool, n int) simt.Kernel {
-		return kernels.NewAila(d, p, n, kernels.AilaConfig{Speculative: true, AnyHit: true, SkipVerify: true})
+		return kernels.NewAila(d, p, n, kernels.AilaConfig{Speculative: true, AnyHit: true})
 	}},
 	{"whileif", progcheck.Caps{Gate: true, CtrlTag: true}, func(d *kernels.SceneData, p *kernels.Pool, n int) simt.Kernel {
-		return kernels.NewWhileIfConfigured(d, p, n, kernels.WhileIfConfig{SkipVerify: true})
+		return kernels.NewWhileIf(d, p, n, kernels.WhileIfConfig{})
 	}},
 	{"whileif-anyhit", progcheck.Caps{Gate: true, CtrlTag: true}, func(d *kernels.SceneData, p *kernels.Pool, n int) simt.Kernel {
-		return kernels.NewWhileIfConfigured(d, p, n, kernels.WhileIfConfig{AnyHit: true, SkipVerify: true})
+		return kernels.NewWhileIf(d, p, n, kernels.WhileIfConfig{AnyHit: true})
 	}},
 }
 

@@ -47,7 +47,7 @@ func main() {
 	scfg.MaxCycles = 1 << 26
 
 	pool := &kernels.Pool{Rays: rays}
-	k := kernels.NewWhileIf(data, pool, (cfg.Rows()-2)*32)
+	k := kernels.NewWhileIf(data, pool, (cfg.Rows()-2)*32, kernels.WhileIfConfig{})
 	ctrl, err := core.NewControl(cfg, k)
 	if err != nil {
 		log.Fatal(err)

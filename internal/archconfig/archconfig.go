@@ -58,9 +58,9 @@ type Config struct {
 	// per scheduler.
 	DispatchPerScheduler int `json:"dispatch_per_scheduler,omitempty"`
 	// WarpsPerSMX is the resident warp budget policies that accept the
-	// harness warp count run with (harness Options.AilaWarps). Policies
-	// with their own machine sizing (DRS derives warps from its row
-	// configuration) ignore it.
+	// harness warp count run with (harness Options.Simt.MaxWarpsPerSMX).
+	// Policies with their own machine sizing (DRS derives warps from
+	// its row configuration) ignore it.
 	WarpsPerSMX int `json:"warps_per_smx,omitempty"`
 	// ClockMHz is the SMX clock.
 	ClockMHz int `json:"clock_mhz,omitempty"`
@@ -203,8 +203,8 @@ func (c Config) Validate() error {
 		return &ConfigError{Field: "name", Reason: fmt.Sprintf("%q must be 1-64 chars of [a-z0-9-]", c.Name)}
 	case c.WarpWidth < 1 || c.WarpWidth > progcheck.MaxWarpWidth:
 		return &ConfigError{Field: "warp_width", Reason: fmt.Sprintf("%d out of range [1,%d] (the engine tracks lanes in uint32 masks; progcheck.MaxWarpWidth)", c.WarpWidth, progcheck.MaxWarpWidth)}
-	case c.SMXCount < 1 || c.SMXCount > 1024:
-		return &ConfigError{Field: "smx_count", Reason: fmt.Sprintf("%d out of range [1,1024]", c.SMXCount)}
+	case c.SMXCount < 1 || c.SMXCount > simt.MaxSMX:
+		return &ConfigError{Field: "smx_count", Reason: fmt.Sprintf("%d out of range [1,%d] (simt.MaxSMX)", c.SMXCount, simt.MaxSMX)}
 	case c.SchedulersPerSMX < 1 || c.SchedulersPerSMX > 64:
 		return &ConfigError{Field: "schedulers_per_smx", Reason: fmt.Sprintf("%d out of range [1,64]", c.SchedulersPerSMX)}
 	case c.DispatchPerScheduler < 1 || c.DispatchPerScheduler > 8:

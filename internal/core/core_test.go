@@ -87,7 +87,7 @@ func buildDRSHooks(t testing.TB, cfg Config, nrays int, wrap func(*Control, simt
 		rays[i] = geom.NewRay(o, d)
 	}
 	pool := &kernels.Pool{Rays: rays}
-	k := kernels.NewWhileIf(data, pool, (cfg.Rows()-2)*cfg.warpSize())
+	k := kernels.NewWhileIf(data, pool, (cfg.Rows()-2)*cfg.warpSize(), kernels.WhileIfConfig{})
 	ctrl, err := NewControl(cfg, k)
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestNewControlSlotMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := kernels.NewWhileIf(kernels.NewSceneData(bv), &kernels.Pool{Rays: make([]geom.Ray, 1)}, 32)
+	k := kernels.NewWhileIf(kernels.NewSceneData(bv), &kernels.Pool{Rays: make([]geom.Ray, 1)}, 32, kernels.WhileIfConfig{})
 	if _, err := NewControl(DefaultConfig(), k); err == nil {
 		t.Errorf("slot mismatch accepted")
 	}

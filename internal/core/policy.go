@@ -42,12 +42,7 @@ func (p *Policy) Caps() progcheck.Caps { return progcheck.Caps{Gate: true, CtrlT
 // NewSMX implements reorder.Policy.
 func (p *Policy) NewSMX(env Env) (reorder.Instance, error) {
 	slots := (p.Cfg.Rows() - 2) * env.Cfg.WarpSize
-	k := kernels.NewWhileIfConfigured(env.Data, env.Pool, slots, env.WhileIf)
-	if env.Verify != nil {
-		if err := env.Verify(k); err != nil {
-			return nil, err
-		}
-	}
+	k := kernels.NewWhileIf(env.Data, env.Pool, slots, env.WhileIf)
 	ctrl, err := NewControl(p.Cfg, k)
 	if err != nil {
 		return nil, err

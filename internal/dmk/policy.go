@@ -54,13 +54,7 @@ func (p *Policy) NewSMX(env reorder.Env) (reorder.Instance, error) {
 	// harness's Aila options: the MICRO 2010 baseline respawns
 	// micro-kernels at divergence, which replaces the speculative
 	// postponing heuristic rather than composing with it.
-	acfg := kernels.AilaConfig{SkipVerify: env.SkipProgCheck}
-	k := kernels.NewAila(env.Data, env.Pool, env.Cfg.MaxWarpsPerSMX*env.Cfg.WarpSize, acfg)
-	if env.Verify != nil {
-		if err := env.Verify(k); err != nil {
-			return nil, err
-		}
-	}
+	k := kernels.NewAila(env.Data, env.Pool, env.Cfg.MaxWarpsPerSMX*env.Cfg.WarpSize, kernels.AilaConfig{})
 	w := New(p.Cfg, k, env.Cfg.MaxWarpsPerSMX, env.Cfg.WarpSize)
 	if env.Collector != nil {
 		w.RegisterMetrics(env.Collector.Registry, env.MetricsPrefix)

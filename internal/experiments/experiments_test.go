@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/reorder"
 	"repro/internal/scene"
 	"repro/internal/tbc"
+	"repro/internal/warpsched"
 )
 
 // tinyParams keeps experiment tests fast: small scenes, low-res traces,
@@ -21,7 +23,7 @@ func tinyParams() Params {
 	p.Height = 48
 	p.Bounces = 3
 	p.Options.Simt.NumSMX = 2
-	p.Options.AilaWarps = 8
+	p.Options.Simt.MaxWarpsPerSMX = 8
 	drsCfg := core.DefaultConfig()
 	drsCfg.WarpsOverride = 8
 	tbcCfg := tbc.DefaultConfig()
@@ -76,10 +78,23 @@ func TestFigure2(t *testing.T) {
 }
 
 func TestTable1(t *testing.T) {
-	txt := Table1(DefaultParams())
-	for _, want := range []string{"980 MHz", "Greedy-Then-Oldest", "65536", "1536 KB"} {
-		if !strings.Contains(txt, want) {
-			t.Errorf("Table 1 missing %q:\n%s", want, txt)
+	lrr := DefaultParams()
+	lrr.Options.Scheduler = warpsched.NewLRR()
+	for _, tc := range []struct {
+		p     Params
+		sched string
+	}{
+		{DefaultParams(), "Greedy-Then-Oldest"},
+		{lrr, "lrr"},
+	} {
+		txt := Table1(tc.p)
+		for _, want := range []string{"980 MHz", "65536", "1536 KB"} {
+			if !strings.Contains(txt, want) {
+				t.Errorf("Table 1 missing %q:\n%s", want, txt)
+			}
+		}
+		if !regexp.MustCompile(`Warp Scheduler +` + tc.sched + ` *\n`).MatchString(txt) {
+			t.Errorf("Table 1 warp scheduler row is not %q:\n%s", tc.sched, txt)
 		}
 	}
 }

@@ -71,15 +71,21 @@ func RenderFigure2(rows []Fig2Row) string {
 		table(header, out)
 }
 
-// Table1 renders the GPU microarchitectural parameters (Table 1).
+// Table1 renders the GPU microarchitectural parameters (Table 1). The
+// warp scheduler row names the paper's Greedy-Then-Oldest for the
+// builtin order and registry "gto", and the registry name otherwise.
 func Table1(p Params) string {
 	cfg := p.Options.Simt
+	sched := "Greedy-Then-Oldest"
+	if s := p.Options.Scheduler; s != nil && s.Name() != "gto" {
+		sched = s.Name()
+	}
 	header := []string{"parameter", "value"}
 	rows := [][]string{
 		{"SMX Clock Frequency", fmt.Sprintf("%d MHz", cfg.ClockMHz)},
 		{"SIMD lanes", fmt.Sprintf("%d", cfg.WarpSize)},
 		{"SMXs/GPU", fmt.Sprintf("%d", cfg.NumSMX)},
-		{"Warp Scheduler", "Greedy-Then-Oldest"},
+		{"Warp Scheduler", sched},
 		{"Warp Schedulers/SMX", fmt.Sprintf("%d", cfg.SchedulersPerSMX)},
 		{"Inst. Dispatch Units/SMX", fmt.Sprintf("%d", cfg.SchedulersPerSMX*cfg.DispatchPerScheduler)},
 		{"Registers/SMX", fmt.Sprintf("%d", cfg.RF.RegsPerSMX)},

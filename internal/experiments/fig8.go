@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/reorder"
 	"repro/internal/scene"
 )
 
@@ -72,7 +73,7 @@ func Figure8Ctx(ctx context.Context, p Params, bounces int, scenes []scene.Bench
 			pt := point{key: fmt.Sprintf("fig8/%s/%s", b, cfg.Label), scene: b, policy: "aila", opt: p.Options}
 			if !cfg.Aila {
 				pt.policy = "drs"
-				pt.opt.Policy = core.NewPolicy(cfg.DRS)
+				pt.opt.PolicyOverrides = append([]reorder.Policy{core.NewPolicy(cfg.DRS)}, pt.opt.PolicyOverrides...)
 			}
 			points = append(points, pt)
 		}

@@ -76,7 +76,9 @@ func SweepsFigureCtx(ctx context.Context, p Params, bounces int, scenes []scene.
 		}
 		for _, sched := range SweepScheds {
 			opt := dev
-			opt.Sched = sched
+			if opt.Scheduler, err = harness.Schedulers().New(sched); err != nil {
+				return nil, fmt.Errorf("sweeps: %w", err)
+			}
 			for _, b := range scenes {
 				for _, pol := range SweepPolicies {
 					points = append(points, point{key: fmt.Sprintf("sweeps/%s/%s/%s/%s", a, sched, b, pol), scene: b, policy: pol, opt: opt})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/reorder"
 	"repro/internal/scene"
 )
 
@@ -42,7 +43,7 @@ func Table2Ctx(ctx context.Context, p Params, bounces int, scenes []scene.Benchm
 			cfg := core.DefaultConfig()
 			cfg.SwapBuffers = bufs
 			opt := p.Options
-			opt.Policy = core.NewPolicy(cfg)
+			opt.PolicyOverrides = append([]reorder.Policy{core.NewPolicy(cfg)}, opt.PolicyOverrides...)
 			points = append(points, point{key: fmt.Sprintf("table2/%s/#%d", b, bufs), scene: b, policy: "drs", opt: opt})
 		}
 	}

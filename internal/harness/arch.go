@@ -7,13 +7,13 @@ import (
 )
 
 // ApplyArch returns base with the declarative device model ac applied:
-// the engine/memory/register-file configuration comes from the config,
-// the harness warp budget follows warps_per_smx, the DRS policy picks
-// up the config's pool budgets (as a PolicyOverride, so an explicit
-// override or pinned Options.Policy still wins), and the config's
-// default scheduler fills Options.Sched when the caller has not chosen
-// one. Runtime knobs that are not device shape — epoch length, cycle
-// cap, collector, parallelism, kernel flavor — are preserved from base.
+// the engine/memory/register-file configuration comes from the config
+// (the warp budget Simt.MaxWarpsPerSMX follows warps_per_smx), the DRS
+// policy picks up the config's pool budgets (as a PolicyOverride, so an
+// explicit override still wins), and the config's default scheduler
+// fills Options.Scheduler when the caller has not chosen one. Runtime
+// knobs that are not device shape — epoch length, cycle cap, collector,
+// parallelism, kernel flavor — are preserved from base.
 //
 // Applying the "gtx780" config (or any of the four builtin
 // architectures' configs) to DefaultOptions reproduces the hard-coded
@@ -30,15 +30,18 @@ func ApplyArch(ac archconfig.Config, base Options) (Options, error) {
 	dev.MaxCycles = base.Simt.MaxCycles
 	dev.Collector = base.Simt.Collector
 	o.Simt = dev
-	o.AilaWarps = ac.WarpsPerSMX
-	if o.Sched == "" && o.Scheduler == nil {
-		o.Sched = ac.Sched
+	if o.Scheduler == nil {
+		sched, err := Schedulers().New(ac.Sched)
+		if err != nil {
+			return Options{}, err
+		}
+		o.Scheduler = sched
 	}
 	// The DRS pool budgets ride along as a policy override. The slice
 	// is cloned so base's backing array is never mutated, and the new
-	// entry is appended last so base's own overrides (and a pinned
-	// Options.Policy) take precedence; with the default budgets this
-	// override is exactly core.DefaultConfig and changes nothing.
+	// entry is appended last so base's own overrides take precedence;
+	// with the default budgets this override is exactly
+	// core.DefaultConfig and changes nothing.
 	overrides := make([]reorder.Policy, 0, len(o.PolicyOverrides)+1)
 	overrides = append(overrides, o.PolicyOverrides...)
 	o.PolicyOverrides = append(overrides, core.NewPolicy(ac.DRS()))

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 
@@ -33,16 +32,13 @@ func TestApplyArchGTX780Identity(t *testing.T) {
 	if !reflect.DeepEqual(got.Simt, base.Simt) {
 		t.Errorf("device config changed:\n%+v\n%+v", got.Simt, base.Simt)
 	}
-	if got.AilaWarps != base.AilaWarps {
-		t.Errorf("AilaWarps = %d, want %d", got.AilaWarps, base.AilaWarps)
-	}
-	if got.Sched != "gto" {
-		t.Errorf("Sched = %q, want the config default gto", got.Sched)
+	if got.Scheduler != warpsched.NewGTO() {
+		t.Errorf("Scheduler = %v, want the config default gto", got.Scheduler)
 	}
 	if len(got.PolicyOverrides) != 1 {
 		t.Fatalf("overrides = %d entries, want exactly the DRS budget", len(got.PolicyOverrides))
 	}
-	pol, err := got.ResolvePolicy("drs")
+	pol, err := got.resolve("drs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +54,7 @@ func TestApplyArchPreservesRuntime(t *testing.T) {
 	base := smallOptions()
 	base.Simt.EpochCycles = 512
 	base.Simt.MaxCycles = 123456
-	base.Sched = "wasp"
+	base.Scheduler = warpsched.WaSP{Runners: 3, Distance: 16}
 	nOverrides := len(base.PolicyOverrides)
 
 	got, err := ApplyArch(mustBuiltin(t, "modern-mid"), base)
@@ -71,8 +67,8 @@ func TestApplyArchPreservesRuntime(t *testing.T) {
 	if got.Simt.NumSMX != 48 {
 		t.Errorf("NumSMX = %d, want the config's 48", got.Simt.NumSMX)
 	}
-	if got.Sched != "wasp" {
-		t.Errorf("explicit Sched overwritten: %q", got.Sched)
+	if got.Scheduler != base.Scheduler {
+		t.Errorf("explicit Scheduler overwritten: %v", got.Scheduler)
 	}
 	if len(got.PolicyOverrides) != nOverrides+1 {
 		t.Errorf("overrides = %d, want base %d plus the arch DRS budget", len(got.PolicyOverrides), nOverrides)
@@ -82,7 +78,7 @@ func TestApplyArchPreservesRuntime(t *testing.T) {
 	}
 	// First match wins: the base's own DRS override must still be the
 	// one a drs run resolves.
-	pol, err := got.ResolvePolicy("drs")
+	pol, err := got.resolve("drs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +141,8 @@ func TestArchEquivalenceReduced(t *testing.T) {
 	}
 }
 
-// An explicit Sched "gto" must be byte-identical to the default (the
-// registry policy wraps the same canonical scan the enum runs).
+// An explicit registry "gto" Scheduler must be byte-identical to the
+// default (the registry policy binds the same canonical scan).
 func TestRunSchedGTOByteIdentical(t *testing.T) {
 	data, traces, _ := testWorkload(t, scene.ConferenceRoom, 1200)
 	rays := traces.Bounce(2).Rays
@@ -156,7 +152,7 @@ func TestRunSchedGTOByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := smallOptions()
-	opt.Sched = "gto"
+	opt.Scheduler = warpsched.NewGTO()
 	got, err := RunNamed("aila", rays, data, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +182,11 @@ func TestRunSchedRegistryEndToEnd(t *testing.T) {
 	for _, name := range []string{"lrr", "wasp"} {
 		t.Run(name, func(t *testing.T) {
 			opt := smallOptions()
-			opt.Sched = name
+			sched, err := Schedulers().New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt.Scheduler = sched
 			a, err := RunNamed("aila", rays, data, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -209,8 +209,8 @@ func TestRunSchedRegistryEndToEnd(t *testing.T) {
 	}
 }
 
-// A pinned Scheduler instance with non-default configuration runs, and
-// a Sched name contradicting the pin is rejected with a typed error.
+// A Scheduler instance with non-default configuration runs, and an
+// invalid one is rejected with a typed error.
 func TestSchedulerPin(t *testing.T) {
 	data, traces, _ := testWorkload(t, scene.ConferenceRoom, 600)
 	rays := traces.Bounce(2).Rays
@@ -225,26 +225,18 @@ func TestSchedulerPin(t *testing.T) {
 		t.Errorf("Result.Sched = %q, want wasp", res.Sched)
 	}
 
-	opt.Sched = "lrr"
+	opt.Scheduler = warpsched.WaSP{Runners: 0, Distance: 16}
 	_, err = RunNamed("aila", rays, data, opt)
 	oe, ok := AsOptionsError(err)
 	if !ok || oe.Field != "Scheduler" {
-		t.Fatalf("want Scheduler OptionsError, got %v", err)
-	}
-
-	opt.Sched = ""
-	opt.Scheduler = warpsched.WaSP{Runners: 0, Distance: 16}
-	_, err = RunNamed("aila", rays, data, opt)
-	oe, ok = AsOptionsError(err)
-	if !ok || oe.Field != "Sched" {
-		t.Fatalf("want Sched OptionsError for invalid wasp config, got %v", err)
+		t.Fatalf("want Scheduler OptionsError for invalid wasp config, got %v", err)
 	}
 }
 
-// Sched and Scheduler are the harness's only scheduler selectors. A
-// factory set on Options.Simt would run while Result.Sched reported
-// "gto", so the run is rejected with a typed error, and ApplyArch does
-// not carry the field across.
+// Scheduler is the harness's only scheduler selector. A factory set on
+// Options.Simt would run while Result.Sched reported "gto", so the run
+// is rejected with a typed error, and ApplyArch does not carry the
+// field across.
 func TestRunRejectsSimtSchedFactory(t *testing.T) {
 	data, traces, _ := testWorkload(t, scene.ConferenceRoom, 800)
 	rays := traces.Bounce(1).Rays
@@ -261,20 +253,5 @@ func TestRunRejectsSimtSchedFactory(t *testing.T) {
 	}
 	if got.Simt.SchedFactory != nil {
 		t.Error("ApplyArch carried Simt.SchedFactory across")
-	}
-}
-
-// Unknown scheduler names fail with the registry's typed error at the
-// harness boundary, before any device state is built.
-func TestRunUnknownScheduler(t *testing.T) {
-	data, traces, _ := testWorkload(t, scene.ConferenceRoom, 600)
-	rays := traces.Bounce(2).Rays
-
-	opt := smallOptions()
-	opt.Sched = "fifo"
-	_, err := RunNamed("aila", rays, data, opt)
-	var ue *warpsched.UnknownSchedulerError
-	if !errors.As(err, &ue) || ue.Name != "fifo" {
-		t.Fatalf("want *warpsched.UnknownSchedulerError, got %v", err)
 	}
 }

@@ -130,46 +130,30 @@ func Schedulers() *warpsched.Registry { return warpsched.Builtin() }
 
 // Options configures a run.
 type Options struct {
+	// Simt is the device configuration. Its MaxWarpsPerSMX is the warp
+	// budget of every policy whose Warps() is 0 (48 in the paper);
+	// policies with their own machine sizing — DRS derives warps from
+	// its row configuration — override it.
 	Simt simt.Config
-	// AilaWarps is the number of warps spawned per SMX for policies
-	// that accept the harness warp count (Policy.Warps() == 0; 48 in
-	// the paper). Policies with their own machine sizing — DRS derives
-	// warps from its row configuration — override it.
-	AilaWarps int
 	// Aila configures the while-while kernel for the policies that run
 	// it (aila, noop, ser, sort). DMK and TBC always run the plain
 	// non-speculative kernel, as they historically did.
 	Aila kernels.AilaConfig
 	// WhileIf configures Kernel 1 for the DRS policy.
 	WhileIf kernels.WhileIfConfig
-	// Policy pins the run to one configured policy instance. The run's
-	// requested name must match Policy.Name(); use this to run a policy
-	// with non-default configuration (e.g. core.NewPolicy(customCfg)).
-	Policy reorder.Policy
 	// PolicyOverrides supplies configured policy instances for named
 	// lookups: a run asking for a name found here (first match wins)
-	// uses the override instead of the registry default. Unlike Policy
-	// it can hold several policies at once, so one Options can carry
-	// custom configurations across a multi-policy grid.
+	// uses the override instead of the registry default. It is how a
+	// run gets a policy with non-default configuration (e.g.
+	// core.NewPolicy(customCfg)), for one policy or several at once.
 	PolicyOverrides []reorder.Policy
-	// Sched names the warp-scheduler policy for the run ("gto", "lrr",
-	// "wasp"; Schedulers().Names() lists them). Empty keeps the device
-	// default, the builtin GTO scan, which is byte-identical to an
-	// explicit "gto": both run the engine's canonical greedy-then-oldest
-	// scan. A non-empty name is resolved through the registry and
-	// devirtualized at NewSMX. Sched and Scheduler are the only
-	// scheduler selectors: Simt.SchedFactory must stay nil.
-	Sched string
-	// Scheduler pins the run to one configured scheduler instance
-	// (e.g. warpsched.WaSP{Runners: 4, Distance: 128}). When set, Sched
-	// must be empty or match Scheduler.Name(). Use it for non-default
-	// scheduler parameters, like Policy for reordering policies.
+	// Scheduler selects the warp scheduler: a registry default
+	// (Schedulers().New(name)) or a configured instance such as
+	// warpsched.WaSP{Runners: 4, Distance: 128}. Its factory is
+	// devirtualized at NewSMX. nil keeps the device's builtin GTO scan,
+	// which registry "gto" matches byte for byte. It is the only
+	// scheduler selector: Simt.SchedFactory must stay nil.
 	Scheduler warpsched.Scheduler
-	// SkipProgCheck disables the progcheck verification of the kernel
-	// program at build time (both the constructors' self-check and the
-	// harness's policy-capability check). Only for tests that run
-	// deliberately malformed programs; real runs must verify.
-	SkipProgCheck bool
 	// CheckDeterminism is the harness's determinism assertion mode: the
 	// whole simulation runs twice and the run fails if the two runs'
 	// device stats (cycles, instruction counts, cache and register-file
@@ -208,67 +192,13 @@ type Options struct {
 
 // DefaultOptions returns the paper's configuration: Table 1 GPU,
 // 48-warp Aila kernel with speculative traversal; policy configuration
-// comes from each policy's own defaults (override with Policy or
+// comes from each policy's own defaults (override with
 // PolicyOverrides).
 func DefaultOptions() Options {
 	return Options{
-		Simt:      simt.DefaultConfig(),
-		AilaWarps: 48,
-		Aila:      kernels.AilaConfig{Speculative: true},
+		Simt: simt.DefaultConfig(),
+		Aila: kernels.AilaConfig{Speculative: true},
 	}
-}
-
-// ResolvePolicy maps a run name to the policy instance that will serve
-// it: Options.Policy if set (its name must match), else the first
-// matching entry of Options.PolicyOverrides, else the registry default
-// for the name. Unknown names fail with *reorder.UnknownPolicyError —
-// the registry is the only place a name is judged.
-func (o Options) ResolvePolicy(name string) (reorder.Policy, error) {
-	if o.Policy != nil {
-		if o.Policy.Name() != name {
-			return nil, &OptionsError{
-				Field:  "Policy",
-				Reason: fmt.Sprintf("configured policy %q cannot serve a %q run", o.Policy.Name(), name),
-			}
-		}
-		return o.Policy, nil
-	}
-	for _, p := range o.PolicyOverrides {
-		if p != nil && p.Name() == name {
-			return p, nil
-		}
-	}
-	return Policies().New(name)
-}
-
-// ResolveScheduler maps the options' scheduler request to the instance
-// that will serve it: Options.Scheduler if set (Sched, when also set,
-// must match its name), else the registry default for Options.Sched,
-// else nil — meaning the builtin GTO order. A factory set on
-// Options.Simt is rejected: the run would not report it in
-// Result.Sched. Unknown names fail with
-// *warpsched.UnknownSchedulerError — the registry is the only place a
-// name is judged.
-func (o Options) ResolveScheduler() (warpsched.Scheduler, error) {
-	if o.Simt.SchedFactory != nil {
-		return nil, &OptionsError{
-			Field:  "Simt.SchedFactory",
-			Reason: "choose the scheduler with Sched or Scheduler",
-		}
-	}
-	if o.Scheduler != nil {
-		if o.Sched != "" && o.Sched != o.Scheduler.Name() {
-			return nil, &OptionsError{
-				Field:  "Scheduler",
-				Reason: fmt.Sprintf("configured scheduler %q cannot serve a %q run", o.Scheduler.Name(), o.Sched),
-			}
-		}
-		return o.Scheduler, nil
-	}
-	if o.Sched == "" {
-		return nil, nil
-	}
-	return Schedulers().New(o.Sched)
 }
 
 // Result is a completed run.
@@ -326,11 +256,8 @@ func RunNamed(name string, rays []geom.Ray, data *kernels.SceneData, opt Options
 // uncancelled RunNamedCtx is byte-identical to RunNamed. For the four
 // legacy names it is byte-identical to the pre-registry harness.
 func RunNamedCtx(ctx context.Context, name string, rays []geom.Ray, data *kernels.SceneData, opt Options) (*Result, error) {
-	pol, err := opt.ResolvePolicy(name)
+	pol, err := opt.resolve(name)
 	if err != nil {
-		return nil, err
-	}
-	if err := opt.validateResolved(pol); err != nil {
 		return nil, err
 	}
 	res, err := runOnce(ctx, pol, rays, data, opt)
@@ -387,21 +314,14 @@ func runOnce(ctx context.Context, pol reorder.Policy, rays []geom.Ray, data *ker
 	cfg := opt.Simt
 	if w := pol.Warps(); w > 0 {
 		cfg.MaxWarpsPerSMX = w
-	} else if opt.AilaWarps > 0 {
-		cfg.MaxWarpsPerSMX = opt.AilaWarps
 	}
-	// Resolve the warp scheduler. A requested policy is devirtualized
-	// through its factory at NewSMX; no request leaves the device's
-	// builtin GTO scan in charge, which an explicit "gto" matches
-	// byte-for-byte — registry GTO binds the same scan.
-	sched, err := opt.ResolveScheduler()
-	if err != nil {
-		return nil, err
-	}
+	// A scheduler is devirtualized through its factory at NewSMX; a nil
+	// one leaves the device's builtin GTO scan in charge, which registry
+	// "gto" matches byte for byte — its factory is nil too.
 	schedName := "gto"
-	if sched != nil {
-		cfg.SchedFactory = sched.Factory()
-		schedName = sched.Name()
+	if opt.Scheduler != nil {
+		cfg.SchedFactory = opt.Scheduler.Factory()
+		schedName = opt.Scheduler.Name()
 	}
 
 	// Stream-level reordering happens before the device exists: a
@@ -437,29 +357,16 @@ func runOnce(ctx context.Context, pol reorder.Policy, rays []geom.Ray, data *ker
 		cfg.Collector = col
 	}
 
-	// Kernel configurations with the harness-wide verification override
-	// folded in; each policy picks the one its kernel needs.
-	acfg := opt.Aila
-	acfg.SkipVerify = acfg.SkipVerify || opt.SkipProgCheck
-	wcfg := opt.WhileIf
-	wcfg.SkipVerify = wcfg.SkipVerify || opt.SkipProgCheck
-	var verify func(k simt.Kernel) error
-	if !opt.SkipProgCheck {
-		caps := pol.Caps()
-		verify = func(k simt.Kernel) error {
-			if fs := progcheck.Verify(name, k, caps); len(fs) > 0 {
-				return fmt.Errorf("harness: kernel program rejected for %s: %s (run cmd/drslint for the full report, or set Options.SkipProgCheck for deliberately-broken test programs)", name, fs[0].Msg)
-			}
-			return nil
-		}
-	}
-
 	type smxOut struct {
 		inst  reorder.Instance
 		start int
 	}
 	outs := make([]*smxOut, cfg.NumSMX)
 
+	// Every SMX's kernel program is verified here, against the
+	// capabilities its policy declares, before the engine trusts its
+	// block table.
+	caps := pol.Caps()
 	factory := func(id int) (simt.SMXProgram, error) {
 		start, end := simt.Partition(len(runRays), cfg.NumSMX, id)
 		pool := &kernels.Pool{Rays: runRays[start:end]}
@@ -468,18 +375,20 @@ func runOnce(ctx context.Context, pol reorder.Policy, rays []geom.Ray, data *ker
 			Cfg:           cfg,
 			Data:          data,
 			Pool:          pool,
-			Aila:          acfg,
-			WhileIf:       wcfg,
-			SkipProgCheck: opt.SkipProgCheck,
-			Verify:        verify,
+			Aila:          opt.Aila,
+			WhileIf:       opt.WhileIf,
 			Collector:     col,
 			MetricsPrefix: fmt.Sprintf("smx%d/%s", id, name),
 		})
 		if err != nil {
 			return simt.SMXProgram{}, err
 		}
+		prog := inst.Program()
+		if fs := progcheck.Verify(name, prog.Kernel, caps); len(fs) > 0 {
+			return simt.SMXProgram{}, fmt.Errorf("harness: kernel program rejected for %s: %s: %s (run cmd/drslint for the full report)", name, fs[0].Rule, fs[0].Msg)
+		}
 		outs[id] = &smxOut{inst: inst, start: start}
-		return inst.Program(), nil
+		return prog, nil
 	}
 
 	gpu, err := simt.RunGPUCtx(ctx, cfg, factory)

@@ -1,15 +1,18 @@
 package harness
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/bvh"
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/kernels"
+	"repro/internal/progcheck"
 	"repro/internal/render"
 	"repro/internal/reorder"
 	"repro/internal/scene"
+	"repro/internal/simt"
 	"repro/internal/tbc"
 	"repro/internal/trace"
 )
@@ -38,7 +41,7 @@ func smallOptions() Options {
 	opt := DefaultOptions()
 	opt.Simt.NumSMX = 2
 	opt.Simt.MaxCycles = 1 << 24
-	opt.AilaWarps = 8
+	opt.Simt.MaxWarpsPerSMX = 8
 	// Scale the DRS machine down to match the Aila kernel so the small
 	// test workloads exercise both at comparable occupancy, and shrink
 	// the TBC blocks with it.
@@ -159,7 +162,7 @@ func TestIdealDRSAtLeastAsFast(t *testing.T) {
 	idealCfg := core.DefaultConfig()
 	idealCfg.WarpsOverride = 8
 	idealCfg.Ideal = true
-	opt.Policy = core.NewPolicy(idealCfg)
+	opt.PolicyOverrides = []reorder.Policy{core.NewPolicy(idealCfg)}
 	ideal, err := RunNamed("drs", rays, data, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -171,6 +174,38 @@ func TestIdealDRSAtLeastAsFast(t *testing.T) {
 	// significantly slower than real shuffling.
 	if ideal.Mrays < real.Mrays*0.9 {
 		t.Errorf("ideal DRS %.1f Mrays much slower than real %.1f", ideal.Mrays, real.Mrays)
+	}
+}
+
+// gatedNoCaps builds Kernel 1, whose rdctrl block is gated and
+// TagCtrl-classified, but declares no engine capabilities.
+type gatedNoCaps struct{}
+
+func (gatedNoCaps) Name() string         { return "gated-nocaps" }
+func (gatedNoCaps) Summary() string      { return "Kernel 1 without the DRS capabilities" }
+func (gatedNoCaps) Validate() error      { return nil }
+func (gatedNoCaps) Warps() int           { return 0 }
+func (gatedNoCaps) Caps() progcheck.Caps { return progcheck.Caps{} }
+func (gatedNoCaps) NewSMX(env reorder.Env) (reorder.Instance, error) {
+	slots := env.Cfg.MaxWarpsPerSMX * env.Cfg.WarpSize
+	return whileIfInstance{kernels.NewWhileIf(env.Data, env.Pool, slots, env.WhileIf)}, nil
+}
+
+type whileIfInstance struct{ k *kernels.WhileIf }
+
+func (i whileIfInstance) Program() simt.SMXProgram { return simt.SMXProgram{Kernel: i.k} }
+func (i whileIfInstance) Hits() []geom.Hit         { return i.k.Hits }
+
+// The harness verifies every SMX's kernel against the capabilities its
+// policy declares: a gated program under a policy that services no
+// gate fails the run with the verifier's rule, not a panic.
+func TestRunRejectsKernelBeyondPolicyCaps(t *testing.T) {
+	data, traces, _ := testWorkload(t, scene.ConferenceRoom, 600)
+	opt := smallOptions()
+	opt.PolicyOverrides = []reorder.Policy{gatedNoCaps{}}
+	res, err := RunNamed("gated-nocaps", traces.Bounce(1).Rays, data, opt)
+	if err == nil || !strings.Contains(err.Error(), string(progcheck.RuleGateUnserved)) {
+		t.Fatalf("got result %v, error %v; want a %s rejection", res != nil, err, progcheck.RuleGateUnserved)
 	}
 }
 

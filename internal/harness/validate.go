@@ -13,7 +13,7 @@ import (
 // used to surface as a divide-by-zero inside the scheduler); callers
 // match it with errors.As or AsOptionsError.
 type OptionsError struct {
-	// Field names the offending option ("AilaWarps", "Simt.NumSMX").
+	// Field names the offending option ("PolicyOverrides", "Simt").
 	Field string
 	// Reason says what is wrong with it.
 	Reason string
@@ -35,82 +35,80 @@ func AsOptionsError(err error) (*OptionsError, bool) {
 // not a tuning choice.
 const MaxParallelism = 4096
 
-// ValidatePolicy checks the options against the named policy they will
-// run and returns the first rejection: the registry's typed
-// *reorder.UnknownPolicyError for an unknown name, otherwise a typed
-// *OptionsError naming the field. It asks the policy to validate its
-// own configuration and checks the harness-level fields. RunNamed and
-// RunNamedCtx perform the same validation before building any device
-// state, so a malformed configuration fails fast with a named field
-// instead of panicking in the engine.
-func (o Options) ValidatePolicy(name string) error {
-	pol, err := o.ResolvePolicy(name)
-	if err != nil {
-		return err
+// resolve maps a run name to the policy instance that will serve it —
+// the first matching entry of PolicyOverrides, else the registry
+// default — and validates the options against it, returning the first
+// rejection: the registry's typed *reorder.UnknownPolicyError for an
+// unknown name (the registry is the only place a name is judged),
+// otherwise a typed *OptionsError naming the field. RunNamedCtx calls
+// it before building any device state, so a malformed configuration
+// fails fast with a named field instead of panicking in the engine.
+func (o Options) resolve(name string) (reorder.Policy, error) {
+	var pol reorder.Policy
+	for _, p := range o.PolicyOverrides {
+		if p != nil && p.Name() == name {
+			pol = p
+			break
+		}
 	}
-	return o.validateResolved(pol)
-}
-
-// validateResolved checks an already-resolved policy plus the
-// policy-independent options.
-func (o Options) validateResolved(pol reorder.Policy) error {
+	if pol == nil {
+		var err error
+		if pol, err = Policies().New(name); err != nil {
+			return nil, err
+		}
+	}
 	if err := pol.Validate(); err != nil {
-		return &OptionsError{
-			Field:  "Policy",
+		return nil, &OptionsError{
+			Field:  "PolicyOverrides",
 			Reason: fmt.Sprintf("%s configuration rejected: %v", pol.Name(), err),
 		}
 	}
-	// The warp scheduler validates like the policy: the registry judges
-	// the name (typed *warpsched.UnknownSchedulerError), the instance
-	// judges its own configuration.
-	sched, err := o.ResolveScheduler()
-	if err != nil {
-		return err
-	}
-	if sched != nil {
-		if err := sched.Validate(); err != nil {
-			return &OptionsError{
-				Field:  "Sched",
-				Reason: fmt.Sprintf("%s configuration rejected: %v", sched.Name(), err),
-			}
+	// A factory set on the device config would run while Result.Sched
+	// reported "gto"; the scheduler instance judges its own
+	// configuration, like the policy.
+	if o.Simt.SchedFactory != nil {
+		return nil, &OptionsError{
+			Field:  "Simt.SchedFactory",
+			Reason: "choose the scheduler with Scheduler",
 		}
 	}
-	warps := pol.Warps()
-	if warps <= 0 {
-		if o.AilaWarps <= 0 {
-			return &OptionsError{
-				Field:  "AilaWarps",
-				Reason: fmt.Sprintf("warp count %d must be positive for the %s policy (the paper uses 48)", o.AilaWarps, pol.Name()),
+	if o.Scheduler != nil {
+		if err := o.Scheduler.Validate(); err != nil {
+			return nil, &OptionsError{
+				Field:  "Scheduler",
+				Reason: fmt.Sprintf("%s configuration rejected: %v", o.Scheduler.Name(), err),
 			}
 		}
-		warps = o.AilaWarps
 	}
 	if o.Parallelism < 0 || o.Parallelism > MaxParallelism {
-		return &OptionsError{
+		return nil, &OptionsError{
 			Field:  "Parallelism",
 			Reason: fmt.Sprintf("worker count %d out of range [0,%d] (0 selects GOMAXPROCS)", o.Parallelism, MaxParallelism),
 		}
 	}
 	if o.SeriesCap < 0 {
-		return &OptionsError{
+		return nil, &OptionsError{
 			Field:  "SeriesCap",
 			Reason: fmt.Sprintf("series ring capacity %d must not be negative (0 selects the default)", o.SeriesCap),
 		}
 	}
 	if o.Simt.EpochCycles < 0 {
-		return &OptionsError{
+		return nil, &OptionsError{
 			Field:  "Simt.EpochCycles",
 			Reason: fmt.Sprintf("epoch length %d is below the floor of 1 device cycle (0 selects the default, which EpochLen clamps to the minimum L2-bound latency)", o.Simt.EpochCycles),
 		}
 	}
 	// The device config has its own validator (warp size, SMX count,
-	// clock, epoch length); surface its verdict under one field so callers see
-	// the same typed error shape for every rejection. Substitute the
-	// policy's warp count the same way runOnce will before validating.
+	// warp budget, clock, epoch length); surface its verdict under one
+	// field so callers see the same typed error shape for every
+	// rejection. Substitute the policy's warp count the same way runOnce
+	// will before validating.
 	cfg := o.Simt
-	cfg.MaxWarpsPerSMX = warps
-	if err := cfg.Validate(); err != nil {
-		return &OptionsError{Field: "Simt", Reason: err.Error()}
+	if w := pol.Warps(); w > 0 {
+		cfg.MaxWarpsPerSMX = w
 	}
-	return nil
+	if err := cfg.Validate(); err != nil {
+		return nil, &OptionsError{Field: "Simt", Reason: err.Error()}
+	}
+	return pol, nil
 }

@@ -21,18 +21,18 @@ func TestValidateRejections(t *testing.T) {
 	}{
 		{
 			name: "zero aila warps", arch: ArchAila,
-			mutate: func(o *Options) { o.AilaWarps = 0 },
-			field:  "AilaWarps",
+			mutate: func(o *Options) { o.Simt.MaxWarpsPerSMX = 0 },
+			field:  "Simt",
 		},
 		{
 			name: "negative aila warps on dmk", arch: ArchDMK,
-			mutate: func(o *Options) { o.AilaWarps = -7 },
-			field:  "AilaWarps",
+			mutate: func(o *Options) { o.Simt.MaxWarpsPerSMX = -7 },
+			field:  "Simt",
 		},
 		{
 			name: "zero aila warps on tbc", arch: ArchTBC,
-			mutate: func(o *Options) { o.AilaWarps = 0 },
-			field:  "AilaWarps",
+			mutate: func(o *Options) { o.Simt.MaxWarpsPerSMX = 0 },
+			field:  "Simt",
 		},
 		{
 			name: "broken drs config", arch: ArchDRS,
@@ -41,12 +41,7 @@ func TestValidateRejections(t *testing.T) {
 				cfg.SwapBuffers = -1
 				o.PolicyOverrides = []reorder.Policy{core.NewPolicy(cfg)}
 			},
-			field: "Policy",
-		},
-		{
-			name: "pinned policy name mismatch", arch: ArchDMK,
-			mutate: func(o *Options) { o.Policy = core.NewPolicy(core.DefaultConfig()) },
-			field:  "Policy",
+			field: "PolicyOverrides",
 		},
 		{
 			name: "negative parallelism", arch: ArchAila,
@@ -78,9 +73,9 @@ func TestValidateRejections(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := DefaultOptions()
 			tc.mutate(&opt)
-			err := opt.ValidatePolicy(tc.arch.String())
+			_, err := opt.resolve(tc.arch.String())
 			if err == nil {
-				t.Fatalf("ValidatePolicy accepted a %s configuration", tc.name)
+				t.Fatalf("resolve accepted a %s configuration", tc.name)
 			}
 			oe, ok := AsOptionsError(err)
 			if !ok {
@@ -97,7 +92,7 @@ func TestValidateRejections(t *testing.T) {
 // every registered policy, the four architectures among them.
 func TestValidateAcceptsDefaults(t *testing.T) {
 	for _, name := range Policies().Names() {
-		if err := DefaultOptions().ValidatePolicy(name); err != nil {
+		if _, err := DefaultOptions().resolve(name); err != nil {
 			t.Fatalf("defaults rejected for policy %s: %v", name, err)
 		}
 	}
@@ -106,7 +101,7 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 // TestValidateUnknownPolicy: an unknown name must fail with the
 // registry's typed error — the single place names are judged.
 func TestValidateUnknownPolicy(t *testing.T) {
-	err := DefaultOptions().ValidatePolicy("warp-drive")
+	_, err := DefaultOptions().resolve("warp-drive")
 	if err == nil {
 		t.Fatal("unknown policy accepted")
 	}
@@ -123,11 +118,11 @@ func TestValidateUnknownPolicy(t *testing.T) {
 // so a malformed request never reaches device construction.
 func TestRunRejectsBeforeBuilding(t *testing.T) {
 	opt := DefaultOptions()
-	opt.AilaWarps = 0
+	opt.Simt.MaxWarpsPerSMX = 0
 	rays := []geom.Ray{{}}
 	_, err := RunNamed("aila", rays, nil, opt)
 	if err == nil {
-		t.Fatal("Run accepted zero AilaWarps")
+		t.Fatal("Run accepted a zero warp budget")
 	}
 	if _, ok := AsOptionsError(err); !ok {
 		t.Fatalf("want *OptionsError from Run, got %T: %v", err, err)

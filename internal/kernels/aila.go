@@ -2,7 +2,6 @@ package kernels
 
 import (
 	"repro/internal/geom"
-	"repro/internal/progcheck"
 	"repro/internal/simt"
 )
 
@@ -26,9 +25,6 @@ type AilaConfig struct {
 	// AnyHit makes the kernel an occlusion (shadow-ray) kernel: a ray
 	// terminates at its first hit instead of searching for the closest.
 	AnyHit bool
-	// SkipVerify skips the constructor-time progcheck verification
-	// (for tests that build deliberately malformed variants).
-	SkipVerify bool
 }
 
 // Aila is the software baseline ray traversal kernel ("while-while"
@@ -72,9 +68,6 @@ func NewAila(data *SceneData, pool *Pool, slots int, cfg AilaConfig) *Aila {
 		ailaLeaf:     {Name: "leaf", Insts: 17, MemInsts: 1, SrcOps: 3, Reconv: ailaLeafChk},
 		ailaOuterChk: {Name: "outerchk", Insts: 6, SrcOps: 2, Reconv: ailaInner},
 		ailaCommit:   {Name: "commit", Insts: 7, MemInsts: 1, SrcOps: 2},
-	}
-	if !cfg.SkipVerify {
-		progcheck.MustVerify("aila", k, progcheck.Caps{})
 	}
 	return k
 }

@@ -48,7 +48,7 @@ func TestWhileIfAnyHitMatchesReference(t *testing.T) {
 	data, bv := testData(t, scene.CrytekSponza, 1200)
 	rays := randomRays(60, 23)
 	pool := &Pool{Rays: rays}
-	k := NewWhileIfConfigured(data, pool, 32, WhileIfConfig{AnyHit: true})
+	k := NewWhileIf(data, pool, 32, WhileIfConfig{AnyHit: true})
 	var res simt.StepResult
 	slot := int32(0)
 	for iter := 0; iter < 5_000_000; iter++ {

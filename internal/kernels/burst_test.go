@@ -14,7 +14,7 @@ func TestWhileIfBurstConfigsCorrect(t *testing.T) {
 	rays := randomRays(40, 13)
 	for _, burst := range []int{1, 2, 8, 64} {
 		pool := &Pool{Rays: rays}
-		k := NewWhileIfConfigured(data, pool, 32, WhileIfConfig{InnerBurst: burst, LeafBurst: burst})
+		k := NewWhileIf(data, pool, 32, WhileIfConfig{InnerBurst: burst, LeafBurst: burst})
 		var res simt.StepResult
 		slot := int32(0)
 		for iter := 0; iter < 5_000_000; iter++ {
@@ -52,7 +52,7 @@ func TestLargerBurstsFewerRdctrlRounds(t *testing.T) {
 	rays := randomRays(60, 21)
 	rounds := func(burst int) int {
 		pool := &Pool{Rays: rays}
-		k := NewWhileIfConfigured(data, pool, 32, WhileIfConfig{InnerBurst: burst, LeafBurst: burst})
+		k := NewWhileIf(data, pool, 32, WhileIfConfig{InnerBurst: burst, LeafBurst: burst})
 		var res simt.StepResult
 		n := 0
 		slot := int32(0)

@@ -218,7 +218,7 @@ func TestAilaSpeculationImprovesEfficiency(t *testing.T) {
 func TestWhileIfStatesAndBlocks(t *testing.T) {
 	data, _ := testData(t, scene.ConferenceRoom, 800)
 	pool := &Pool{Rays: randomRays(10, 5)}
-	k := NewWhileIf(data, pool, 64)
+	k := NewWhileIf(data, pool, 64, WhileIfConfig{})
 	if k.Entry() != WiRdctrl {
 		t.Errorf("entry = %d", k.Entry())
 	}
@@ -245,7 +245,7 @@ func TestWhileIfSingleThreadSemantics(t *testing.T) {
 	data, bv := testData(t, scene.ConferenceRoom, 1000)
 	rays := randomRays(30, 9)
 	pool := &Pool{Rays: rays}
-	k := NewWhileIf(data, pool, 32)
+	k := NewWhileIf(data, pool, 32, WhileIfConfig{})
 	var res simt.StepResult
 	slot := int32(0)
 	for iter := 0; iter < 2_000_000; iter++ {

@@ -35,10 +35,10 @@ func TestSeedKernelsVerifyClean(t *testing.T) {
 			return NewAila(data, p, slots, AilaConfig{Speculative: true, AnyHit: true})
 		}},
 		{"whileif", drs, func(p *Pool) simt.Kernel {
-			return NewWhileIf(data, p, slots)
+			return NewWhileIf(data, p, slots, WhileIfConfig{})
 		}},
 		{"whileif-anyhit", drs, func(p *Pool) simt.Kernel {
-			return NewWhileIfConfigured(data, p, slots, WhileIfConfig{AnyHit: true})
+			return NewWhileIf(data, p, slots, WhileIfConfig{AnyHit: true})
 		}},
 	}
 	for _, v := range variants {

@@ -2,7 +2,6 @@ package kernels
 
 import (
 	"repro/internal/geom"
-	"repro/internal/progcheck"
 	"repro/internal/simt"
 )
 
@@ -40,9 +39,6 @@ type WhileIfConfig struct {
 	LeafBurst  int
 	// AnyHit makes Kernel 1 an occlusion (shadow-ray) kernel.
 	AnyHit bool
-	// SkipVerify skips the constructor-time progcheck verification
-	// (for tests that build deliberately malformed variants).
-	SkipVerify bool
 }
 
 func (c WhileIfConfig) withDefaults() WhileIfConfig {
@@ -89,13 +85,9 @@ func (k *WhileIf) setState(slot int32, s State) {
 }
 
 // NewWhileIf creates the while-if kernel with the given number of ray
-// slots (rows * warpSize; the DRS organizes slots into rows).
-func NewWhileIf(data *SceneData, pool *Pool, slots int) *WhileIf {
-	return NewWhileIfConfigured(data, pool, slots, WhileIfConfig{})
-}
-
-// NewWhileIfConfigured is NewWhileIf with explicit burst bounds.
-func NewWhileIfConfigured(data *SceneData, pool *Pool, slots int, cfg WhileIfConfig) *WhileIf {
+// slots (rows * warpSize; the DRS organizes slots into rows) and burst
+// bounds.
+func NewWhileIf(data *SceneData, pool *Pool, slots int, cfg WhileIfConfig) *WhileIf {
 	k := &WhileIf{
 		data: data,
 		pool: pool,
@@ -117,11 +109,6 @@ func NewWhileIfConfigured(data *SceneData, pool *Pool, slots int, cfg WhileIfCon
 		WiFetch:  {Name: "fetch", Insts: 18, MemInsts: 1, SrcOps: 2},
 		WiInner:  {Name: "inner", Insts: 26, MemInsts: 2, SrcOps: 3, Reconv: WiRdctrl},
 		WiLeaf:   {Name: "leaf", Insts: 18, MemInsts: 2, SrcOps: 3, Reconv: WiRdctrl},
-	}
-	if !cfg.SkipVerify {
-		// Kernel 1's rdctrl is gated and TagCtrl-classified, which only
-		// a DRS-capable architecture can service.
-		progcheck.MustVerify("whileif", k, progcheck.Caps{Gate: true, CtrlTag: true})
 	}
 	return k
 }

@@ -114,13 +114,5 @@ func FuzzVerify(f *testing.F) {
 				t.Fatalf("capability-dependent finding survived full caps: %+v", fd)
 			}
 		}
-
-		// MustVerify must be consistent with Verify: panic iff findings.
-		defer func() {
-			if r := recover(); (r != nil) != (len(fs) > 0) {
-				t.Fatalf("MustVerify panic=%v but Verify returned %d findings", r != nil, len(fs))
-			}
-		}()
-		MustVerify("fuzz", k, Caps{})
 	})
 }

@@ -19,8 +19,9 @@
 //     cross-checks every observed transition and memory access against
 //     the declared program.
 //
-// Kernel constructors and the harness call Verify at build time;
-// cmd/drslint runs both passes across all registered kernels x scenes.
+// The harness verifies every SMX's kernel against its policy's Caps
+// before a run; cmd/drslint runs both passes across all registered
+// kernels x scenes.
 package progcheck
 
 import (
@@ -323,19 +324,4 @@ func succList(blocks []simt.BlockInfo, succs []int) string {
 		parts[i] = blockName(blocks, t)
 	}
 	return "{" + strings.Join(parts, ", ") + "}"
-}
-
-// MustVerify panics if Verify reports findings; kernel constructors
-// call it so a malformed program fails at build time rather than
-// corrupting a simulation. The simulation harness exposes an opt-out
-// (harness.Options.SkipProgCheck) for deliberately broken test
-// programs, which are hand-built rather than constructed.
-func MustVerify(name string, k simt.Kernel, caps Caps) {
-	if fs := Verify(name, k, caps); len(fs) > 0 {
-		msgs := make([]string, len(fs))
-		for i, f := range fs {
-			msgs[i] = f.String()
-		}
-		panic("progcheck: malformed kernel program:\n  " + strings.Join(msgs, "\n  "))
-	}
 }

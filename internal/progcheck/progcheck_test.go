@@ -235,17 +235,6 @@ func TestVerifyCapsServeGatedBlocks(t *testing.T) {
 	}
 }
 
-func TestMustVerifyPanics(t *testing.T) {
-	k := diamond()
-	k.succs[1] = []int{7}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustVerify did not panic on a malformed program")
-		}
-	}()
-	MustVerify("fixture", k, Caps{})
-}
-
 // TestExploreFlagsUndeclaredEdge drives a Step that branches to an
 // edge the static CFG omits.
 func TestExploreFlagsUndeclaredEdge(t *testing.T) {

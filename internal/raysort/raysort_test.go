@@ -109,7 +109,7 @@ func TestSortPolicyEndToEnd(t *testing.T) {
 	opt := harness.DefaultOptions()
 	opt.Simt.NumSMX = 2
 	opt.Simt.MaxCycles = 1 << 24
-	opt.AilaWarps = 8
+	opt.Simt.MaxWarpsPerSMX = 8
 	opt.CheckDeterminism = true
 	run, err := harness.RunNamed("sort", rays, data, opt)
 	if err != nil {

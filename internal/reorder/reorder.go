@@ -80,11 +80,11 @@ type Policy interface {
 	// state is built.
 	Validate() error
 	// Warps returns the resident warp count the policy requires per
-	// SMX, or 0 to accept the harness default (Options.AilaWarps).
+	// SMX, or 0 to accept the harness budget (Options.Simt.MaxWarpsPerSMX).
 	Warps() int
 	// Caps declares the engine capabilities the policy's kernel program
-	// may use (gated blocks, TagCtrl instructions); progcheck verifies
-	// the built kernel against exactly these.
+	// may use (gated blocks, TagCtrl instructions); the harness verifies
+	// every kernel an instance runs against exactly these.
 	Caps() progcheck.Caps
 	// NewSMX builds the policy's per-SMX kernel and hooks.
 	NewSMX(env Env) (Instance, error)
@@ -102,18 +102,12 @@ type Env struct {
 	// Pool holds this SMX's partition of the ray stream.
 	Pool *kernels.Pool
 	// Aila is the harness's baseline kernel configuration (speculative
-	// traversal etc., SkipVerify already merged); policies that run the
-	// stock while-while kernel use it verbatim.
+	// traversal etc.); policies that run the stock while-while kernel
+	// use it verbatim.
 	Aila kernels.AilaConfig
 	// WhileIf is the harness's Kernel 1 configuration for gated-kernel
-	// policies (SkipVerify already merged).
+	// policies.
 	WhileIf kernels.WhileIfConfig
-	// SkipProgCheck disables kernel program verification (tests only).
-	SkipProgCheck bool
-	// Verify re-checks a built kernel against the policy's Caps; nil
-	// when SkipProgCheck is set. Policies must call it on every kernel
-	// they build when non-nil.
-	Verify func(k simt.Kernel) error
 	// Collector is the unified metrics layer (nil unless the run is
 	// observed). Policies register their counters under MetricsPrefix.
 	Collector *metrics.Collector

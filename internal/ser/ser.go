@@ -350,11 +350,6 @@ func (p *Policy) Caps() progcheck.Caps { return progcheck.Caps{} }
 // what the kernel does between hits, which is how production SER ships.
 func (p *Policy) NewSMX(env reorder.Env) (reorder.Instance, error) {
 	k := kernels.NewAila(env.Data, env.Pool, env.Cfg.MaxWarpsPerSMX*env.Cfg.WarpSize, env.Aila)
-	if env.Verify != nil {
-		if err := env.Verify(k); err != nil {
-			return nil, err
-		}
-	}
 	w := New(p.Cfg, k, env.Cfg.WarpSize)
 	if env.Collector != nil {
 		w.RegisterMetrics(env.Collector.Registry, env.MetricsPrefix)

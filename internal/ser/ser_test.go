@@ -40,7 +40,7 @@ func smallOptions() harness.Options {
 	opt := harness.DefaultOptions()
 	opt.Simt.NumSMX = 2
 	opt.Simt.MaxCycles = 1 << 24
-	opt.AilaWarps = 8
+	opt.Simt.MaxWarpsPerSMX = 8
 	return opt
 }
 
@@ -84,7 +84,7 @@ func TestSERReordersIncoherentRays(t *testing.T) {
 	rays, data, _ := workload(t)
 	cfg := ser.DefaultConfig()
 	opt := smallOptions()
-	opt.Policy = ser.NewPolicy(cfg)
+	opt.PolicyOverrides = []reorder.Policy{ser.NewPolicy(cfg)}
 	res, err := harness.RunNamed("ser", rays, data, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestSERTinyWindowSerializes(t *testing.T) {
 	cfg := ser.DefaultConfig()
 	cfg.WindowSize = 1 // below any MinDivergence split
 	opt := smallOptions()
-	opt.Policy = ser.NewPolicy(cfg)
+	opt.PolicyOverrides = []reorder.Policy{ser.NewPolicy(cfg)}
 	res, err := harness.RunNamed("ser", rays, data, opt)
 	if err != nil {
 		t.Fatal(err)

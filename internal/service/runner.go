@@ -37,7 +37,11 @@ func (s *Service) params(spec *JobSpec) (experiments.Params, error) {
 		}
 	}
 	if spec.Sched != "" {
-		p.Options.Sched = spec.Sched
+		sched, err := harness.Schedulers().New(spec.Sched)
+		if err != nil {
+			return p, &SpecError{Field: "sched", Reason: err.Error()}
+		}
+		p.Options.Scheduler = sched
 	}
 	return p, nil
 }

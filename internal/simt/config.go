@@ -15,6 +15,11 @@ import (
 // completed before the barrier that resolves it (see Config.EpochLen).
 const DefaultEpochCycles = 64
 
+// MaxSMX is the largest SMX count a device may have. Every SMX owns its
+// warp, cache and register-file state, so a larger count is an input
+// error that would exhaust host memory, not a device shape.
+const MaxSMX = 1024
+
 // Config holds the GPU microarchitectural parameters (Table 1 of the
 // paper: a GeForce GTX780, Kepler architecture).
 type Config struct {
@@ -77,6 +82,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("simt: warp size %d out of range [1,32]", c.WarpSize)
 	case c.NumSMX <= 0:
 		return fmt.Errorf("simt: need at least one SMX")
+	case c.NumSMX > MaxSMX:
+		return fmt.Errorf("simt: SMX count %d above the maximum of %d", c.NumSMX, MaxSMX)
 	case c.SchedulersPerSMX <= 0:
 		return fmt.Errorf("simt: need at least one scheduler")
 	case c.DispatchPerScheduler <= 0:

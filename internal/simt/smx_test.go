@@ -417,6 +417,11 @@ func TestNewSMXValidation(t *testing.T) {
 	if _, err := NewSMX(0, bad, k2, Hooks{}, l2); err == nil {
 		t.Errorf("invalid config accepted")
 	}
+	bad = cfg
+	bad.NumSMX = MaxSMX + 1
+	if _, err := NewSMX(0, bad, k2, Hooks{}, l2); err == nil {
+		t.Errorf("%d SMXs accepted", bad.NumSMX)
+	}
 	// Bank counts the register file cannot model are an error, not a
 	// panic inside regfile.New.
 	for _, banks := range []int{0, regfile.MaxBanks + 1} {

@@ -48,13 +48,7 @@ func (p *Policy) Caps() progcheck.Caps { return progcheck.Caps{} }
 func (p *Policy) NewSMX(env reorder.Env) (reorder.Instance, error) {
 	// Like DMK, TBC wraps the plain non-speculative kernel: block-wide
 	// synchronization replaces the speculative postponing heuristic.
-	acfg := kernels.AilaConfig{SkipVerify: env.SkipProgCheck}
-	k := kernels.NewAila(env.Data, env.Pool, env.Cfg.MaxWarpsPerSMX*env.Cfg.WarpSize, acfg)
-	if env.Verify != nil {
-		if err := env.Verify(k); err != nil {
-			return nil, err
-		}
-	}
+	k := kernels.NewAila(env.Data, env.Pool, env.Cfg.MaxWarpsPerSMX*env.Cfg.WarpSize, kernels.AilaConfig{})
 	w := New(p.Cfg, k, env.Cfg.MaxWarpsPerSMX, env.Cfg.WarpSize)
 	if env.Collector != nil {
 		w.RegisterMetrics(env.Collector.Registry, env.MetricsPrefix)
