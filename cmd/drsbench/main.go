@@ -83,6 +83,18 @@ func main() {
 		return
 	}
 
+	// Scale flags out of range are usage errors, reported before any
+	// workload is built.
+	for _, f := range []struct {
+		name     string
+		val, min int
+	}{{"tris", *tris, 0}, {"w", *width, 1}, {"h", *height, 1}, {"spp", *spp, 1}, {"rays", *rays, 0}, {"series-cap", *seriesCap, 0}} {
+		if f.val < f.min {
+			fmt.Fprintf(os.Stderr, "-%s must be >= %d\n", f.name, f.min)
+			os.Exit(2)
+		}
+	}
+
 	p := experiments.DefaultParams()
 	if *paper {
 		p = experiments.PaperParams()

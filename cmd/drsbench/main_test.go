@@ -100,6 +100,27 @@ func TestBadDeviceSizeIsUsageError(t *testing.T) {
 	}
 }
 
+// A scene scale or ray cap below its floor is a usage error, reported
+// before any workload is built — not a failure inside a cell, a silent
+// run at the paper's full triangle counts, or an observed run that
+// builds its workload first.
+func TestBadScaleIsUsageError(t *testing.T) {
+	cases := []struct{ flag, args string }{
+		{"-tris", "-exp fig2 -scene conference -tris -5"},
+		{"-tris", "-exp table1 -tris -5"},
+		{"-w", "-exp fig2 -scene conference -w -16"},
+		{"-h", "-exp fig2 -scene conference -h 0"},
+		{"-spp", "-exp fig2 -scene conference -spp 0"},
+		{"-rays", "-exp fig2 -scene conference -rays -5"},
+		{"-series-cap", "-series-cap -4 -stats-json " + t.TempDir() + "/x.json"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.flag, func(t *testing.T) {
+			wantUsageError(t, tc.flag, tc.args)
+		})
+	}
+}
+
 // A device-model file the register file cannot build is a usage error
 // too: exit 2 from the config validator, not a panic from inside the
 // register file.

@@ -1,5 +1,5 @@
 // Command drslint is the repo's determinism and kernel-program linter.
-// It runs three independent passes and exits nonzero if any finds
+// It runs two independent passes and exits nonzero if either finds
 // anything:
 //
 //   - Program verification (-mode prog): every registered kernel
@@ -11,27 +11,24 @@
 //     transition and memory emission is cross-checked against the
 //     declared program.
 //
-//   - Source lint (-mode src): the file-granular syntactic determinism
-//     lint over the repo's non-test Go sources (map iteration feeding
-//     simulation state, wall-clock and global-RNG reads, goroutine
-//     captured-variable writes).
-//
-//   - Graph analysis (-mode graph): the type-aware whole-program pass
-//     (internal/srcgraph) — a static call graph over internal/ + cmd/,
-//     determinism-hazard findings for any function reachable from an
-//     engine/harness entry point or //drslint:hotpath root, plus the
+//   - Source lint (-mode graph): the type-aware whole-program pass
+//     (internal/srcgraph) over the non-test Go under internal/ and
+//     cmd/ — map iteration, wall-clock and global-RNG reads and
+//     goroutine captured-variable writes anywhere, with the witness
+//     call chain when an engine or harness entry point reaches the
+//     site; allocation churn in the //drslint:hotpath cone; plus the
 //     spec-hash drift and metrics-registration completeness verifiers.
 //
 // Usage:
 //
-//	drslint [-mode all|prog|src|graph] [-json] [-tris N] [-steps N] [src roots...]
+//	drslint [-mode all|prog|graph] [-json] [-tris N] [-steps N] [-slots N]
 //
 // With -json the findings are emitted as one machine-readable object.
 //
 // The exit code is a bitmask identifying which checks failed: 1 =
-// kernel-program findings, 2 = source-lint findings, 4 = graph
-// determinism hazards, 8 = spec-hash drift, 16 = metrics-registration
-// gaps. Internal errors (load or build failures) exit 32.
+// kernel-program findings, 4 = source-lint hazards, 8 = spec-hash
+// drift, 16 = metrics-registration gaps. Usage and internal errors
+// (a bad flag, a load or build failure) exit 32. Bit 2 is unused.
 package main
 
 import (
@@ -51,13 +48,16 @@ import (
 // Exit-code bits, one per check family; the process exit status is the
 // OR of every bit whose check produced findings.
 const (
-	exitProg        = 1 << iota // kernel program verification/exploration
-	exitSrc                     // syntactic source lint
-	exitGraphHazard             // interprocedural determinism hazards
-	exitSpecHash                // spec-hash drift
-	exitMetricsReg              // metrics-registration gaps
-	exitInternal                // load/build/usage failure (32)
+	exitProg        = 1  // kernel program verification/exploration
+	exitGraphHazard = 4  // source-lint hazards
+	exitSpecHash    = 8  // spec-hash drift
+	exitMetricsReg  = 16 // metrics-registration gaps
+	exitInternal    = 32 // usage, load or build failure
 )
+
+// maxSlots bounds -slots: archconfig's largest warps_per_smx (1024)
+// times the widest warp the engine supports.
+const maxSlots = 1024 * progcheck.MaxWarpWidth
 
 // kernelVariant is one (name, caps, build) row of the registry.
 type kernelVariant struct {
@@ -86,9 +86,8 @@ var variants = []kernelVariant{
 
 // report is the -json output shape.
 type report struct {
-	Program []progcheck.Finding    `json:"program"`
-	Source  []progcheck.SrcFinding `json:"source"`
-	Graph   *graphReport           `json:"graph,omitempty"`
+	Program []progcheck.Finding `json:"program"`
+	Graph   *graphReport        `json:"graph,omitempty"`
 	// Explored summarizes dynamic coverage per kernel x scene, so a
 	// clean run can be judged for how much it actually exercised.
 	Explored []exploreSummary `json:"explored,omitempty"`
@@ -115,16 +114,28 @@ type exploreSummary struct {
 
 func main() {
 	var (
-		mode    = flag.String("mode", "all", "which passes to run: all, prog (kernel programs), src (source lint), or graph (whole-program analysis)")
+		mode    = flag.String("mode", "all", "which passes to run: all, prog (kernel programs) or graph (source lint)")
 		jsonOut = flag.Bool("json", false, "emit findings as a single JSON object")
 		tris    = flag.Int("tris", 2000, "triangle budget per benchmark scene for program exploration")
 		steps   = flag.Int("steps", 0, "total Step budget per kernel x scene exploration (0 = progcheck default)")
 		slots   = flag.Int("slots", 256, "kernel slots (threads) to build and drive per exploration")
 	)
 	flag.Parse()
-	if *mode != "all" && *mode != "prog" && *mode != "src" && *mode != "graph" {
-		fmt.Fprintf(os.Stderr, "drslint: unknown -mode %q; valid: all, prog, src, graph\n", *mode)
+	usage := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "drslint: "+format+"\n", args...)
 		os.Exit(exitInternal)
+	}
+	switch {
+	case *mode != "all" && *mode != "prog" && *mode != "graph":
+		usage("unknown -mode %q; valid: all, prog, graph", *mode)
+	case flag.NArg() > 0:
+		usage("unexpected argument %q; the source lint covers internal/ and cmd/", flag.Arg(0))
+	case *slots < 1 || *slots > maxSlots:
+		usage("-slots must be in [1, %d]", maxSlots)
+	case *tris < 0:
+		usage("-tris must be >= 0")
+	case *steps < 0:
+		usage("-steps must be >= 0")
 	}
 
 	var rep report
@@ -143,22 +154,6 @@ func main() {
 		}
 	}
 
-	if *mode == "all" || *mode == "src" {
-		roots := flag.Args()
-		if len(roots) == 0 {
-			roots = []string{"internal", "cmd"}
-		}
-		srcFindings, err := progcheck.LintDirs(roots...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "drslint:", err)
-			os.Exit(exitInternal)
-		}
-		rep.Source = srcFindings
-		if len(srcFindings) > 0 {
-			exit |= exitSrc
-		}
-	}
-
 	if *mode == "all" || *mode == "graph" {
 		gr, bits, err := runGraph()
 		if err != nil {
@@ -174,9 +169,6 @@ func main() {
 		if rep.Program == nil {
 			rep.Program = []progcheck.Finding{}
 		}
-		if rep.Source == nil {
-			rep.Source = []progcheck.SrcFinding{}
-		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
@@ -185,9 +177,6 @@ func main() {
 		}
 	} else {
 		for _, f := range rep.Program {
-			fmt.Println(f.String())
-		}
-		for _, f := range rep.Source {
 			fmt.Println(f.String())
 		}
 		if rep.Graph != nil {

@@ -1,6 +1,6 @@
 // Package progcheck statically verifies kernel programs before they
-// reach the simt engine, and lints the simulator's own Go source for
-// determinism hazards (see srclint.go).
+// reach the simt engine. (The determinism lint of the simulator's own
+// Go source is internal/srcgraph.)
 //
 // Every architecture in this repo is expressed as a hand-authored
 // basic-block SIMT program whose correctness rests on hand-declared

@@ -1,460 +1,290 @@
-package progcheck
+package progcheck_test
 
-import "testing"
+import (
+	"fmt"
+	"go/ast"
+	"go/types"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
 
-func findCheck(fs []SrcFinding, c SrcCheck) *SrcFinding {
-	for i := range fs {
-		if fs[i].Check == c {
-			return &fs[i]
-		}
-	}
-	return nil
+	"repro/internal/srcgraph"
+)
+
+// drslint runs two passes: this package's kernel-program verifier and
+// the source lint in internal/srcgraph. The tests below pin the source
+// lint's rules one behaviour at a time. Each runs the lint over the
+// srcgraph specimen module's cases package, which holds one function
+// per behaviour, and checks what is reported in one function.
+// srcgraph's TestSpecimenWants checks the same files line by line.
+
+const specimenDir = "../srcgraph/testdata/specimen"
+
+type casesLint struct {
+	pkg      *srcgraph.Package
+	findings []srcgraph.Finding
 }
 
-func lint(t *testing.T, src string) []SrcFinding {
+// lintCases loads the cases package and runs the hazard checks once
+// for all tests; nothing mutates the result.
+var lintCases = sync.OnceValues(func() (*casesLint, error) {
+	prog, err := srcgraph.Load(specimenDir, "./internal/cases")
+	if err != nil {
+		return nil, err
+	}
+	if len(prog.Pkgs) != 1 {
+		return nil, fmt.Errorf("loaded %d packages, want 1", len(prog.Pkgs))
+	}
+	return &casesLint{pkg: prog.Pkgs[0], findings: srcgraph.CheckHazards(prog)}, nil
+})
+
+// lint returns the findings in one function of the cases package,
+// named as in a finding's Func after the package path: "f" or
+// "(*T).m". It fails the test when the package declares no such
+// function, so a quiet case cannot pass by being absent.
+func lint(t *testing.T, fn string) []srcgraph.Finding {
 	t.Helper()
-	fs, err := LintSource("fixture.go", src)
+	c, err := lintCases()
+	if err != nil {
+		t.Fatalf("load specimen cases package: %v", err)
+	}
+	if !declares(c.pkg, fn) {
+		t.Fatalf("specimen package cases declares no %s", fn)
+	}
+	var out []srcgraph.Finding
+	for _, f := range c.findings {
+		if f.Func == c.pkg.Path+"."+fn {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+func declares(pkg *srcgraph.Package, fn string) bool {
+	for _, file := range pkg.Files {
+		for _, d := range file.Decls {
+			decl, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			name := decl.Name.Name
+			if decl.Recv != nil {
+				name = "(" + types.ExprString(decl.Recv.List[0].Type) + ")." + name
+			}
+			if name == fn {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func byCheck(fs []srcgraph.Finding, check string) []srcgraph.Finding {
+	var out []srcgraph.Finding
+	for _, f := range fs {
+		if f.Check == check {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// quiet fails the test if the lint reports anything in fn.
+func quiet(t *testing.T, fn string) {
+	t.Helper()
+	if fs := lint(t, fn); len(fs) != 0 {
+		t.Errorf("%s flagged: %v", fn, fs)
+	}
+}
+
+// sourceLine returns the specimen source line a finding points at.
+func sourceLine(t *testing.T, f srcgraph.Finding) string {
+	t.Helper()
+	src, err := os.ReadFile(filepath.Join(specimenDir, f.File))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fs
+	lines := strings.Split(string(src), "\n")
+	if f.Line < 1 || f.Line > len(lines) {
+		t.Fatalf("%v: line out of range", f)
+	}
+	return lines[f.Line-1]
+}
+
+// wallClockNames returns the time functions named by fs's wallclock
+// findings, sorted.
+func wallClockNames(fs []srcgraph.Finding) []string {
+	var names []string
+	for _, f := range byCheck(fs, srcgraph.CheckWallClock) {
+		name, _, _ := strings.Cut(f.Msg, " ")
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
 }
 
 func TestLintMapRangeLocalMake(t *testing.T) {
-	fs := lint(t, `package p
-func f() int {
-	m := make(map[int]int)
-	best := 0
-	for k := range m {
-		if k > best {
-			best = k
-		}
-	}
-	return best
-}
-`)
-	if findCheck(fs, CheckMapRange) == nil {
-		t.Fatalf("map range over local make(map) not flagged: %v", fs)
+	if fs := lint(t, "mapRangeLocalMake"); len(byCheck(fs, srcgraph.CheckMapRange)) != 1 {
+		t.Fatalf("want 1 map-range finding for a range over a local made map, got %v", fs)
 	}
 }
 
 func TestLintMapRangeStructField(t *testing.T) {
-	fs := lint(t, `package p
-type sched struct {
-	queues map[int][]int
-}
-func (s *sched) pick() int {
-	for t := range s.queues {
-		return t
-	}
-	return -1
-}
-`)
-	if findCheck(fs, CheckMapRange) == nil {
-		t.Fatalf("map range over struct field not flagged: %v", fs)
+	if fs := lint(t, "(*sched).pick"); len(byCheck(fs, srcgraph.CheckMapRange)) != 1 {
+		t.Fatalf("want 1 map-range finding for a range over a map-typed field, got %v", fs)
 	}
 }
 
 func TestLintMapRangeAllowed(t *testing.T) {
-	fs := lint(t, `package p
-func f() int {
-	m := make(map[int]int)
-	n := 0
-	//drslint:allow map-range -- pure count, order-insensitive
-	for range m {
-		n++
-	}
-	return n
-}
-`)
-	if f := findCheck(fs, CheckMapRange); f != nil {
-		t.Fatalf("allowed map range still flagged: %v", f)
-	}
+	quiet(t, "mapRangeAllowed")
 }
 
 func TestLintSliceRangeNotFlagged(t *testing.T) {
-	fs := lint(t, `package p
-func f(xs []int) int {
-	n := 0
-	for _, x := range xs {
-		n += x
-	}
-	return n
-}
-`)
-	if len(fs) != 0 {
-		t.Fatalf("slice range flagged: %v", fs)
-	}
+	quiet(t, "sliceRange")
 }
 
 func TestLintWallClock(t *testing.T) {
-	fs := lint(t, `package p
-import "time"
-func f() int64 {
-	return time.Now().UnixNano()
+	if names := wallClockNames(lint(t, "timerSurface")); !slices.Contains(names, "time.Now") {
+		t.Fatalf("time.Now not flagged; wallclock findings name %v", names)
+	}
 }
-`)
-	if findCheck(fs, CheckWallClock) == nil {
-		t.Fatalf("time.Now not flagged: %v", fs)
+
+// Since, Now, NewTimer and Tick are the package's clock API; the
+// timer's Stop method is not.
+func TestLintWallClockTimerSurface(t *testing.T) {
+	fs := lint(t, "timerSurface")
+	want := []string{"time.NewTimer", "time.Now", "time.Since", "time.Tick"}
+	if names := wallClockNames(fs); !slices.Equal(names, want) {
+		t.Fatalf("wallclock findings name %v, want %v: %v", names, want, fs)
+	}
+	if len(fs) != len(want) {
+		t.Fatalf("want only the %d wallclock findings, got %v", len(want), fs)
 	}
 }
 
 func TestLintGlobalRand(t *testing.T) {
-	fs := lint(t, `package p
-import "math/rand"
-func f() int {
-	return rand.Intn(10)
-}
-`)
-	if findCheck(fs, CheckGlobalRand) == nil {
-		t.Fatalf("global rand.Intn not flagged: %v", fs)
+	if fs := lint(t, "globalRand"); len(byCheck(fs, srcgraph.CheckGlobalRand)) != 1 {
+		t.Fatalf("want 1 global-rand finding for rand.Intn, got %v", fs)
 	}
 }
 
 func TestLintSeededRandNotFlagged(t *testing.T) {
-	fs := lint(t, `package p
-import "math/rand"
-func f() int {
-	r := rand.New(rand.NewSource(42))
-	return r.Intn(10)
-}
-`)
-	if f := findCheck(fs, CheckGlobalRand); f != nil {
-		t.Fatalf("seeded rand constructor flagged: %v", f)
-	}
+	quiet(t, "seededRand")
 }
 
+// capturedWrite assigns a captured local and a package var.
 func TestLintGoroutineCapturedWrite(t *testing.T) {
-	fs := lint(t, `package p
-func f() int {
-	total := 0
-	done := make(chan struct{})
-	go func() {
-		total = 42
-		close(done)
-	}()
-	<-done
-	return total
-}
-`)
-	if findCheck(fs, CheckGoCapturedWrite) == nil {
-		t.Fatalf("goroutine captured write not flagged: %v", fs)
+	if fs := lint(t, "capturedWrite"); len(byCheck(fs, srcgraph.CheckGoCapturedWrite)) != 2 {
+		t.Fatalf("want 2 goroutine-captured-write findings, got %v", fs)
 	}
 }
 
 func TestLintGoroutineIndexWriteNotFlagged(t *testing.T) {
-	fs := lint(t, `package p
-import "sync"
-func f(n int) []int {
-	out := make([]int, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out[i] = i * i
-		}(i)
-	}
-	wg.Wait()
-	return out
-}
-`)
-	if f := findCheck(fs, CheckGoCapturedWrite); f != nil {
-		t.Fatalf("disjoint index write flagged: %v", f)
-	}
+	quiet(t, "indexWrite")
 }
 
 func TestLintGoroutineLocalWriteNotFlagged(t *testing.T) {
-	fs := lint(t, `package p
-func f() {
-	go func() {
-		n := 0
-		n++
-		_ = n
-	}()
-}
-`)
-	if f := findCheck(fs, CheckGoCapturedWrite); f != nil {
-		t.Fatalf("goroutine-local write flagged: %v", f)
-	}
+	quiet(t, "localWrite")
 }
 
-// TestLintRepoClean locks satellite (a): the shipped simulator sources
-// carry no unsuppressed determinism findings.
+// TestLintRepoClean: the shipped sources carry no unsuppressed hazard
+// findings.
 func TestLintRepoClean(t *testing.T) {
-	fs, err := LintDirs("..")
+	prog, err := srcgraph.Load("../..", "./internal/...", "./cmd/...")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fs) != 0 {
-		t.Fatalf("internal/... has determinism findings:\n%v", fs)
+	if fs := srcgraph.CheckHazards(prog); len(fs) != 0 {
+		t.Fatalf("internal/ and cmd/ have hazard findings:\n%v", fs)
 	}
 }
 
 func TestLintHotpathMapMake(t *testing.T) {
-	fs := lint(t, `package p
-
-//drslint:hotpath
-
-func resolve() {
-	seen := make(map[int]uint32, 4)
-	seen[1] = 2
-	_ = seen
-}
-`)
-	f := findCheck(fs, CheckHotPathAlloc)
-	if f == nil {
-		t.Fatalf("make(map) in hotpath file not flagged: %v", fs)
+	fs := byCheck(lint(t, "hotMapMake"), srcgraph.CheckHotPathAlloc)
+	if len(fs) != 1 {
+		t.Fatalf("want 1 hotpath-alloc finding for make(map) in a tagged file, got %v", fs)
 	}
-	if f.Line != 6 {
-		t.Errorf("flagged line %d, want 6", f.Line)
+	if line := sourceLine(t, fs[0]); !strings.Contains(line, "make(map") {
+		t.Errorf("flagged line %d is %q, want the make(map) line", fs[0].Line, line)
 	}
 }
 
 func TestLintHotpathMapLiteral(t *testing.T) {
-	fs := lint(t, `package p
-
-//drslint:hotpath
-
-func f() map[int]int { return map[int]int{1: 2} }
-`)
-	if findCheck(fs, CheckHotPathAlloc) == nil {
-		t.Fatalf("map literal in hotpath file not flagged: %v", fs)
+	if fs := lint(t, "hotMapLiteral"); len(byCheck(fs, srcgraph.CheckHotPathAlloc)) != 1 {
+		t.Fatalf("want 1 hotpath-alloc finding for a map literal in a tagged file, got %v", fs)
 	}
 }
 
+// hotFreshAppend grows a made slice and a nil-declared one.
 func TestLintHotpathFreshSliceAppend(t *testing.T) {
-	fs := lint(t, `package p
-
-//drslint:hotpath
-
-func f(n int) []int {
-	out := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, i)
+	fs := byCheck(lint(t, "hotFreshAppend"), srcgraph.CheckHotPathAlloc)
+	if len(fs) != 2 || fs[0].Line == fs[1].Line {
+		t.Fatalf("want 2 fresh-slice append findings on two lines, got %v", fs)
 	}
-	return out
-}
-
-func g(n int) []int {
-	var out []int
-	for i := 0; i < n; i++ {
-		out = append(out, i)
-	}
-	return out
-}
-`)
-	var lines []int
 	for _, f := range fs {
-		if f.Check == CheckHotPathAlloc {
-			lines = append(lines, f.Line)
+		if line := sourceLine(t, f); !strings.Contains(line, "append(") {
+			t.Errorf("flagged line %d is %q, want an append", f.Line, line)
 		}
 	}
-	if len(lines) != 2 {
-		t.Fatalf("want 2 fresh-slice append findings (make'd and var-nil), got %v: %v", lines, fs)
-	}
 }
 
-// The pooled idiom — reslice a struct field to length zero, append,
-// store back — is exactly what hot code should do and must pass.
+// The pooled idiom (reslice a field to length zero, append, store
+// back) is what hot code should do, and so are appends to fields.
 func TestLintHotpathPooledResliceNotFlagged(t *testing.T) {
-	fs := lint(t, `package p
-
-//drslint:hotpath
-
-type warp struct {
-	uniqBuf []int
-	stack   []int
-}
-
-func (w *warp) resolve(targets []int) {
-	uniq := w.uniqBuf[:0]
-	for _, t := range targets {
-		uniq = append(uniq, t)
-	}
-	w.uniqBuf = uniq
-	w.stack = append(w.stack, len(uniq))
-}
-`)
-	if f := findCheck(fs, CheckHotPathAlloc); f != nil {
-		t.Fatalf("pooled reslice/field append flagged: %v", f)
-	}
+	quiet(t, "(*warp).resolve")
 }
 
 func TestLintHotpathUntaggedFileNotFlagged(t *testing.T) {
-	fs := lint(t, `package p
-
-func f() map[int]int {
-	out := make([]int, 0, 4)
-	out = append(out, 1)
-	_ = out
-	return make(map[int]int)
-}
-`)
-	if f := findCheck(fs, CheckHotPathAlloc); f != nil {
-		t.Fatalf("untagged file flagged: %v", f)
-	}
+	quiet(t, "untagged")
 }
 
 func TestLintHotpathAllowed(t *testing.T) {
-	fs := lint(t, `package p
-
-//drslint:hotpath
-
-func launch() {
-	//drslint:allow hotpath-alloc -- runs once per kernel launch, not per cycle
-	m := make(map[int]int)
-	_ = m
-}
-`)
-	if f := findCheck(fs, CheckHotPathAlloc); f != nil {
-		t.Fatalf("allowed hotpath alloc still flagged: %v", f)
-	}
+	quiet(t, "hotAllowed")
 }
 
-// Constructor-style make([]T, n) without append growth is allocation
-// but not churn-by-growth; the check targets maps and append growth.
+// make([]T, n) without append growth allocates but does not churn.
 func TestLintHotpathPlainMakeSliceNotFlagged(t *testing.T) {
-	fs := lint(t, `package p
-
-//drslint:hotpath
-
-func launchAll(n int) []int32 {
-	slots := make([]int32, n)
-	for i := range slots {
-		slots[i] = int32(i)
-	}
-	return slots
-}
-`)
-	if f := findCheck(fs, CheckHotPathAlloc); f != nil {
-		t.Fatalf("make([]T, n) without growth flagged: %v", f)
-	}
+	quiet(t, "hotPlainMake")
 }
 
-// Directive-parsing edge cases.
-
+// One directive naming two checks suppresses both on the next line.
 func TestLintAllowMultipleChecksOneLine(t *testing.T) {
-	// One directive naming two checks suppresses both on the next line.
-	fs := lint(t, `package p
-import "time"
-func f() int64 {
-	m := make(map[int]int)
-	var t0 int64
-	//drslint:allow map-range wallclock -- seed helper: order-insensitive, stamps a log only
-	for range m { t0 = time.Now().UnixNano() }
-	return t0
-}
-`)
-	if f := findCheck(fs, CheckMapRange); f != nil {
-		t.Errorf("map-range not suppressed by multi-check allow: %v", f)
-	}
-	if f := findCheck(fs, CheckWallClock); f != nil {
-		t.Errorf("wallclock not suppressed by multi-check allow: %v", f)
-	}
+	quiet(t, "allowTwoChecks")
 }
 
+// The directive as a trailing comment on the flagged line itself.
 func TestLintAllowTrailingOnStatementLine(t *testing.T) {
-	// The directive as a trailing comment on the flagged line itself.
-	fs := lint(t, `package p
-func f() int {
-	m := make(map[int]int)
-	n := 0
-	for range m { n++ } //drslint:allow map-range -- pure count, order-insensitive
-	return n
-}
-`)
-	if f := findCheck(fs, CheckMapRange); f != nil {
-		t.Errorf("trailing same-line allow not honored: %v", f)
-	}
+	quiet(t, "allowTrailing")
 }
 
+// Free text after the first "--" is ignored, further dashes included.
 func TestLintAllowReasonWithParenthetical(t *testing.T) {
-	// Free text after -- is ignored entirely, including further dashes.
-	fs := lint(t, `package p
-func f() int {
-	m := make(map[int]int)
-	n := 0
-	//drslint:allow map-range -- order-insensitive (see DESIGN -- static analysis)
-	for range m { n++ }
-	return n
-}
-`)
-	if f := findCheck(fs, CheckMapRange); f != nil {
-		t.Errorf("allow with parenthetical reason not honored: %v", f)
-	}
+	quiet(t, "allowParenthetical")
 }
 
+// The grammar is line comments only: a /* */ block that mentions the
+// allow directive suppresses nothing.
 func TestLintAllowInBlockCommentInert(t *testing.T) {
-	// The grammar is line comments only: a /* */ block mentioning the
-	// directive must not suppress anything.
-	fs := lint(t, `package p
-func f() int {
-	m := make(map[int]int)
-	n := 0
-	/* //drslint:allow map-range -- not a real directive */
-	for range m { n++ }
-	return n
-}
-`)
-	if findCheck(fs, CheckMapRange) == nil {
-		t.Fatalf("block-comment pseudo-directive suppressed the finding: %v", fs)
+	if fs := lint(t, "allowInBlockComment"); len(byCheck(fs, srcgraph.CheckMapRange)) != 1 {
+		t.Fatalf("block-comment pseudo-directive suppressed the map-range finding: %v", fs)
 	}
 }
 
+// Neither a block comment above blockTagged nor a free-standing one in
+// the file makes anything there hot.
 func TestLintHotpathInBlockCommentInert(t *testing.T) {
-	fs := lint(t, `package p
-/* //drslint:hotpath */
-func f() map[int]int { return make(map[int]int) }
-`)
-	if f := findCheck(fs, CheckHotPathAlloc); f != nil {
-		t.Fatalf("block-comment hotpath tag enabled the check: %v", f)
-	}
+	quiet(t, "blockTagged")
+	quiet(t, "untagged")
 }
 
-// Function-granular hotpath directives (doc comment) and the extended
-// wall-clock surface.
-
+// A doc-comment directive marks only its function, not its file.
 func TestLintHotpathFunctionGranular(t *testing.T) {
-	// A doc-comment directive marks only its function, not the file.
-	fs := lint(t, `package p
-
-// step is per-cycle.
-//
-//drslint:hotpath
-func step() map[int]int { return make(map[int]int) }
-
-func setup() map[int]int { return make(map[int]int) }
-`)
-	var lines []int
-	for _, f := range fs {
-		if f.Check == CheckHotPathAlloc {
-			lines = append(lines, f.Line)
-		}
+	fs := byCheck(lint(t, "step"), srcgraph.CheckHotPathAlloc)
+	if len(fs) != 1 || !strings.Contains(sourceLine(t, fs[0]), "func step") {
+		t.Fatalf("want 1 hotpath-alloc finding on step's line, got %v", fs)
 	}
-	if len(lines) != 1 || lines[0] != 6 {
-		t.Fatalf("want exactly one hotpath-alloc finding at line 6 (step only), got lines %v: %v", lines, fs)
-	}
-}
-
-func TestLintWallClockTimerSurface(t *testing.T) {
-	fs := lint(t, `package p
-import "time"
-func f(d time.Duration) {
-	_ = time.Since(time.Now())
-	t := time.NewTimer(d)
-	defer t.Stop()
-	<-time.Tick(d)
-}
-`)
-	var lines []int
-	for _, f := range fs {
-		if f.Check == CheckWallClock {
-			lines = append(lines, f.Line)
-		}
-	}
-	// time.Since, time.Now, time.NewTimer, time.Tick: 4 sites.
-	if len(lines) != 4 {
-		t.Fatalf("want 4 wallclock findings (Since, Now, NewTimer, Tick), got %v: %v", lines, fs)
-	}
+	quiet(t, "setup")
 }

@@ -1,24 +1,24 @@
 package srcgraph
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"sort"
 	"strings"
-
-	"repro/internal/progcheck"
 )
 
-// funcNode is one function (or method) declared in the module, with
-// the call edges and hazard sites found in its body. Function literals
-// are attributed to their enclosing declaration: a hazard inside a
-// closure fires when the declaring function is reachable, which over-
-// rather than under-approximates where the closure may run.
+// funcNode is one function (or method) declared in the module, or the
+// package-level var initializers of one file, with the call edges and
+// hazard sites found in its body. Function literals are attributed to
+// their enclosing declaration: a closure's edges count as its
+// declarer's, which over- rather than under-approximates where the
+// closure may run.
 type funcNode struct {
 	id   string
 	pkg  *Package
-	decl *ast.FuncDecl
 	file *ast.File
 
 	// callees holds resolved outgoing edges, by function id. Interface
@@ -26,8 +26,8 @@ type funcNode struct {
 	// calls through plain function values are unresolvable and absent.
 	callees map[string]bool
 
-	// hazards are the determinism-hazard sites in the body, pending the
-	// reachability verdict.
+	// hazards are the hazard sites in the body; hotpath-alloc sites
+	// are pending the hot-cone verdict.
 	hazards []hazard
 
 	// hotRoot/detRoot mark the function as a propagation root; rootWhy
@@ -41,8 +41,8 @@ type funcNode struct {
 	allow map[string]bool
 }
 
-// hazard is one potential finding, held until reachability decides
-// whether it fires.
+// hazard is one potential finding, held until suppressions (and, for
+// hotpath-alloc, the hot cone) decide whether it fires.
 type hazard struct {
 	pos   token.Pos
 	check string
@@ -82,16 +82,35 @@ var detRootRules = []detRootRule{
 }
 
 // BuildGraph constructs the call graph: one node per declared function
-// with a body, direct edges for static calls and references, and
-// class-hierarchy edges for interface method calls.
+// with a body and one per file with package-level var initializers,
+// direct edges for static calls and references, and class-hierarchy
+// edges for interface method calls.
 func BuildGraph(prog *Program) *Graph {
 	g := &Graph{prog: prog, nodes: make(map[string]*funcNode)}
 	var ifaceCalls []ifaceCall
+	add := func(n *funcNode, fileHot bool, body ...ast.Node) {
+		if fileHot && !n.hotRoot {
+			n.hotRoot = true
+			n.rootWhy = "file-level " + HotpathDirective + " tag"
+		}
+		ifaceCalls = append(ifaceCalls, collectBody(n, body)...)
+		g.nodes[n.id] = n
+	}
 
 	for _, pkg := range prog.Pkgs {
+		inits := 0
 		for _, file := range pkg.Files {
 			fileHot := fileTaggedHotpath(file)
+			var values []ast.Node
 			for _, d := range file.Decls {
+				if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+					for _, spec := range gd.Specs {
+						for _, v := range spec.(*ast.ValueSpec).Values {
+							values = append(values, v)
+						}
+					}
+					continue
+				}
 				decl, ok := d.(*ast.FuncDecl)
 				if !ok || decl.Body == nil {
 					continue
@@ -100,19 +119,14 @@ func BuildGraph(prog *Program) *Graph {
 				if !ok {
 					continue
 				}
-				n := &funcNode{
-					id:      funcID(obj),
-					pkg:     pkg,
-					decl:    decl,
-					file:    file,
-					callees: make(map[string]bool),
-					allow:   make(map[string]bool),
+				n := newNode(funcID(obj), pkg, file)
+				if decl.Recv == nil && decl.Name.Name == "init" {
+					// A package may declare several; number them as the
+					// runtime does.
+					n.id = fmt.Sprintf("%s.init.%d", pkg.Path, inits)
+					inits++
 				}
 				applyDirectives(n, decl.Doc)
-				if fileHot && !n.hotRoot {
-					n.hotRoot = true
-					n.rootWhy = "file-level " + progcheck.HotpathDirective + " tag"
-				}
 				for _, r := range detRootRules {
 					if !strings.HasSuffix(pkg.Path, r.pkgSuffix) {
 						continue
@@ -131,8 +145,13 @@ func BuildGraph(prog *Program) *Graph {
 						n.rootWhy = r.why
 					}
 				}
-				ifaceCalls = append(ifaceCalls, collectBody(n)...)
-				g.nodes[n.id] = n
+				add(n, fileHot, decl.Body)
+			}
+			if len(values) > 0 {
+				// One node per file, so line-level allows resolve against
+				// the file that holds the initializer.
+				name := filepath.Base(prog.Fset.Position(file.Pos()).Filename)
+				add(newNode(pkg.Path+".init@"+name, pkg, file), fileHot, values...)
 			}
 		}
 	}
@@ -146,6 +165,10 @@ func BuildGraph(prog *Program) *Graph {
 	}
 	sort.Strings(g.order)
 	return g
+}
+
+func newNode(id string, pkg *Package, file *ast.File) *funcNode {
+	return &funcNode{id: id, pkg: pkg, file: file, callees: make(map[string]bool), allow: make(map[string]bool)}
 }
 
 // funcID renders a stable, fully qualified function identity that is
@@ -174,7 +197,7 @@ func funcID(fn *types.Func) string {
 	return fn.Name()
 }
 
-// applyDirectives reads //drslint:hotpath and //drslint:allow from a
+// applyDirectives reads the hotpath and allow directives from a
 // function's doc comment. A doc-comment allow suppresses the named
 // checks for the entire function body.
 func applyDirectives(n *funcNode, doc *ast.CommentGroup) {
@@ -182,44 +205,14 @@ func applyDirectives(n *funcNode, doc *ast.CommentGroup) {
 		return
 	}
 	for _, c := range doc.List {
-		text := c.Text
-		if text == progcheck.HotpathDirective || strings.HasPrefix(text, progcheck.HotpathDirective+" ") {
+		if isHotpathTag(c.Text) {
 			n.hotRoot = true
-			n.rootWhy = progcheck.HotpathDirective + " directive"
+			n.rootWhy = HotpathDirective + " directive"
 		}
-		if strings.HasPrefix(text, progcheck.AllowDirective) {
-			rest := strings.TrimPrefix(text, progcheck.AllowDirective)
-			if i := strings.Index(rest, "--"); i >= 0 {
-				rest = rest[:i]
-			}
-			for _, name := range strings.Fields(rest) {
-				n.allow[name] = true
-			}
+		for _, check := range allowedChecks(c.Text) {
+			n.allow[check] = true
 		}
 	}
-}
-
-// fileTaggedHotpath reports whether the file carries a file-level
-// //drslint:hotpath tag: the directive in any comment that is not a
-// function's doc comment (those are function-granular roots instead).
-func fileTaggedHotpath(f *ast.File) bool {
-	funcDocs := make(map[*ast.CommentGroup]bool)
-	for _, d := range f.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok && fd.Doc != nil {
-			funcDocs[fd.Doc] = true
-		}
-	}
-	for _, cg := range f.Comments {
-		if funcDocs[cg] {
-			continue
-		}
-		for _, c := range cg.List {
-			if c.Text == progcheck.HotpathDirective || strings.HasPrefix(c.Text, progcheck.HotpathDirective+" ") {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // expandInterfaceCalls resolves recorded interface method calls by
@@ -256,21 +249,21 @@ func (g *Graph) expandInterfaceCalls(calls []ifaceCall) {
 	}
 }
 
-// collectBody walks one function body, resolving every referenced
-// function into a call edge (a reference that is not a direct call —
-// a method value handed to a scheduler, say — may still be invoked
-// from here, so it counts as an edge) and recording hazard sites.
-// Interface method references are returned for CHA expansion.
-func collectBody(n *funcNode) []ifaceCall {
+// collectBody walks one function body (or one file's var
+// initializers), resolving every referenced function into a call edge
+// (a reference that is not a direct call — a method value handed to a
+// scheduler, say — may still be invoked from here, so it counts as an
+// edge) and recording hazard sites. Interface method references are
+// returned for CHA expansion.
+func collectBody(n *funcNode, body []ast.Node) []ifaceCall {
 	info := n.pkg.Info
 	var ifaceCalls []ifaceCall
 
 	// freshSlices tracks locals bound to freshly allocated slices, for
-	// the append-growth variant of hotpath-alloc (same tracking as the
-	// syntactic lint, per whole declaration).
+	// the append-growth variant of hotpath-alloc.
 	freshSlices := make(map[string]bool)
 
-	ast.Inspect(n.decl.Body, func(node ast.Node) bool {
+	visit := func(node ast.Node) bool {
 		switch t := node.(type) {
 		case *ast.Ident:
 			fn, ok := info.Uses[t].(*types.Func)
@@ -286,12 +279,16 @@ func collectBody(n *funcNode) []ifaceCall {
 			}
 			n.callees[funcID(fn)] = true
 			n.noteAmbientFunc(t, fn)
+		case *ast.GoStmt:
+			if lit, ok := t.Call.Fun.(*ast.FuncLit); ok {
+				n.noteGoroutineWrites(lit)
+			}
 		case *ast.RangeStmt:
 			if tv, ok := info.Types[t.X]; ok {
 				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
 					n.addHazard(t.For, CheckMapRange,
 						"range over map %s iterates in randomized order; state fed from it diverges run to run (sort the keys, add a deterministic tie-break, or suppress with %q)",
-						types.ExprString(t.X), strings.TrimSpace(progcheck.AllowDirective)+" map-range -- <why it is order-insensitive>")
+						types.ExprString(t.X), strings.TrimSpace(AllowDirective)+" map-range -- <why it is order-insensitive>")
 				}
 			}
 		case *ast.AssignStmt:
@@ -353,11 +350,36 @@ func collectBody(n *funcNode) []ifaceCall {
 			}
 		}
 		return true
-	})
+	}
+	for _, b := range body {
+		ast.Inspect(b, visit)
+	}
 	return ifaceCalls
 }
 
-var hotSuppressHint = strings.TrimSpace(progcheck.AllowDirective) + " hotpath-alloc -- <why this allocation is off the per-cycle path>"
+var hotSuppressHint = strings.TrimSpace(AllowDirective) + " hotpath-alloc -- <why this allocation is off the per-cycle path>"
+
+// wallClockFuncs is the package-level API of time that reads the wall
+// clock or schedules against it: Now/Since/Until read the clock
+// directly, and the timer and ticker constructors deliver events whose
+// order against the program's progress depends on the host's load.
+var wallClockFuncs = map[string]bool{
+	"Now": true, "Since": true, "Until": true,
+	"NewTimer": true, "NewTicker": true, "Tick": true,
+	"After": true, "AfterFunc": true,
+}
+
+// globalRandFuncs is the package-level API of math/rand (and v2) that
+// draws from the shared, process-seeded source.
+var globalRandFuncs = map[string]bool{
+	"Int": true, "Intn": true, "Int31": true, "Int31n": true,
+	"Int63": true, "Int63n": true, "Int32": true, "Int32N": true,
+	"Int64": true, "Int64N": true, "IntN": true, "N": true,
+	"Uint32": true, "Uint64": true, "Uint32N": true, "Uint64N": true,
+	"Float32": true, "Float64": true, "ExpFloat64": true,
+	"NormFloat64": true, "Perm": true, "Shuffle": true, "Seed": true,
+	"Read": true,
+}
 
 // noteAmbientFunc records the hazards that live in the callee itself:
 // wall-clock reads and the process-global RNG. These fire at the
@@ -374,25 +396,59 @@ func (n *funcNode) noteAmbientFunc(at *ast.Ident, fn *types.Func) {
 	}
 	switch pkg.Path() {
 	case "time":
-		if progcheck.WallClockFuncs[fn.Name()] {
+		if wallClockFuncs[fn.Name()] {
 			n.addHazard(at.Pos(), CheckWallClock,
-				"time.%s reads or schedules against the wall clock; code on a determinism path must be a pure function of its inputs", fn.Name())
+				"time.%s reads or schedules against the wall clock; output must be a pure function of the inputs", fn.Name())
 		}
 	case "math/rand", "math/rand/v2":
-		if progcheck.GlobalRandFuncs[fn.Name()] {
+		if globalRandFuncs[fn.Name()] {
 			n.addHazard(at.Pos(), CheckGlobalRand,
 				"%s.%s uses the process-global RNG; use a seeded generator (internal/rng) instead", pkg.Name(), fn.Name())
 		}
 	}
 }
 
+// noteGoroutineWrites records a plain assignment, inside a go
+// statement's function literal, to a variable declared outside that
+// literal: an unsynchronized shared write, so a race. Index writes
+// (results[i] = ...) pass, because the worker-per-element idiom is
+// disjoint by construction, and so do the literal's own locals. A go
+// literal nested inside is checked on its own.
+func (n *funcNode) noteGoroutineWrites(lit *ast.FuncLit) {
+	ast.Inspect(lit.Body, func(node ast.Node) bool {
+		switch t := node.(type) {
+		case *ast.GoStmt:
+			_, nested := t.Call.Fun.(*ast.FuncLit)
+			return !nested
+		case *ast.AssignStmt:
+			if t.Tok == token.DEFINE {
+				return true
+			}
+			for _, lhs := range t.Lhs {
+				id, ok := lhs.(*ast.Ident)
+				if !ok {
+					continue
+				}
+				v, ok := n.pkg.Info.Uses[id].(*types.Var)
+				if !ok || (lit.Pos() <= v.Pos() && v.Pos() < lit.End()) {
+					continue
+				}
+				n.addHazard(id.Pos(), CheckGoCapturedWrite,
+					"goroutine assigns to captured variable %q; unsynchronized shared writes race (pass it as a parameter, write a disjoint element, or guard with sync)", id.Name)
+			}
+		}
+		return true
+	})
+}
+
 func (n *funcNode) addHazard(pos token.Pos, check, format string, args ...any) {
-	n.hazards = append(n.hazards, hazard{pos: pos, check: check, msg: sprintf(format, args...)})
+	n.hazards = append(n.hazards, hazard{pos: pos, check: check, msg: fmt.Sprintf(format, args...)})
 }
 
 // exprMakesFreshSlice reports whether an expression allocates a new
-// slice: make([]T, ...) or a slice literal. Type-aware version of the
-// syntactic lint's helper.
+// slice: make([]T, ...) or a slice literal. Reslices of pooled storage
+// (s.buf[:0]) and values read from fields or calls are not fresh —
+// appending to them reuses capacity.
 func exprMakesFreshSlice(info *types.Info, e ast.Expr) bool {
 	switch t := e.(type) {
 	case *ast.CallExpr:

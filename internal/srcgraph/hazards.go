@@ -1,89 +1,52 @@
 package srcgraph
 
-import (
-	"fmt"
-	"go/ast"
-	"sort"
+import "sort"
 
-	"repro/internal/progcheck"
-)
-
-func sprintf(format string, args ...any) string { return fmt.Sprintf(format, args...) }
-
-// CheckHazards builds the call graph and reports every determinism
-// hazard that is reachable from a root:
+// CheckHazards builds the call graph and reports every hazard site
+// that no //drslint:allow suppresses:
 //
-//   - map-range, wallclock and global-rand fire in any function
-//     reachable from a determinism root (engine entry points, harness
-//     Run* API, and every hot function — per-cycle code is on the
-//     determinism path by construction);
+//   - map-range, wallclock, global-rand and goroutine-captured-write
+//     fire in every function and package-level initializer; when a
+//     determinism root (an engine or harness entry point) reaches the
+//     site's function, the finding carries the witness call chain;
 //   - hotpath-alloc fires in any function reachable from a
-//     //drslint:hotpath root.
+//     //drslint:hotpath root, with the chain from that root.
 //
-// Line-level //drslint:allow suppressions use the same grammar as the
-// syntactic lint; a //drslint:allow in a function's doc comment
-// suppresses the named checks for the whole function.
+// A //drslint:allow in a function's doc comment suppresses the named
+// checks for the whole function.
 func CheckHazards(prog *Program) []Finding {
 	g := BuildGraph(prog)
 	return g.findings()
 }
 
-// detKind reports whether a check propagates from determinism roots
-// (as opposed to hot roots only).
-func detKind(check string) bool { return check != CheckHotPathAlloc }
-
 func (g *Graph) findings() []Finding {
 	hot := g.propagate(func(n *funcNode) bool { return n.hotRoot })
-	// Hot code runs every simulated cycle inside the engine: it is on
-	// the determinism path whether or not an engine entry point
-	// reaches it in the static graph.
-	det := g.propagate(func(n *funcNode) bool { return n.detRoot || n.hotRoot })
-
-	// Line-level suppressions, collected lazily per file.
-	allowCache := make(map[*ast.File]map[int]map[progcheck.SrcCheck]bool)
-	allows := func(f *ast.File) map[int]map[progcheck.SrcCheck]bool {
-		m, ok := allowCache[f]
-		if !ok {
-			m = progcheck.AllowsByLine(f, g.prog.Fset)
-			allowCache[f] = m
-		}
-		return m
-	}
+	det := g.propagate(func(n *funcNode) bool { return n.detRoot })
 
 	var out []Finding
 	for _, id := range g.order {
 		n := g.nodes[id]
-		if len(n.hazards) == 0 {
-			continue
-		}
-		var via reach
 		sort.Slice(n.hazards, func(i, j int) bool { return n.hazards[i].pos < n.hazards[j].pos })
 		for _, h := range n.hazards {
-			if detKind(h.check) {
-				via = det
-			} else {
+			via := det
+			if h.check == CheckHotPathAlloc {
+				// Allocation is a performance contract of per-cycle code
+				// only, not a correctness one.
 				via = hot
-			}
-			if _, reached := via[id]; !reached {
-				continue
-			}
-			if n.allow[h.check] {
-				continue
+				if _, reached := hot[id]; !reached {
+					continue
+				}
 			}
 			file, line := g.prog.Rel(h.pos)
-			if la := allows(n.file); la[line][progcheck.SrcCheck(h.check)] || la[line-1][progcheck.SrcCheck(h.check)] {
+			if n.allow[h.check] || lineAllowed(g.prog.Fset, n.file, line, h.check) {
 				continue
 			}
-			chain := via.chain(id)
-			out = append(out, Finding{
-				File:  file,
-				Line:  line,
-				Check: h.check,
-				Func:  id,
-				Root:  chain[0],
-				Chain: chain,
-				Msg:   h.msg,
-			})
+			f := Finding{File: file, Line: line, Check: h.check, Func: id, Msg: h.msg}
+			if _, reached := via[id]; reached {
+				f.Chain = via.chain(id)
+				f.Root = f.Chain[0]
+			}
+			out = append(out, f)
 		}
 	}
 	SortFindings(out)

@@ -7,8 +7,6 @@ import (
 	"go/types"
 	"reflect"
 	"strings"
-
-	"repro/internal/progcheck"
 )
 
 // Spec-hash drift check.
@@ -225,19 +223,15 @@ func findMarshalledStruct(pkg *Package, decl *ast.FuncDecl) *types.Named {
 
 // allowHint renders the suppression comment for a check.
 func allowHint(check string) string {
-	return strings.TrimSpace(progcheck.AllowDirective) + " " + check + " -- <why>"
+	return strings.TrimSpace(AllowDirective) + " " + check + " -- <why>"
 }
 
 // suppressible applies line-level //drslint:allow suppressions to a
 // finding anchored at pos; it returns the finding in a slice, or an
 // empty slice when suppressed.
 func suppressible(prog *Program, pkg *Package, pos token.Pos, f Finding) []Finding {
-	file := pkg.FileAt(pos)
-	if file != nil {
-		la := progcheck.AllowsByLine(file, prog.Fset)
-		if la[f.Line][progcheck.SrcCheck(f.Check)] || la[f.Line-1][progcheck.SrcCheck(f.Check)] {
-			return nil
-		}
+	if file := pkg.FileAt(pos); file != nil && lineAllowed(prog.Fset, file, f.Line, f.Check) {
+		return nil
 	}
 	return []Finding{f}
 }

@@ -1,23 +1,21 @@
-// Package srcgraph is the type-aware, whole-program layer of the
-// determinism lint. Where internal/progcheck's source lint judges one
-// file at a time from syntax alone, srcgraph type-checks the module
-// (go/types over export data from the go build cache — no external
-// dependencies), builds a static call graph over every package, marks
-// the functions where the determinism contract is rooted, and
-// propagates hazard facts along call edges. A map iteration in an
-// untagged helper three calls below the engine loop is then a finding,
-// not a blind spot.
+// Package srcgraph is the repo's source lint: a type-aware,
+// whole-program pass over the module's non-test Go. It type-checks the
+// module (go/types over export data from the go build cache — no
+// external dependencies), builds a static call graph over every
+// function and package-level initializer, marks the functions where
+// the determinism and hot-path contracts are rooted, and propagates
+// reachability along call edges.
 //
 // Three analyses share the loaded program:
 //
-//   - Interprocedural hazards (hazards.go): map-range, wallclock,
-//     global-rand and hotpath-alloc sites are collected per function
-//     with full type information (a range over a map-typed parameter is
-//     seen as such), and reported when the enclosing function is
-//     reachable from a determinism root (engine entry points, harness
-//     Run* API, //drslint:hotpath functions) or — for allocation churn
-//     — from a hot root. Each finding carries the witness call chain
-//     from the root.
+//   - Hazards (hazards.go): map-range, wallclock, global-rand and
+//     goroutine-captured-write fire wherever they occur, judged with
+//     full type information (a range over a map-typed parameter or a
+//     map a call returns is seen as such). When a determinism root —
+//     an engine or harness entry point — reaches the site, the finding
+//     carries the witness call chain from the root. hotpath-alloc fires
+//     only in the hot cone, the functions reachable from a
+//     //drslint:hotpath root.
 //
 //   - Spec-hash drift (speccheck.go): every struct with a Canonical
 //     content-address encoder is cross-checked field by field against
@@ -31,18 +29,16 @@
 //     otherwise the tags are dead annotation and the counters silently
 //     never appear in snapshots.
 //
-// Roots and suppressions are function-granular. A function is a hot
-// root when its doc comment carries //drslint:hotpath (the file-level
-// tag is still honored and marks every function in the file); a
-// //drslint:allow directive in a function's doc comment suppresses a
-// check for the whole function, and the line-level grammar from
-// internal/progcheck keeps working unchanged, so one suppression
-// satisfies both passes.
+// The directive grammar (directives.go) has one parser. A function is
+// a hot root when its doc comment carries //drslint:hotpath; a
+// file-level tag marks every function and initializer in the file. A
+// //drslint:allow line comment suppresses the named checks on its line
+// and the next; in a function's doc comment it covers the function.
 //
-// Like the syntactic lint, this is a tripwire, not a proof: calls
-// through plain function values cannot be resolved statically and
-// interface calls are expanded by implements-based class-hierarchy
-// analysis, which over- rather than under-approximates the cone.
+// This is a tripwire, not a proof: calls through plain function values
+// cannot be resolved statically, and interface calls are expanded by
+// implements-based class-hierarchy analysis, which over- rather than
+// under-approximates the cones.
 package srcgraph
 
 import (
@@ -51,15 +47,20 @@ import (
 	"strings"
 )
 
-// Check identifiers. The hazard checks reuse internal/progcheck's
-// names so an existing //drslint:allow suppression covers both passes.
+// Check identifiers, the names //drslint:allow directives use.
 const (
-	// CheckMapRange, CheckWallClock, CheckGlobalRand, CheckHotPathAlloc
-	// mirror the progcheck source-lint classes, enforced
-	// interprocedurally from the determinism/hot roots.
-	CheckMapRange     = "map-range"
-	CheckWallClock    = "wallclock"
-	CheckGlobalRand   = "global-rand"
+	// CheckMapRange: range over a map, which iterates in randomized
+	// order.
+	CheckMapRange = "map-range"
+	// CheckWallClock: a read of, or a schedule against, the wall clock.
+	CheckWallClock = "wallclock"
+	// CheckGlobalRand: a draw from math/rand's process-seeded source.
+	CheckGlobalRand = "global-rand"
+	// CheckGoCapturedWrite: a goroutine's function literal assigns to a
+	// variable declared outside it.
+	CheckGoCapturedWrite = "goroutine-captured-write"
+	// CheckHotPathAlloc: a map allocation, or append growth of a slice
+	// freshly allocated in the same function, in the hot cone.
 	CheckHotPathAlloc = "hotpath-alloc"
 	// CheckSpecHash flags drift between a content-addressed spec struct
 	// and its canonical encoder.

@@ -1,27 +1,35 @@
 package srcgraph
 
 import (
+	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
-
-	"repro/internal/progcheck"
 )
 
 // The specimen module under testdata is a self-contained miniature of
 // the repo: an engine package whose import path matches the det-root
-// rules, a content-addressed spec with deliberate drift, and a metrics
-// registry with one orphaned struct. Every analyzer must fire on it —
-// these are the negative tests CI's zero-findings budget leans on: a
-// loader regression that silently empties the call graph fails here,
-// not as a suspiciously green lint run.
+// rules, a content-addressed spec with deliberate drift, a metrics
+// registry with one orphaned struct, hazards planted where no det root
+// reaches, and one function per behaviour of the hazard checks. Every
+// analyzer must fire on it — these are the negative tests CI's
+// zero-findings budget leans on: a loader regression that silently
+// empties the call graph fails here, not as a suspiciously green lint
+// run.
 
-const specimenDir = "testdata/specimen"
+// Each module is loaded once for all tests; nothing mutates a loaded
+// Program.
+var (
+	specimen = sync.OnceValues(func() (*Program, error) { return Load("testdata/specimen") })
+	realTree = sync.OnceValues(func() (*Program, error) { return Load("../..", "./internal/...", "./cmd/...") })
+)
 
-func loadSpecimen(t *testing.T) *Program {
+func load(t *testing.T, module func() (*Program, error)) *Program {
 	t.Helper()
-	prog, err := Load(specimenDir)
+	prog, err := module()
 	if err != nil {
-		t.Fatalf("load specimen: %v", err)
+		t.Fatalf("load: %v", err)
 	}
 	return prog
 }
@@ -36,13 +44,67 @@ func byCheck(fs []Finding, check string) []Finding {
 	return out
 }
 
-// TestInterproceduralHazards is the acceptance demonstration: a
-// map-range and a hot-path alloc in untagged helpers two calls below
-// their roots are flagged by the graph pass, each with its witness
-// chain.
+// TestSpecimenWants runs every analyzer over the specimen and checks
+// each file against its "// want <check>..." comments: every named
+// check must be reported on that line, once per mention, and nothing
+// else may be reported anywhere.
+func TestSpecimenWants(t *testing.T) {
+	prog := load(t, specimen)
+	got := make(map[string][]string) // file -> "line check", one per finding
+	for _, f := range Analyze(prog) {
+		got[f.File] = append(got[f.File], fmt.Sprintf("%d %s", f.Line, f.Check))
+	}
+	for _, pkg := range prog.Pkgs {
+		for _, file := range pkg.Files {
+			name, _ := prog.Rel(file.Pos())
+			var want []string
+			for _, cg := range file.Comments {
+				for _, c := range cg.List {
+					checks, ok := strings.CutPrefix(c.Text, "// want ")
+					if !ok {
+						continue
+					}
+					line := prog.Fset.Position(c.Slash).Line
+					for _, check := range strings.Fields(checks) {
+						want = append(want, fmt.Sprintf("%d %s", line, check))
+					}
+				}
+			}
+			t.Run(name, func(t *testing.T) {
+				missing, extra := multisetDiff(want, got[name]), multisetDiff(got[name], want)
+				if len(missing) > 0 || len(extra) > 0 {
+					t.Errorf("missing findings (line check): %v\nunexpected findings: %v", missing, extra)
+				}
+			})
+		}
+	}
+}
+
+// multisetDiff returns the elements of a that no element of b matches.
+func multisetDiff(a, b []string) []string {
+	left := slices.Clone(b)
+	var out []string
+	for _, x := range a {
+		if i := slices.Index(left, x); i >= 0 {
+			left = slices.Delete(left, i, i+1)
+		} else {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+// TestInterproceduralHazards pins the witness chains: a map-range and a
+// hot-path alloc in untagged helpers two calls below their roots, each
+// reported with the path from the root.
 func TestInterproceduralHazards(t *testing.T) {
-	prog := loadSpecimen(t)
-	fs := CheckHazards(prog)
+	prog := load(t, specimen)
+	var fs []Finding
+	for _, f := range CheckHazards(prog) {
+		if strings.HasPrefix(f.File, "internal/simt/") {
+			fs = append(fs, f)
+		}
+	}
 
 	mr := byCheck(fs, CheckMapRange)
 	if len(mr) != 1 {
@@ -53,8 +115,8 @@ func TestInterproceduralHazards(t *testing.T) {
 		"specimen/internal/simt.helperA",
 		"specimen/internal/simt.helperB",
 	}
-	if got := mr[0].Chain; strings.Join(got, " ") != strings.Join(wantChain, " ") {
-		t.Errorf("map-range chain = %v, want %v", got, wantChain)
+	if got := mr[0].Chain; !slices.Equal(got, wantChain) || mr[0].Root != wantChain[0] {
+		t.Errorf("map-range root %q, chain %v; want chain %v", mr[0].Root, got, wantChain)
 	}
 	if mr[0].File != "internal/simt/engine.go" {
 		t.Errorf("map-range file = %q", mr[0].File)
@@ -69,15 +131,15 @@ func TestInterproceduralHazards(t *testing.T) {
 		"specimen/internal/simt.mid",
 		"specimen/internal/simt.leafAlloc",
 	}
-	if got := ha[0].Chain; strings.Join(got, " ") != strings.Join(wantChain, " ") {
+	if got := ha[0].Chain; !slices.Equal(got, wantChain) {
 		t.Errorf("hotpath-alloc chain = %v, want %v", got, wantChain)
 	}
 
-	if wc := byCheck(fs, CheckWallClock); len(wc) != 1 || wc[0].Func != "specimen/internal/simt.stampNow" {
-		t.Errorf("want 1 wallclock finding in stampNow, got %v", wc)
+	if wc := byCheck(fs, CheckWallClock); len(wc) != 1 || wc[0].Func != "specimen/internal/simt.stampNow" || len(wc[0].Chain) != 3 {
+		t.Errorf("want 1 wallclock finding in stampNow, reached from RunGPU, got %v", wc)
 	}
-	if gr := byCheck(fs, CheckGlobalRand); len(gr) != 1 || gr[0].Func != "specimen/internal/simt.jitter" {
-		t.Errorf("want 1 global-rand finding in jitter, got %v", gr)
+	if gr := byCheck(fs, CheckGlobalRand); len(gr) != 1 || gr[0].Func != "specimen/internal/simt.jitter" || len(gr[0].Chain) != 3 {
+		t.Errorf("want 1 global-rand finding in jitter, reached from RunGPU, got %v", gr)
 	}
 
 	// The line-allowed range in sortedTotal must be suppressed even
@@ -89,29 +151,41 @@ func TestInterproceduralHazards(t *testing.T) {
 	}
 }
 
-// TestLegacyPassMissesUntaggedHelpers proves the other half of the
-// acceptance demonstration: the file-granular syntactic lint does not
-// see either seeded site (the map arrives as a parameter, and no
-// file-level hotpath tag exists), so the graph pass is the only line
-// of defense.
-func TestLegacyPassMissesUntaggedHelpers(t *testing.T) {
-	fs, err := progcheck.LintDirs(specimenDir)
-	if err != nil {
-		t.Fatal(err)
+// TestPlantedHazards pins six hazards planted in a service file that
+// no det root reaches. Each is reported under its check name, with no
+// witness chain. Half of them sit in package-level initializers, which
+// no function body contains; the ranges are over a map parameter, a map
+// a call returns and an untyped package map var, which only type
+// information shows to be maps.
+func TestPlantedHazards(t *testing.T) {
+	prog := load(t, specimen)
+	type site struct{ check, fn string }
+	const init = "specimen/internal/service.init@clock.go"
+	want := []site{
+		{CheckWallClock, init},
+		{CheckMapRange, init},
+		{CheckGoCapturedWrite, init},
+		{CheckMapRange, "specimen/internal/service.tally"},
+		{CheckMapRange, "specimen/internal/service.first"},
+		{CheckGoCapturedWrite, "specimen/internal/service.lastSeen"},
 	}
-	for _, f := range fs {
-		if f.Check == progcheck.CheckMapRange {
-			t.Errorf("legacy pass unexpectedly flags map-range (the demonstration requires it to miss): %v", f)
+	var got []site
+	for _, f := range CheckHazards(prog) {
+		if f.File != "internal/service/clock.go" {
+			continue
 		}
-		if f.Check == progcheck.CheckHotPathAlloc {
-			t.Errorf("legacy pass unexpectedly flags hotpath-alloc (the demonstration requires it to miss): %v", f)
+		if f.Root != "" || f.Chain != nil {
+			t.Errorf("no det root reaches %s, yet it has root %q, chain %v", f.Func, f.Root, f.Chain)
 		}
+		got = append(got, site{f.Check, f.Func})
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("planted hazards reported as\n%v\nwant\n%v", got, want)
 	}
 }
 
 func TestSpecimenRoots(t *testing.T) {
-	prog := loadSpecimen(t)
-	g := BuildGraph(prog)
+	g := BuildGraph(load(t, specimen))
 	det, hot := g.Roots()
 	if why := det["specimen/internal/simt.RunGPU"]; why == "" {
 		t.Errorf("RunGPU not a det root; det roots: %v", det)
@@ -123,11 +197,14 @@ func TestSpecimenRoots(t *testing.T) {
 	if _, ok := hot["specimen/internal/simt.helperA"]; ok {
 		t.Error("helperA became a hot root from a doc-comment directive on stepOnce")
 	}
+	// A file-level tag covers the file's initializers too.
+	if why := hot["specimen/internal/cases.init@hotfile.go"]; !strings.Contains(why, "file-level") {
+		t.Errorf("hotfile.go's initializers not a file-level hot root; hot roots: %v", hot)
+	}
 }
 
 func TestSpecHashDrift(t *testing.T) {
-	prog := loadSpecimen(t)
-	fs := CheckSpecHashDrift(prog)
+	fs := CheckSpecHashDrift(load(t, specimen))
 	if len(fs) != 2 {
 		t.Fatalf("want exactly 2 spec-hash findings, got %d: %v", len(fs), fs)
 	}
@@ -149,8 +226,7 @@ func TestSpecHashDrift(t *testing.T) {
 }
 
 func TestMetricsRegistration(t *testing.T) {
-	prog := loadSpecimen(t)
-	fs := CheckMetricsRegistration(prog)
+	fs := CheckMetricsRegistration(load(t, specimen))
 	if len(fs) != 1 {
 		t.Fatalf("want exactly 1 metrics-registration finding, got %d: %v", len(fs), fs)
 	}
@@ -159,27 +235,35 @@ func TestMetricsRegistration(t *testing.T) {
 	}
 }
 
-// TestRealTreeClean locks the tentpole's green state: the shipped
-// sources carry no unsuppressed graph findings, and the loader health
-// counters prove the pass actually analyzed the module.
+// TestRealTreeClean locks the green state: the shipped sources carry
+// no unsuppressed findings, the loader health counters prove the pass
+// actually analyzed the module, and the det roots are exactly the
+// engine and harness entry points.
 func TestRealTreeClean(t *testing.T) {
-	prog, err := Load("../..", "./internal/...", "./cmd/...")
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := load(t, realTree)
 	g := BuildGraph(prog)
 	if n := g.NumFuncs(); n < 500 {
 		t.Errorf("suspiciously small call graph: %d funcs", n)
 	}
 	det, hot := g.Roots()
-	if len(det) < 4 {
-		t.Errorf("want >= 4 det roots (engine + harness entry points), got %v", det)
+	var ids []string
+	for id := range det {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	if want := []string{
+		"repro/internal/harness.RunNamed",
+		"repro/internal/harness.RunNamedCtx",
+		"repro/internal/simt.RunGPU",
+		"repro/internal/simt.RunGPUCtx",
+	}; !slices.Equal(ids, want) {
+		t.Errorf("det roots = %v, want exactly %v", ids, want)
 	}
 	if len(hot) < 10 {
 		t.Errorf("want >= 10 hot roots (per-cycle directives), got %v", hot)
 	}
 	if fs := Analyze(prog); len(fs) != 0 {
-		t.Errorf("real tree has graph findings:\n%v", fs)
+		t.Errorf("real tree has findings:\n%v", fs)
 	}
 }
 
@@ -187,11 +271,7 @@ func TestRealTreeClean(t *testing.T) {
 // tags could replace the file tags: propagation covers the tagged
 // functions' whole callee cones, including the memory hierarchy.
 func TestHotConeCoversPerCycleCallees(t *testing.T) {
-	prog, err := Load("../..", "./internal/...", "./cmd/...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := BuildGraph(prog)
+	g := BuildGraph(load(t, realTree))
 	hot := g.propagate(func(n *funcNode) bool { return n.hotRoot })
 	for _, want := range []string{
 		"repro/internal/simt.(*SMX).issueMem",

@@ -10,7 +10,7 @@ import "encoding/json"
 type JobSpec struct {
 	Scene string `json:"scene"`
 	Seed  int64  `json:"seed"`
-	Debug string `json:"-"`
+	Debug string `json:"-"` // want spec-hash
 }
 
 // Canonical returns the canonical encoding of the spec.
@@ -32,7 +32,7 @@ type WireSpec struct {
 // Extra.
 type FullSpec struct {
 	Scene string `json:"scene"`
-	Extra int    `json:"extra"`
+	Extra int    `json:"extra"` // want spec-hash
 }
 
 // Canonical encodes the projection, not the spec itself.

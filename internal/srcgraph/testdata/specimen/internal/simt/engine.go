@@ -31,12 +31,11 @@ func helperA(s *State) int {
 }
 
 // helperB ranges over a map two calls below the determinism root. The
-// legacy file-granular lint cannot see this (the map arrives as a
-// parameter and the file carries no file-level tag); the graph pass
-// must flag it with the witness chain RunGPU -> helperA -> helperB.
+// map arrives as a parameter, so only its type says it is a map; the
+// finding must carry the witness chain RunGPU -> helperA -> helperB.
 func helperB(cells map[int]int) int {
 	sum := 0
-	for k := range cells {
+	for k := range cells { // want map-range
 		sum += k
 	}
 	return sum
@@ -44,12 +43,12 @@ func helperB(cells map[int]int) int {
 
 // stampNow reads the wall clock two calls below the root.
 func stampNow() int64 {
-	return time.Now().UnixNano()
+	return time.Now().UnixNano() // want wallclock
 }
 
 // jitter draws from the process-global RNG.
 func jitter() int {
-	return rand.Intn(8)
+	return rand.Intn(8) // want global-rand
 }
 
 // stepOnce is a function-granular hot root: only its doc comment
@@ -67,12 +66,12 @@ func mid(s *State) {
 
 // leafAlloc allocates a map two calls below the hot root.
 func leafAlloc(s *State) {
-	s.scratch = make(map[int]int, 4)
+	s.scratch = make(map[int]int, 4) // want hotpath-alloc
 }
 
 // sortedTotal pins the suppression grammar: the range is
-// order-insensitive and carries a line-level allow, so neither pass may
-// report it.
+// order-insensitive and carries a line-level allow, so it must not be
+// reported.
 func sortedTotal(s *State) int {
 	n := 0
 	//drslint:allow map-range -- pure sum, order-insensitive

@@ -17,7 +17,7 @@ type Registered struct {
 }
 
 // Orphan carries metrics tags but is never registered.
-type Orphan struct {
+type Orphan struct { // want metrics-registration
 	Misses int64 `metrics:"misses"`
 }
 

@@ -9,8 +9,8 @@
 // statcheck covers the dynamic half of the completeness story (Add
 // merges, exercised from tests). The static half — every `metrics:`
 // tag reached by a RegisterStruct call, every content-addressed spec
-// field reached by its Canonical encoder — lives in internal/srcgraph
-// and runs under `drslint -mode graph`.
+// field reached by its Canonical encoder — lives in internal/srcgraph,
+// the source lint, and runs under `drslint -mode graph`.
 package statcheck
 
 import (
