@@ -84,15 +84,31 @@ func main() {
 	}
 
 	// Scale flags out of range are usage errors, reported before any
-	// workload is built.
+	// workload is built. The ceilings are the service's JobSpec bounds
+	// (max 0: none); -paper replaces -w, -h and -spp with its own render.
 	for _, f := range []struct {
-		name     string
-		val, min int
-	}{{"tris", *tris, 0}, {"w", *width, 1}, {"h", *height, 1}, {"spp", *spp, 1}, {"rays", *rays, 0}, {"series-cap", *seriesCap, 0}} {
-		if f.val < f.min {
-			fmt.Fprintf(os.Stderr, "-%s must be >= %d\n", f.name, f.min)
+		name          string
+		val, min, max int
+	}{
+		{"tris", *tris, 0, experiments.MaxTris},
+		{"w", *width, 1, experiments.MaxDim},
+		{"h", *height, 1, experiments.MaxDim},
+		{"spp", *spp, 1, experiments.MaxSPP},
+		{"rays", *rays, 0, experiments.MaxRayCap},
+		{"series-cap", *seriesCap, 0, 0},
+	} {
+		if f.val < f.min || (f.max > 0 && f.val > f.max) {
+			if f.max > 0 {
+				fmt.Fprintf(os.Stderr, "-%s must be in [%d, %d]\n", f.name, f.min, f.max)
+			} else {
+				fmt.Fprintf(os.Stderr, "-%s must be >= %d\n", f.name, f.min)
+			}
 			os.Exit(2)
 		}
+	}
+	if n := *width * *height * *spp; !*paper && n > experiments.MaxSampleBudget {
+		fmt.Fprintf(os.Stderr, "-w x -h x -spp = %d x %d x %d = %d samples exceeds %d\n", *width, *height, *spp, n, experiments.MaxSampleBudget)
+		os.Exit(2)
 	}
 
 	p := experiments.DefaultParams()

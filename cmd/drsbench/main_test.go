@@ -100,10 +100,12 @@ func TestBadDeviceSizeIsUsageError(t *testing.T) {
 	}
 }
 
-// A scene scale or ray cap below its floor is a usage error, reported
-// before any workload is built — not a failure inside a cell, a silent
-// run at the paper's full triangle counts, or an observed run that
-// builds its workload first.
+// A scene scale or ray cap below its floor or above the service's
+// JobSpec bound, or a render of more than MaxSampleBudget samples, is a
+// usage error, reported before any workload is built — not a failure
+// inside a cell, a silent run at the paper's full triangle counts, an
+// observed run that builds its workload first, or an out-of-memory
+// death.
 func TestBadScaleIsUsageError(t *testing.T) {
 	cases := []struct{ flag, args string }{
 		{"-tris", "-exp fig2 -scene conference -tris -5"},
@@ -113,11 +115,26 @@ func TestBadScaleIsUsageError(t *testing.T) {
 		{"-spp", "-exp fig2 -scene conference -spp 0"},
 		{"-rays", "-exp fig2 -scene conference -rays -5"},
 		{"-series-cap", "-series-cap -4 -stats-json " + t.TempDir() + "/x.json"},
+		{"-w", "-exp fig2 -scene conference -tris 500 -w 200000 -h 200000"},
+		{"-h", "-exp fig2 -scene conference -tris 500 -h 4097"},
+		{"-spp", "-exp fig2 -scene conference -tris 500 -spp 257"},
+		{"-spp", "-exp fig2 -scene conference -tris 500 -w 4096 -h 4096 -spp 2"},
+		{"-tris", "-exp fig2 -scene conference -tris 2000001"},
+		{"-rays", "-exp fig2 -scene conference -tris 500 -rays 64000001"},
+		{"-tris", "-tris 100000000 -stats-json " + t.TempDir() + "/x.json"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.flag, func(t *testing.T) {
 			wantUsageError(t, tc.flag, tc.args)
 		})
+	}
+}
+
+// -paper replaces -w, -h and -spp with PaperParams' 640x480x64 render,
+// which is above MaxSampleBudget; the budget must not reject it.
+func TestPaperRenderIsNotBudgeted(t *testing.T) {
+	if code, stderr := runDrsbench(t, "-paper -exp table1"); code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s\nwant exit 0", code, stderr)
 	}
 }
 

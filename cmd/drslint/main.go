@@ -38,6 +38,7 @@ import (
 	"os"
 
 	"repro/internal/bvh"
+	"repro/internal/experiments"
 	"repro/internal/kernels"
 	"repro/internal/progcheck"
 	"repro/internal/scene"
@@ -132,8 +133,8 @@ func main() {
 		usage("unexpected argument %q; the source lint covers internal/ and cmd/", flag.Arg(0))
 	case *slots < 1 || *slots > maxSlots:
 		usage("-slots must be in [1, %d]", maxSlots)
-	case *tris < 0:
-		usage("-tris must be >= 0")
+	case *tris < 0 || *tris > experiments.MaxTris:
+		usage("-tris must be in [0, %d]", experiments.MaxTris)
 	case *steps < 0:
 		usage("-steps must be >= 0")
 	}

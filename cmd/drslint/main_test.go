@@ -63,6 +63,7 @@ func TestUsageErrorsExit32(t *testing.T) {
 		{"-slots 100000000", "-slots"},
 		{"-tris -5", "-tris"},
 		{"-steps -3", "-steps"},
+		{"-mode prog -tris 100000000", "-tris"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.args, func(t *testing.T) {

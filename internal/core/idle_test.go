@@ -104,8 +104,17 @@ func unsettledIdeal(t *testing.T, wrap func(*Control, simt.Hooks) simt.Hooks) (*
 	cfg.BackupRows, cfg.WarpsOverride, cfg.BindThreshold = 0, 4, 33
 	cfg.Ideal, cfg.SwapBuffers = true, 0
 	smx, c, k, _, _ := buildDRSHooks(t, cfg, 128, wrap)
-	k.Ctx(0).State = kernels.StateInner
-	k.Ctx(1).State = kernels.StateLeaf
+	// Slot 0 fetches a ray and stays inner; slot 1 fetches one and
+	// traverses to its first leaf.
+	var res simt.StepResult
+	k.Step(0, kernels.WiFetch, &res)
+	k.Step(1, kernels.WiFetch, &res)
+	for k.StateOf(1) == kernels.StateInner {
+		k.Step(1, kernels.WiInner, &res)
+	}
+	if k.StateOf(0) != kernels.StateInner || k.StateOf(1) != kernels.StateLeaf {
+		t.Fatalf("slot states %v, %v; want inner, leaf", k.StateOf(0), k.StateOf(1))
+	}
 	// Rows in order 0, 1, 4, 5 (free), 2, 3 (bound to warps 2 and 3);
 	// slots fill them in turn, 97 free and 31 bound.
 	fill := []struct{ row, n int }{{0, 32}, {1, 32}, {4, 32}, {5, 1}, {2, 16}, {3, 15}}

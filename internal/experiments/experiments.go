@@ -47,6 +47,26 @@ type Params struct {
 	Cache *WorkloadCache
 }
 
+// Scale bounds: the largest workload a caller may ask for. The service
+// rejects a JobSpec beyond them and drsbench a flag beyond them, before
+// anything is built; past them a render or a scene would tie a worker up
+// for hours or ask the host for more memory than it has. PaperParams'
+// 640x480x64 render (19.7M samples) is above MaxSampleBudget: it is
+// reachable only as a whole, through drsbench -paper.
+const (
+	// MaxDim bounds the trace render width and height.
+	MaxDim = 4096
+	// MaxSPP bounds samples per pixel.
+	MaxSPP = 256
+	// MaxSampleBudget bounds width*height*spp, the number of primary
+	// paths the trace render generates.
+	MaxSampleBudget = 1 << 24
+	// MaxTris bounds the per-scene triangle budget.
+	MaxTris = 2_000_000
+	// MaxRayCap bounds the per-bounce ray cap.
+	MaxRayCap = 64_000_000
+)
+
 // DefaultParams returns a configuration that runs the full suite in
 // minutes: scaled scenes, quarter-resolution traces, the Table 1 GPU.
 func DefaultParams() Params {

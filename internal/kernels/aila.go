@@ -35,7 +35,7 @@ type Aila struct {
 	data *SceneData
 	pool *Pool
 
-	ctxs []Ctx
+	slots slotTable
 	// Hits receives the committed hit for every pool ray index.
 	Hits []geom.Hit
 
@@ -46,20 +46,14 @@ type Aila struct {
 // number of thread slots (warps * warpSize).
 func NewAila(data *SceneData, pool *Pool, slots int, cfg AilaConfig) *Aila {
 	k := &Aila{
-		cfg:  cfg,
-		data: data,
-		pool: pool,
-		ctxs: make([]Ctx, slots),
-		Hits: make([]geom.Hit, len(pool.Rays)),
+		cfg:   cfg,
+		data:  data,
+		pool:  pool,
+		slots: newSlotTable(slots, len(pool.Rays), data.BVH.MaxDepth),
+		Hits:  make([]geom.Hit, len(pool.Rays)),
 	}
 	for i := range k.Hits {
 		k.Hits[i] = geom.NoHit
-	}
-	for i := range k.ctxs {
-		k.ctxs[i].State = StateFetch
-		k.ctxs[i].Pending = RefNone
-		k.ctxs[i].CurLeaf = RefNone
-		k.ctxs[i].Cur = RefNone
 	}
 	k.blocks = []simt.BlockInfo{
 		ailaFetch:    {Name: "fetch", Insts: 18, MemInsts: 1, SrcOps: 2},
@@ -96,29 +90,27 @@ func (k *Aila) Blocks() []simt.BlockInfo { return k.blocks }
 // Entry implements simt.Kernel: threads start by fetching a ray.
 func (k *Aila) Entry() int { return ailaFetch }
 
-// Ctx returns the context of a slot (for tests and the DMK/TBC
-// wrappers).
-func (k *Aila) Ctx(slot int32) *Ctx { return &k.ctxs[slot] }
+// Ctx returns the context of a slot (for tests and the SER wrapper). A
+// slot that has not fetched a ray reads a shared blank context, which
+// callers must not write.
+func (k *Aila) Ctx(slot int32) *Ctx { return k.slots.ctx(slot) }
 
 // NumSlots returns the number of thread slots.
-func (k *Aila) NumSlots() int { return len(k.ctxs) }
+func (k *Aila) NumSlots() int { return len(k.slots.state) }
 
 // Step implements simt.Kernel.
 func (k *Aila) Step(slot int32, block int, res *simt.StepResult) {
-	c := &k.ctxs[slot]
+	c := k.slots.ctx(slot)
 	res.NMem = 0
 	switch block {
 	case ailaFetch:
-		r, idx, ok := k.pool.Fetch()
-		if !ok {
-			c.State = StateEmpty
+		if !k.slots.fetch(slot, k.pool, k.data, res) {
+			k.slots.state[slot] = StateEmpty
 			res.Next = simt.BlockExit
 			return
 		}
-		c.initRay(r, idx)
+		k.slots.state[slot] = StateInner
 		res.Next = ailaInner
-		res.Mem[0] = rayLoad(k.data, idx)
-		res.NMem = 1
 
 	case ailaInner:
 		res.Next = k.innerStep(c, res)
@@ -175,7 +167,7 @@ func (k *Aila) Step(slot int32, block int, res *simt.StepResult) {
 		k.Hits[c.RayIndex] = c.finalHit()
 		res.Mem[0] = dataAccess(k.data.HitAddr(c.RayIndex), 16)
 		res.NMem = 1
-		c.terminate()
+		k.slots.state[slot] = StateFetch
 		res.Next = ailaFetch
 
 	default:
@@ -206,7 +198,6 @@ func (k *Aila) innerStep(c *Ctx, res *simt.StepResult) int {
 	addr := c.nodeStep(k.data)
 	res.Mem[0] = texAccess(addr, 64)
 	res.NMem = 1
-	c.State = StateInner
 	// Speculative postpone: a freshly found leaf is parked so the
 	// thread keeps doing useful inner-node work with the rest of the
 	// warp instead of idling until the leaf phase.
@@ -232,7 +223,7 @@ func (k *Aila) Vote(warp, block int, slots []int32, res []*simt.StepResult) {
 		if r.Next != ailaInner {
 			continue
 		}
-		if k.ctxs[slots[i]].Pending == RefNone {
+		if k.slots.ctx(slots[i]).Pending == RefNone {
 			// Someone still traverses without a postponed leaf: keep
 			// speculating, no break.
 			return

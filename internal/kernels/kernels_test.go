@@ -1,8 +1,11 @@
 package kernels
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/bvh"
 	"repro/internal/geom"
@@ -105,9 +108,7 @@ func TestCtxTraversalMatchesReference(t *testing.T) {
 	data, bv := testData(t, scene.ConferenceRoom, 1500)
 	rays := randomRays(300, 7)
 	for i, r := range rays {
-		var c Ctx
-		c.Pending = RefNone
-		c.CurLeaf = RefNone
+		c := Ctx{Stack: make([]int64, bv.MaxDepth+1)}
 		c.initRay(r, int32(i))
 		steps := 0
 		for c.Cur != RefNone {
@@ -286,14 +287,174 @@ func TestStateString(t *testing.T) {
 	}
 }
 
-func TestTravStackOverflowPanics(t *testing.T) {
-	var c Ctx
-	defer func() {
-		if recover() == nil {
-			t.Errorf("expected overflow panic")
+// seedKernels builds each kernel the stack-bound and arena tests drive:
+// Aila with speculation on, and the while-if kernel. Each returns the
+// kernel, its slot table and its committed hits.
+var seedKernels = []struct {
+	name  string
+	fetch int
+	build func(d *SceneData, p *Pool, slots int) (simt.Kernel, *slotTable, []geom.Hit)
+}{
+	{"aila", ailaFetch, func(d *SceneData, p *Pool, slots int) (simt.Kernel, *slotTable, []geom.Hit) {
+		k := NewAila(d, p, slots, AilaConfig{Speculative: true})
+		return k, &k.slots, k.Hits
+	}},
+	{"whileif", WiFetch, func(d *SceneData, p *Pool, slots int) (simt.Kernel, *slotTable, []geom.Hit) {
+		k := NewWhileIf(d, p, slots, WhileIfConfig{})
+		return k, &k.slots, k.Hits
+	}},
+}
+
+// checkHits compares committed hits against the reference intersector.
+func checkHits(t *testing.T, bv *bvh.BVH, rays []geom.Ray, hits []geom.Hit) {
+	t.Helper()
+	for i, r := range rays {
+		want := bv.Intersect(r, nil)
+		if hits[i].TriIndex != want.TriIndex {
+			if hits[i].TriIndex >= 0 && want.TriIndex >= 0 && absf(hits[i].T-want.T) < 1e-4 {
+				continue
+			}
+			t.Errorf("ray %d: got tri %d, want %d", i, hits[i].TriIndex, want.TriIndex)
 		}
-	}()
-	for i := 0; i < maxTravStack+1; i++ {
-		c.push(innerChild(int32(i)))
+	}
+}
+
+// TestTravStackBound pins push's bound on the tree that reaches it:
+// MaxLeafSize x 2^k coincident triangles that are not axis-aligned.
+// Every box then has volume and holds a ray aimed at the triangle, both
+// builders fall back to median splits, so every leaf sits at depth
+// MaxDepth = k, and a tie sends near-first traversal left, pushing the
+// right child at every level. Driving one slot of either kernel from
+// its entry block to BlockExit must fill the stack to exactly MaxDepth;
+// a push beyond its MaxDepth+1 entries would fault. A scene of
+// MaxLeafSize triangles is one leaf under a synthesized root (MaxDepth
+// 0) whose empty right box passes the slab test, so its count-0 leaf
+// takes the one entry there is.
+func TestTravStackBound(t *testing.T) {
+	leaf := bvh.DefaultOptions().MaxLeafSize
+	tri := geom.Triangle{A: vec.New(0, 0, 0), B: vec.New(1, 0.2, 0.3), C: vec.New(0.1, 1, 0.4)}
+	n := tri.Normal().Norm()
+	rays := []geom.Ray{geom.NewRay(tri.Centroid().Add(n.Scale(2)), n.Scale(-1))}
+	builders := []struct {
+		name  string
+		build func([]geom.Triangle) (*bvh.BVH, error)
+	}{
+		{"sah", func(tris []geom.Triangle) (*bvh.BVH, error) { return bvh.Build(tris, bvh.DefaultOptions()) }},
+		{"lbvh", func(tris []geom.Triangle) (*bvh.BVH, error) { return bvh.BuildLBVH(tris, leaf) }},
+	}
+	// unused marks stack entries never pushed; no child reference is
+	// this large.
+	const unused = math.MaxInt64
+	for _, depth := range []int{0, 1, 5} {
+		tris := make([]geom.Triangle, leaf<<depth)
+		for i := range tris {
+			tris[i] = tri
+		}
+		for _, b := range builders {
+			bv, err := b.build(tris)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bv.MaxDepth != depth {
+				t.Fatalf("%s, %d tris: MaxDepth %d, want %d", b.name, len(tris), bv.MaxDepth, depth)
+			}
+			data := NewSceneData(bv)
+			for _, sk := range seedKernels {
+				k, table, hits := sk.build(data, &Pool{Rays: rays}, 1)
+				stack := table.arena[0].Stack
+				if len(stack) != depth+1 {
+					t.Fatalf("%s %s: stack has %d entries, want MaxDepth+1 = %d", b.name, sk.name, len(stack), depth+1)
+				}
+				for i := range stack {
+					stack[i] = unused
+				}
+				var res simt.StepResult
+				for block, steps := k.Entry(), 0; block != simt.BlockExit; block = res.Next {
+					if steps++; steps > 100_000 {
+						t.Fatalf("%s %s: the slot did not exit", b.name, sk.name)
+					}
+					k.Step(0, block, &res)
+				}
+				peak := 0
+				for peak < len(stack) && stack[peak] != unused {
+					peak++
+				}
+				if want := max(depth, 1); peak != want {
+					t.Errorf("%s %s, MaxDepth %d: the stack filled to %d entries, want %d", b.name, sk.name, depth, peak, want)
+				}
+				if hits[0].TriIndex < 0 {
+					t.Errorf("%s %s, MaxDepth %d: the ray missed the triangles", b.name, sk.name, depth)
+				}
+				checkHits(t, bv, rays, hits)
+			}
+		}
+	}
+}
+
+// TestCtxArenaScalesWithRays builds both kernels at modern-big's
+// per-SMX shape (2048 Aila slots, 1856 while-if slots, about 209 rays
+// per SMX on conference at 12,000 triangles). The constructor must
+// allocate the per-slot table plus one context, stack and hit per ray,
+// not a context per slot. Draining the pool over every slot, round
+// robin, must commit every ray's hit, bind at most min(slots, rays)
+// contexts, and fetch-and-bind without allocating.
+func TestCtxArenaScalesWithRays(t *testing.T) {
+	data, bv := testData(t, scene.ConferenceRoom, 12000)
+	rays := randomRays(209, 17)
+	perRay := uint64(unsafe.Sizeof(Ctx{})) + uint64(bv.MaxDepth+1)*8 + uint64(unsafe.Sizeof(geom.Hit{}))
+	const slack = 4 << 10
+	modernBigSlots := map[string]int{"aila": 2048, "whileif": 1856}
+	for _, sk := range seedKernels {
+		slots := modernBigSlots[sk.name]
+		pool := &Pool{Rays: rays}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		k, table, hits := sk.build(data, pool, slots)
+		runtime.ReadMemStats(&after)
+		limit := uint64(slots)*8 + uint64(len(rays))*perRay + slack
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %d slots, %d rays, MaxDepth %d: the constructor allocated %d B (limit %d)", sk.name, slots, len(rays), bv.MaxDepth, got, limit)
+		if got > limit {
+			t.Errorf("%s: constructor allocated %d B, want at most %d", sk.name, got, limit)
+		}
+
+		// The first slots fetch inside AllocsPerRun (one warm-up run
+		// plus 50); then every slot runs round robin until all exit.
+		next := make([]int, slots)
+		for s := range next {
+			next[s] = k.Entry()
+		}
+		var res simt.StepResult
+		slot := 0
+		if avg := testing.AllocsPerRun(50, func() {
+			k.Step(int32(slot), sk.fetch, &res)
+			next[slot] = res.Next
+			slot++
+		}); avg != 0 {
+			t.Errorf("%s: fetch-and-bind allocates %.1f times per fetch", sk.name, avg)
+		}
+		for live := true; live; {
+			live = false
+			for s, block := range next {
+				if block != simt.BlockExit {
+					live = true
+					k.Step(int32(s), block, &res)
+					next[s] = res.Next
+				}
+			}
+		}
+		if pool.Remaining() != 0 {
+			t.Fatalf("%s: pool not drained: %d rays left", sk.name, pool.Remaining())
+		}
+		checkHits(t, bv, rays, hits)
+		bound := 0
+		for _, i := range table.ctxOf {
+			if i >= 0 {
+				bound++
+			}
+		}
+		if limit := min(slots, len(rays)); bound != int(table.taken) || bound > limit {
+			t.Errorf("%s: %d slots bound, %d arena entries taken; want equal and at most %d", sk.name, bound, table.taken, limit)
+		}
 	}
 }

@@ -10,9 +10,10 @@
 //     removing speculative traversal; it is the kernel the DRS hardware
 //     (internal/core) schedules.
 //
-// Both kernels share the per-thread traversal semantics in this file,
-// operating on the flattened BVH from internal/bvh and on per-slot
-// contexts that stand in for the 17 live ray registers of the paper.
+// Both kernels share the per-thread traversal semantics and the slot
+// table in this file, operating on the flattened BVH from internal/bvh
+// and on traversal contexts that stand in for the 17 live ray
+// registers of the paper, one per ray in flight.
 package kernels
 
 import (
@@ -58,18 +59,17 @@ func childOf(idx, count int32) int64 {
 	return leafChild(^idx, count)
 }
 
-// maxTravStack bounds the per-ray traversal stack.
-const maxTravStack = 96
-
-// Ctx is the per-slot traversal context: the live state of one ray,
-// corresponding to the ray registers the DRS shuffles.
+// Ctx is the traversal context of one ray in flight: the live state of
+// the ray, corresponding to the ray registers the DRS shuffles. A kernel
+// keeps its contexts in a slotTable's arena, not one per slot.
 type Ctx struct {
-	HasRay bool
 	Ray    geom.Ray
 	InvDir vec.V3
 	Hit    geom.Hit
 
-	Stack [maxTravStack]int64
+	// Stack holds the far children still to visit; it has the BVH's
+	// MaxDepth+1 entries, which push shows is enough.
+	Stack []int64
 	SP    int
 
 	// Cur is the next child reference to visit (inner or leaf).
@@ -87,10 +87,6 @@ type Ctx struct {
 	// invocation of the while-if kernel; bodies process up to a bounded
 	// burst of nodes/triangles per rdctrl round.
 	Burst int32
-
-	// State is the ray traversal state the DRS ray state table tracks
-	// (the reg_ray_state special register of the paper).
-	State State
 }
 
 // State is the ray traversal state (§3.2.2 of the paper).
@@ -195,9 +191,82 @@ func (p *Pool) Fetch() (geom.Ray, int32, bool) {
 // Remaining returns the number of unfetched rays.
 func (p *Pool) Remaining() int { return len(p.Rays) - p.next }
 
+// slotTable is the thread state both kernels keep: per slot, the ray
+// state and the index of the slot's traversal context in an arena.
+//
+// A slot binds the next arena entry at its first successful fetch and
+// keeps it for the rest of the run. Every successful fetch consumes a
+// distinct pool ray, so at most min(slots, rays) slots ever bind, and
+// that is the arena's size. Binding is permanent, so no free list is
+// needed, and the policies that regroup threads (DRS's row moves, DMK,
+// TBC, SER) move slot ids, never contexts. Entries are taken with a
+// counter into the pre-sized arena, so a broken bound faults on the
+// index instead of growing it.
+type slotTable struct {
+	state []State
+	ctxOf []int32 // arena index per slot; -1 until the slot's first fetch
+	arena []Ctx
+	taken int32
+	// blank is what a slot that has not fetched reads: no ray and no
+	// traversal work, as a context fresh from the constructor. Nothing
+	// writes it.
+	blank Ctx
+}
+
+// newSlotTable builds the table of a kernel with the given numbers of
+// slots and pool rays, with traversal stacks for a BVH of depth
+// maxDepth. Every slot starts in the fetch state.
+func newSlotTable(slots, rays, maxDepth int) slotTable {
+	n := min(slots, rays)
+	depth := maxDepth + 1
+	t := slotTable{
+		state: make([]State, slots),
+		ctxOf: make([]int32, slots),
+		arena: make([]Ctx, n),
+		blank: Ctx{Cur: RefNone, Pending: RefNone, CurLeaf: RefNone},
+	}
+	stacks := make([]int64, n*depth)
+	for i := range t.arena {
+		t.arena[i].Stack = stacks[i*depth : (i+1)*depth : (i+1)*depth]
+	}
+	for i := range t.state {
+		t.state[i] = StateFetch
+		t.ctxOf[i] = -1
+	}
+	return t
+}
+
+// ctx returns a slot's context, or the read-only blank if the slot has
+// not fetched.
+func (t *slotTable) ctx(slot int32) *Ctx {
+	if i := t.ctxOf[slot]; i >= 0 {
+		return &t.arena[i]
+	}
+	return &t.blank
+}
+
+// fetch pops the next pool ray into a slot's context, binding an arena
+// entry at the slot's first successful fetch, and emits the ray load.
+// It returns false, touching nothing, when the pool is dry.
+func (t *slotTable) fetch(slot int32, pool *Pool, data *SceneData, res *simt.StepResult) bool {
+	r, idx, ok := pool.Fetch()
+	if !ok {
+		return false
+	}
+	i := t.ctxOf[slot]
+	if i < 0 {
+		i = t.taken
+		t.taken++
+		t.ctxOf[slot] = i
+	}
+	t.arena[i].initRay(r, idx)
+	res.Mem[0] = rayLoad(data, idx)
+	res.NMem = 1
+	return true
+}
+
 // initRay loads a fresh ray into the context.
 func (c *Ctx) initRay(r geom.Ray, index int32) {
-	c.HasRay = true
 	c.Ray = r
 	c.InvDir = r.InvDir()
 	c.Hit = geom.NoHit
@@ -208,20 +277,29 @@ func (c *Ctx) initRay(r geom.Ray, index int32) {
 	c.CurLeaf = RefNone
 	c.LeafIdx = 0
 	c.RayIndex = index
-	c.State = StateInner
 }
 
-// terminate clears the ray, leaving the final hit for commit.
-func (c *Ctx) terminate() {
-	c.HasRay = false
-	c.State = StateFetch
-}
-
-// push adds a child reference to the traversal stack.
+// push adds a child reference to the traversal stack. Stack's
+// MaxDepth+1 entries always suffice:
+//
+//   - Near-first traversal pushes at most one reference per visited
+//     inner node: the far child, and only when both children are hit.
+//   - Visiting an inner node at depth d (root = 0), every entry on the
+//     stack was pushed by one of the node's d strict ancestors, at most
+//     one each, so the stack holds at most d entries; after the push,
+//     at most d+1.
+//   - A pop resumes at the far child an ancestor at depth a pushed, a
+//     node at depth a+1, with at most a entries left below it, so the
+//     rule holds there too.
+//   - The deepest inner node is at depth MaxDepth-1, so SP <= MaxDepth.
+//   - Aila's speculative traversal parks a leaf in Pending and pops; it
+//     never pushes. Any-hit clears the stack.
+//   - bvh.Build and BuildLBVH wrap a lone leaf in a synthesized root
+//     whose right box is empty while MaxDepth stays 0. The slab test
+//     does not reject an empty box, so that root, an inner node at
+//     depth 0, pushes its count-0 right leaf: the one entry beyond
+//     MaxDepth.
 func (c *Ctx) push(ref int64) {
-	if c.SP >= maxTravStack {
-		panic("kernels: traversal stack overflow")
-	}
 	c.Stack[c.SP] = ref
 	c.SP++
 }

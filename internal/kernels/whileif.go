@@ -60,7 +60,7 @@ type WhileIf struct {
 	pool *Pool
 	cfg  WhileIfConfig
 
-	ctxs []Ctx
+	slots slotTable
 	// Hits receives the committed hit for every pool ray index.
 	Hits []geom.Hit
 
@@ -73,12 +73,11 @@ type WhileIf struct {
 
 // setState transitions a slot's ray state, notifying the listener.
 func (k *WhileIf) setState(slot int32, s State) {
-	c := &k.ctxs[slot]
-	if c.State == s {
+	old := k.slots.state[slot]
+	if old == s {
 		return
 	}
-	old := c.State
-	c.State = s
+	k.slots.state[slot] = s
 	if k.Listener != nil {
 		k.Listener(slot, old, s)
 	}
@@ -89,20 +88,14 @@ func (k *WhileIf) setState(slot int32, s State) {
 // bounds.
 func NewWhileIf(data *SceneData, pool *Pool, slots int, cfg WhileIfConfig) *WhileIf {
 	k := &WhileIf{
-		data: data,
-		pool: pool,
-		cfg:  cfg.withDefaults(),
-		ctxs: make([]Ctx, slots),
-		Hits: make([]geom.Hit, len(pool.Rays)),
+		data:  data,
+		pool:  pool,
+		cfg:   cfg.withDefaults(),
+		slots: newSlotTable(slots, len(pool.Rays), data.BVH.MaxDepth),
+		Hits:  make([]geom.Hit, len(pool.Rays)),
 	}
 	for i := range k.Hits {
 		k.Hits[i] = geom.NoHit
-	}
-	for i := range k.ctxs {
-		k.ctxs[i].State = StateFetch
-		k.ctxs[i].Pending = RefNone
-		k.ctxs[i].CurLeaf = RefNone
-		k.ctxs[i].Cur = RefNone
 	}
 	k.blocks = []simt.BlockInfo{
 		WiRdctrl: {Name: "rdctrl", Insts: 3, SrcOps: 1, Gated: true, Tag: simt.TagCtrl, Reconv: WiRdctrl},
@@ -133,11 +126,12 @@ func (k *WhileIf) Blocks() []simt.BlockInfo { return k.blocks }
 // Entry implements simt.Kernel: every warp starts at rdctrl.
 func (k *WhileIf) Entry() int { return WiRdctrl }
 
-// Ctx returns the context of a slot.
-func (k *WhileIf) Ctx(slot int32) *Ctx { return &k.ctxs[slot] }
+// Ctx returns the context of a slot. A slot that has not fetched a ray
+// reads a shared blank context, which callers must not write.
+func (k *WhileIf) Ctx(slot int32) *Ctx { return k.slots.ctx(slot) }
 
 // NumSlots returns the number of ray slots.
-func (k *WhileIf) NumSlots() int { return len(k.ctxs) }
+func (k *WhileIf) NumSlots() int { return len(k.slots.state) }
 
 // StateOf returns the ray traversal state of a slot — the DRS ray
 // state table reads this (it is the reg_ray_state value).
@@ -145,7 +139,7 @@ func (k *WhileIf) StateOf(slot int32) State {
 	if slot < 0 {
 		return StateEmpty
 	}
-	return k.ctxs[slot].State
+	return k.slots.state[slot]
 }
 
 // Pool returns the SMX's ray pool.
@@ -153,20 +147,23 @@ func (k *WhileIf) Pool() *Pool { return k.pool }
 
 // Step implements simt.Kernel.
 func (k *WhileIf) Step(slot int32, block int, res *simt.StepResult) {
-	c := &k.ctxs[slot]
+	c := k.slots.ctx(slot)
 	res.NMem = 0
 	switch block {
 	case WiRdctrl:
 		// The DRS gate has already ensured the row's states are
 		// uniform; each lane branches by its own state (identical
-		// across the warp).
-		c.Burst = 0
-		switch c.State {
+		// across the warp). A traversal body starts a fresh burst; only
+		// a slot in a traversal state holds a ray, so a slot that has
+		// not fetched never writes its blank context.
+		switch k.slots.state[slot] {
 		case StateFetch:
 			res.Next = WiFetch
 		case StateInner:
+			c.Burst = 0
 			res.Next = WiInner
 		case StateLeaf:
+			c.Burst = 0
 			res.Next = WiLeaf
 		default:
 			// Empty slots are masked off by the gate; if one slips
@@ -175,19 +172,12 @@ func (k *WhileIf) Step(slot int32, block int, res *simt.StepResult) {
 		}
 
 	case WiFetch:
-		r, idx, ok := k.pool.Fetch()
-		if !ok {
-			c.HasRay = false
+		res.Next = WiRdctrl
+		if !k.slots.fetch(slot, k.pool, k.data, res) {
 			k.setState(slot, StateEmpty)
-			res.Next = WiRdctrl
 			return
 		}
-		c.initRay(r, idx)
-		c.State = StateFetch // undo initRay's direct write; notify below
 		k.setState(slot, StateInner)
-		res.Mem[0] = rayLoad(k.data, idx)
-		res.NMem = 1
-		res.Next = WiRdctrl
 
 	case WiInner:
 		addr := c.nodeStep(k.data)
@@ -199,7 +189,7 @@ func (k *WhileIf) Step(slot int32, block int, res *simt.StepResult) {
 		// the inner state and the burst bound allows; lanes that leave
 		// early wait at the rdctrl reconvergence point (the minor
 		// intra-body divergence of §4.4).
-		if c.State == StateInner && c.Burst < int32(k.cfg.InnerBurst) {
+		if k.slots.state[slot] == StateInner && c.Burst < int32(k.cfg.InnerBurst) {
 			res.Next = WiInner
 		} else {
 			res.Next = WiRdctrl
@@ -237,7 +227,7 @@ func (k *WhileIf) Step(slot int32, block int, res *simt.StepResult) {
 		}
 		c.CurLeaf = RefNone
 		k.settleAfterTraversal(slot, c, res)
-		if c.State == StateLeaf && c.Burst < int32(k.cfg.LeafBurst) {
+		if k.slots.state[slot] == StateLeaf && c.Burst < int32(k.cfg.LeafBurst) {
 			res.Next = WiLeaf // next leaf, same if-body invocation
 		}
 
@@ -259,7 +249,6 @@ func (k *WhileIf) settleAfterTraversal(slot int32, c *Ctx, res *simt.StepResult)
 			res.Mem[res.NMem] = dataAccess(k.data.HitAddr(c.RayIndex), 16)
 			res.NMem++
 		}
-		c.HasRay = false
 		k.setState(slot, StateFetch)
 	case isLeaf(c.Cur):
 		k.setState(slot, StateLeaf)

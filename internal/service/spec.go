@@ -24,6 +24,7 @@ import (
 	"io"
 
 	"repro/internal/archconfig"
+	"repro/internal/experiments"
 	"repro/internal/harness"
 	"repro/internal/scene"
 	"repro/internal/trace"
@@ -43,18 +44,13 @@ const (
 
 // Spec bounds. Requests beyond them are rejected at admission — absurd
 // render sizes or ray caps would otherwise tie a worker up for hours.
+// The scale bounds are the experiments package's, shared with drsbench.
 const (
-	// MaxDim bounds the trace render width and height.
-	MaxDim = 4096
-	// MaxSPP bounds samples per pixel.
-	MaxSPP = 256
-	// MaxSampleBudget bounds width*height*spp, the number of primary
-	// paths the trace render generates.
-	MaxSampleBudget = 1 << 24
-	// MaxTris bounds the per-scene triangle budget.
-	MaxTris = 2_000_000
-	// MaxRayCap bounds the per-bounce ray cap.
-	MaxRayCap = 64_000_000
+	MaxDim          = experiments.MaxDim
+	MaxSPP          = experiments.MaxSPP
+	MaxSampleBudget = experiments.MaxSampleBudget
+	MaxTris         = experiments.MaxTris
+	MaxRayCap       = experiments.MaxRayCap
 	// MaxTimeoutMS bounds the per-job deadline (one hour).
 	MaxTimeoutMS = 3_600_000
 	// MaxSpecBytes bounds the JSON encoding of a submitted spec.
