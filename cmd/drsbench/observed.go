@@ -129,8 +129,14 @@ func countJSONKeys(b []byte) int {
 }
 
 // writeFileAtomic writes via a temp file + rename so a crashed run
-// never leaves a half-written artifact.
+// never leaves a half-written artifact. A path that exists and is not
+// a regular file (a device, a named pipe, a symlink) is written in
+// place, following a symlink: renaming over it would replace the
+// device or the link with a regular file.
 func writeFileAtomic(path string, data []byte) error {
+	if fi, err := os.Lstat(path); err == nil && !fi.Mode().IsRegular() {
+		return os.WriteFile(path, data, 0o644)
+	}
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err

@@ -99,9 +99,12 @@ type report struct {
 // emptying the call graph is visible in CI diffs, not just a
 // suspiciously green run.
 type graphReport struct {
-	Funcs    int                `json:"funcs"`
-	DetRoots map[string]string  `json:"det_roots"`
-	HotRoots map[string]string  `json:"hot_roots"`
+	Funcs    int               `json:"funcs"`
+	DetRoots map[string]string `json:"det_roots"`
+	HotRoots map[string]string `json:"hot_roots"`
+	// DetCone and HotCone count the functions the roots reach.
+	DetCone  int                `json:"det_cone"`
+	HotCone  int                `json:"hot_cone"`
 	Findings []srcgraph.Finding `json:"findings"`
 }
 
@@ -188,17 +191,22 @@ func main() {
 		if exit == 0 {
 			switch {
 			case rep.Graph != nil && *mode == "graph":
-				fmt.Printf("drslint: clean (graph: %d funcs, %d det roots, %d hot roots)\n",
-					rep.Graph.Funcs, len(rep.Graph.DetRoots), len(rep.Graph.HotRoots))
+				fmt.Printf("drslint: clean (graph: %s)\n", rep.Graph.summary())
 			case rep.Graph != nil:
-				fmt.Printf("drslint: clean (%d kernel/scene explorations; graph: %d funcs, %d det roots, %d hot roots)\n",
-					len(rep.Explored), rep.Graph.Funcs, len(rep.Graph.DetRoots), len(rep.Graph.HotRoots))
+				fmt.Printf("drslint: clean (%d kernel/scene explorations; graph: %s)\n",
+					len(rep.Explored), rep.Graph.summary())
 			default:
 				fmt.Printf("drslint: clean (%d kernel/scene explorations)\n", len(rep.Explored))
 			}
 		}
 	}
 	os.Exit(exit)
+}
+
+// summary renders the graph's size, roots and cones.
+func (gr *graphReport) summary() string {
+	return fmt.Sprintf("%d funcs, %d det roots reaching %d, %d hot roots reaching %d",
+		gr.Funcs, len(gr.DetRoots), gr.DetCone, len(gr.HotRoots), gr.HotCone)
 }
 
 // runGraph loads the module, runs the whole-program analyses, and maps
@@ -216,6 +224,7 @@ func runGraph() (*graphReport, int, error) {
 		HotRoots: hot,
 		Findings: srcgraph.Analyze(prog),
 	}
+	gr.DetCone, gr.HotCone = g.Cones()
 	if gr.Findings == nil {
 		gr.Findings = []srcgraph.Finding{}
 	}

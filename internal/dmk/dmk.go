@@ -71,19 +71,37 @@ func (s *Stats) Add(o Stats) {
 }
 
 // Wrapper attaches DMK behaviour to the baseline kernel through the
-// engine's divergence hook plus a spawner tick.
+// engine's divergence hook plus a spawner tick. Every buffer is sized
+// at construction; the hooks allocate nothing.
 type Wrapper struct {
 	cfg      Config
 	k        *kernels.Aila
 	warpSize int
 
-	// queues holds dumped thread slots per micro-kernel (branch target).
-	queues map[int][]int32
+	// next links every thread list the wrapper keeps, per kernel slot: a
+	// thread is in at most one of them (a warp's pending FIFO or a
+	// target's spawn queue), so one link per slot threads them all. -1
+	// ends a list. target[slot] is a pending thread's micro-kernel.
+	next   []int32
+	target []int32
+
+	// queues hold dumped threads per micro-kernel (branch target) as
+	// LIFO stacks: top[t] is the top of target t's queue and qlen[t]
+	// its depth.
+	top    []int32
+	qlen   []int
 	queued int
 
-	// pending buffers each warp's departing threads until a batched
-	// dump flushes them to spawn memory.
-	pending [][]pendingThread
+	// pending buffers each warp's departing threads, a FIFO from
+	// pendHead to pendTail, until a batched dump flushes them to spawn
+	// memory.
+	pendHead, pendTail []int32
+	pendLen            []int
+
+	// counts (per target) and lanes (a warp's lane -> slot mapping)
+	// are hook scratch; SetMapping and Resume copy lanes.
+	counts []int
+	lanes  []int32
 
 	// spawnFreeAt serializes spawn-memory access: requests queue behind
 	// one another, modelling the bank contention the paper measures.
@@ -106,19 +124,25 @@ func New(cfg Config, k *kernels.Aila, numWarps, warpSize int) *Wrapper {
 	if cfg.FlushThreshold <= 0 {
 		cfg.FlushThreshold = warpSize / 2
 	}
-	return &Wrapper{
+	targets := len(k.Blocks())
+	w := &Wrapper{
 		cfg:      cfg,
 		k:        k,
 		warpSize: warpSize,
-		queues:   make(map[int][]int32),
-		pending:  make([][]pendingThread, numWarps),
+		next:     make([]int32, k.NumSlots()),
+		target:   make([]int32, k.NumSlots()),
+		top:      make([]int32, targets),
+		qlen:     make([]int, targets),
+		pendHead: make([]int32, numWarps),
+		pendTail: make([]int32, numWarps),
+		pendLen:  make([]int, numWarps),
+		counts:   make([]int, targets),
+		lanes:    make([]int32, warpSize),
 	}
-}
-
-// pendingThread is a departing thread awaiting its batched dump.
-type pendingThread struct {
-	slot   int32
-	target int
+	for t := range w.top {
+		w.top[t] = -1
+	}
+	return w
 }
 
 // Hooks returns the engine hooks implementing DMK.
@@ -172,15 +196,17 @@ func (w *Wrapper) spawnAccess(s *simt.SMX, threads int) int {
 // path join the warp's pending dump buffer; batched dumps flush them to
 // spawn memory. If the surviving majority is too thin, the whole warp
 // dumps, ends, and leaves re-formation to the spawner.
+//
+//drslint:hotpath
 func (w *Wrapper) onDiverge(s *simt.SMX, warp, block int, lanes []int, targets []int) bool {
-	counts := make(map[int]int, 4)
+	// The majority path: the largest count, the lowest target on ties.
+	clear(w.counts)
 	for _, t := range targets {
-		counts[t]++
+		w.counts[t]++
 	}
 	major, majorN := targets[0], 0
-	//drslint:allow map-range -- lowest-target tie-break makes the pick order-independent
-	for t, n := range counts {
-		if n > majorN || (n == majorN && t < major) {
+	for t, n := range w.counts {
+		if n > majorN {
 			major, majorN = t, n
 		}
 	}
@@ -198,7 +224,7 @@ func (w *Wrapper) onDiverge(s *simt.SMX, warp, block int, lanes []int, targets [
 		return false
 	}
 	slots := wp.Slots()
-	newSlots := make([]int32, w.warpSize)
+	newSlots := w.lanes
 	for i := range newSlots {
 		newSlots[i] = -1
 	}
@@ -210,9 +236,9 @@ func (w *Wrapper) onDiverge(s *simt.SMX, warp, block int, lanes []int, targets [
 			keep++
 			continue
 		}
-		w.pending[warp] = append(w.pending[warp], pendingThread{slot: slots[l], target: targets[i]})
+		w.depart(warp, slots[l], targets[i])
 	}
-	if dumpAll || len(w.pending[warp]) >= w.cfg.FlushThreshold {
+	if dumpAll || w.pendLen[warp] >= w.cfg.FlushThreshold {
 		w.flush(s, warp)
 	}
 	wp.SetMapping(newSlots, major)
@@ -224,50 +250,77 @@ func (w *Wrapper) onDiverge(s *simt.SMX, warp, block int, lanes []int, targets [
 	return true
 }
 
+// depart appends slot, leaving warp for micro-kernel t, to the warp's
+// pending FIFO. The slot comes from one of the warp's lanes and a
+// thread is in exactly one place (a warp lane, a pending FIFO or a
+// spawn queue), so no list holds slot now and its link is free.
+func (w *Wrapper) depart(warp int, slot int32, t int) {
+	w.target[slot] = int32(t)
+	w.next[slot] = -1
+	if w.pendLen[warp] == 0 {
+		w.pendHead[warp] = slot
+	} else {
+		w.next[w.pendTail[warp]] = slot
+	}
+	w.pendTail[warp] = slot
+	w.pendLen[warp]++
+}
+
 // flush writes warp's pending threads to spawn memory in one batched
 // dump: 17 store instructions shared by the departing threads, plus the
 // serialized spawn-memory time.
+//
+//drslint:hotpath
 func (w *Wrapper) flush(s *simt.SMX, warp int) {
-	p := w.pending[warp]
-	if len(p) == 0 {
+	n := w.pendLen[warp]
+	if n == 0 {
 		return
 	}
-	for _, t := range p {
-		w.queues[t.target] = append(w.queues[t.target], t.slot)
+	// In FIFO order onto each target's queue.
+	slot := w.pendHead[warp]
+	for i := 0; i < n; i++ {
+		next, t := w.next[slot], w.target[slot]
+		w.next[slot] = w.top[t]
+		w.top[t] = slot
+		w.qlen[t]++
+		slot = next
 	}
-	w.queued += len(p)
+	w.pendLen[warp] = 0
+	w.queued += n
 	if int64(w.queued) > w.stats.QueueHighWater {
 		w.stats.QueueHighWater = int64(w.queued)
 	}
-	w.stats.ThreadsMoved += int64(len(p))
+	w.stats.ThreadsMoved += int64(n)
 	// Dump stores are posted: they occupy the spawn memory (queueing
 	// later accesses behind them) but do not block the issuing warp
 	// beyond their instruction slots.
-	w.spawnAccess(s, len(p))
-	s.InjectInstrs(s.Warp(warp), w.cfg.RegsPerThread, len(p), simt.TagSI, 0)
-	w.pending[warp] = p[:0]
+	w.spawnAccess(s, n)
+	s.InjectInstrs(s.Warp(warp), w.cfg.RegsPerThread, n, simt.TagSI, 0)
 }
 
 // onWarpDone flushes a retiring warp's pending threads and lets the
 // spawner reuse the warp.
+//
+//drslint:hotpath
 func (w *Wrapper) onWarpDone(s *simt.SMX, warp int) {
 	w.flush(s, warp)
 	w.tick(s, s.Cycle())
 }
 
 // tick is the spawner: it re-forms full warps from the fullest queue
-// using retired warps, and drains partial queues once no warp is
-// running.
+// (the lowest target on ties) using retired warps, and drains partial
+// queues once no warp is running.
+//
+//drslint:hotpath
 func (w *Wrapper) tick(s *simt.SMX, now int64) {
 	if w.queued == 0 {
 		return
 	}
 	for {
 		best, bestN := -1, 0
-		//drslint:allow map-range -- lowest-target tie-break makes the pick order-independent
-		for t, q := range w.queues {
-			if len(q) > bestN || (len(q) == bestN && best >= 0 && t < best) {
-				best, bestN = t, len(q)
+		for t, n := range w.qlen {
+			if n > bestN {
+				best, bestN = t, n
 			}
 		}
 		if best < 0 {
@@ -288,22 +341,18 @@ func (w *Wrapper) tick(s *simt.SMX, now int64) {
 		if free == nil {
 			return
 		}
-		n := bestN
-		if n > w.warpSize {
-			n = w.warpSize
-		}
-		q := w.queues[best]
-		slots := make([]int32, w.warpSize)
+		// The top n threads of the queue, most recently dumped first.
+		n := min(bestN, w.warpSize)
+		slots := w.lanes
 		for i := range slots {
 			slots[i] = -1
 		}
 		for i := 0; i < n; i++ {
-			slots[i] = q[len(q)-1-i]
+			slot := w.top[best]
+			slots[i] = slot
+			w.top[best] = w.next[slot]
 		}
-		w.queues[best] = q[:len(q)-n]
-		if len(w.queues[best]) == 0 {
-			delete(w.queues, best)
-		}
+		w.qlen[best] -= n
 		w.queued -= n
 		free.Resume(slots, best)
 		w.stats.Respawns++

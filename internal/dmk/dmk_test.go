@@ -2,6 +2,7 @@ package dmk
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/bvh"
@@ -182,4 +183,43 @@ func TestLiveWarpsStayExact(t *testing.T) {
 	if pool.Remaining() != 0 || w.Stats().Respawns == 0 {
 		t.Fatalf("%d rays left, %d respawns: the run did not exercise respawn to completion", pool.Remaining(), w.Stats().Respawns)
 	}
+}
+
+// sink keeps a constructor's result alive so its allocation is counted.
+var sink *Wrapper
+
+// TestDMKLoopZeroAlloc: once warm, 64-cycle chunks of divergence dumps,
+// batched flushes and spawner respawns allocate nothing, and the
+// constructor allocates at most 32 B per slot plus 4 KiB at
+// modern-big's per-SMX shape (64 warps of 32 lanes).
+func TestDMKLoopZeroAlloc(t *testing.T) {
+	smx, w, _, pool, bv := buildDMK(t, 6000, 8)
+	chunk := func() {
+		if err := smx.RunFor(64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		chunk()
+	}
+	before := w.Stats()
+	if avg := testing.AllocsPerRun(20, chunk); avg != 0 {
+		t.Errorf("DMK hooks allocate: %.1f allocs per 64-cycle chunk (want 0)", avg)
+	}
+	after := w.Stats()
+	if smx.LiveWarps() == 0 || after.Respawns == before.Respawns || after.ThreadsMoved == before.ThreadsMoved {
+		t.Fatalf("the measurement did not run DMK's dumps and respawns: %+v -> %+v", before, after)
+	}
+
+	const warps, width = 64, 32
+	k := kernels.NewAila(kernels.NewSceneData(bv), pool, warps*width, kernels.AilaConfig{})
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	sink = New(DefaultConfig(), k, warps, width)
+	runtime.ReadMemStats(&m1)
+	got, budget := m1.TotalAlloc-m0.TotalAlloc, uint64(32*warps*width+4096)
+	if got > budget {
+		t.Errorf("New at %dx%d allocates %d B, budget %d B", warps, width, got, budget)
+	}
+	t.Logf("New at %dx%d allocates %d B (budget %d B)", warps, width, got, budget)
 }

@@ -19,11 +19,13 @@
 // Determinism: the window is a dense per-target table; spawning picks
 // the fullest target (lowest target id on ties) and the entries sorted
 // by (coherence key, slot id) — the slot id is the final tie-break, so
-// the permutation is a pure function of simulation state.
+// the order is total and the permutation is a pure function of
+// simulation state.
 package ser
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/kernels"
@@ -83,24 +85,38 @@ func (s *Stats) Add(o Stats) {
 	s.Serialized += o.Serialized
 }
 
-// entry is one parked thread context: its kernel slot and coherence
-// key.
+// entry is one parked thread context: its coherence key and kernel
+// slot.
 type entry struct {
 	key  int64
 	slot int32
 }
 
 // Wrapper attaches SER behaviour to the baseline kernel through the
-// engine's divergence hook plus a regrouper tick.
+// engine's divergence hook plus a regrouper tick. Every buffer is sized
+// at construction; the hooks allocate nothing.
 type Wrapper struct {
 	cfg      Config
 	k        *kernels.Aila
 	warpSize int
 
-	// window holds parked threads per branch target, indexed densely by
-	// block id (no map iteration anywhere near the spawn decision).
-	window [][]entry
-	count  int
+	// The window holds parked threads per branch target, indexed
+	// densely by block id (no map iteration anywhere near the spawn
+	// decision): head[t] starts target t's list, threaded through next
+	// per kernel slot, and held[t] is its length. key[slot] is a parked
+	// thread's coherence key, taken when it parked.
+	next  []int32
+	key   []int64
+	head  []int32
+	held  []int
+	count int
+
+	// counts (per target), lanes (a warp's lane -> slot mapping) and
+	// sorted (one target's window, min(WindowSize, slots) entries) are
+	// hook scratch; SetMapping and Resume copy lanes.
+	counts []int
+	lanes  []int32
+	sorted []entry
 
 	stats Stats
 }
@@ -119,12 +135,26 @@ func New(cfg Config, k *kernels.Aila, warpSize int) *Wrapper {
 	if cfg.ReorderInstrs <= 0 {
 		cfg.ReorderInstrs = 2
 	}
-	return &Wrapper{
+	targets, slots := len(k.Blocks()), k.NumSlots()
+	w := &Wrapper{
 		cfg:      cfg,
 		k:        k,
 		warpSize: warpSize,
-		window:   make([][]entry, len(k.Blocks())),
+		next:     make([]int32, slots),
+		key:      make([]int64, slots),
+		head:     make([]int32, targets),
+		held:     make([]int, targets),
+		counts:   make([]int, targets),
+		lanes:    make([]int32, warpSize),
+		// The window never holds more than WindowSize threads (onDiverge
+		// serializes a divergence that would overflow it), nor a slot
+		// twice.
+		sorted: make([]entry, min(cfg.WindowSize, slots)),
 	}
+	for t := range w.head {
+		w.head[t] = -1
+	}
+	return w
 }
 
 // Hooks returns the engine hooks implementing SER.
@@ -177,15 +207,17 @@ func (w *Wrapper) hitKey(slot int32) int64 {
 // reconvergence, or a full window serializes on the IPDOM stack
 // instead — the window bound is what makes this SER-style rather than
 // a global sort.
+//
+//drslint:hotpath
 func (w *Wrapper) onDiverge(s *simt.SMX, warp, block int, lanes []int, targets []int) bool {
-	counts := make(map[int]int, 4)
+	// The majority path: the largest count, the lowest target on ties.
+	clear(w.counts)
 	for _, t := range targets {
-		counts[t]++
+		w.counts[t]++
 	}
 	major, majorN := targets[0], 0
-	//drslint:allow map-range -- lowest-target tie-break makes the pick order-independent
-	for t, n := range counts {
-		if n > majorN || (n == majorN && t < major) {
+	for t, n := range w.counts {
+		if n > majorN {
 			major, majorN = t, n
 		}
 	}
@@ -211,7 +243,7 @@ func (w *Wrapper) onDiverge(s *simt.SMX, warp, block int, lanes []int, targets [
 	}
 
 	slots := wp.Slots()
-	newSlots := make([]int32, w.warpSize)
+	newSlots := w.lanes
 	for i := range newSlots {
 		newSlots[i] = -1
 	}
@@ -229,9 +261,15 @@ func (w *Wrapper) onDiverge(s *simt.SMX, warp, block int, lanes []int, targets [
 	return true
 }
 
-// park deposits one thread context in the window.
+// park deposits one thread context in the window. The slot comes from
+// a lane of the diverging warp and a thread is in exactly one place (a
+// warp lane or the window), so no list holds slot now and its link is
+// free.
 func (w *Wrapper) park(target int, slot int32) {
-	w.window[target] = append(w.window[target], entry{key: w.hitKey(slot), slot: slot})
+	w.key[slot] = w.hitKey(slot)
+	w.next[slot] = w.head[target]
+	w.head[target] = slot
+	w.held[target]++
 	w.count++
 	if int64(w.count) > w.stats.WindowHighWater {
 		w.stats.WindowHighWater = int64(w.count)
@@ -240,11 +278,15 @@ func (w *Wrapper) park(target int, slot int32) {
 }
 
 // onWarpDone lets the regrouper reuse a retiring warp.
+//
+//drslint:hotpath
 func (w *Wrapper) onWarpDone(s *simt.SMX, warp int) {
 	w.trySpawn(s)
 }
 
 // tick is the regrouper's cycle hook.
+//
+//drslint:hotpath
 func (w *Wrapper) tick(s *simt.SMX, now int64) {
 	if w.count == 0 {
 		return
@@ -252,23 +294,35 @@ func (w *Wrapper) tick(s *simt.SMX, now int64) {
 	w.trySpawn(s)
 }
 
+// byKeyThenSlot orders window entries by coherence key, then slot. A
+// slot is in the window at most once, so the order is total and the
+// sort's result is unique.
+func byKeyThenSlot(a, b entry) int {
+	if c := cmp.Compare(a.key, b.key); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.slot, b.slot)
+}
+
 // trySpawn re-forms warps from the window: the fullest target first
 // (lowest target id on ties), its entries sorted by coherence key with
 // the slot id as the final tie-break. Full warps only, until nothing
 // else is running (the drain phase re-forms partial warps so no parked
 // thread is stranded).
+//
+//drslint:hotpath
 func (w *Wrapper) trySpawn(s *simt.SMX) {
 	if w.count == 0 {
 		return
 	}
 	for {
 		best, bestN := -1, 0
-		for t, q := range w.window {
-			if len(q) > bestN {
-				best, bestN = t, len(q)
+		for t, n := range w.held {
+			if n > bestN {
+				best, bestN = t, n
 			}
 		}
-		if best < 0 || bestN == 0 {
+		if best < 0 {
 			return
 		}
 		if bestN < w.warpSize && s.LiveWarps() > 0 {
@@ -284,25 +338,27 @@ func (w *Wrapper) trySpawn(s *simt.SMX) {
 		if free == nil {
 			return
 		}
-		q := w.window[best]
-		sort.Slice(q, func(i, j int) bool {
-			if q[i].key != q[j].key {
-				return q[i].key < q[j].key
-			}
-			return q[i].slot < q[j].slot
-		})
-		n := bestN
-		if n > w.warpSize {
-			n = w.warpSize
+		q := w.sorted[:bestN]
+		for i, slot := 0, w.head[best]; i < bestN; i, slot = i+1, w.next[slot] {
+			q[i] = entry{key: w.key[slot], slot: slot}
 		}
-		slots := make([]int32, w.warpSize)
+		slices.SortFunc(q, byKeyThenSlot)
+		n := min(bestN, w.warpSize)
+		slots := w.lanes
 		for i := range slots {
 			slots[i] = -1
 		}
 		for i := 0; i < n; i++ {
 			slots[i] = q[i].slot
 		}
-		w.window[best] = q[n:]
+		// The rest stay parked; the order within a target's window is
+		// immaterial, since every spawn sorts it whole.
+		w.head[best] = -1
+		for _, e := range q[n:] {
+			w.next[e.slot] = w.head[best]
+			w.head[best] = e.slot
+		}
+		w.held[best] = bestN - n
 		w.count -= n
 		free.Resume(slots, best)
 		w.stats.Reorders++

@@ -1,6 +1,7 @@
 package ser_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/bvh"
@@ -195,4 +196,56 @@ func TestLiveWarpsStayExact(t *testing.T) {
 	if pool.Remaining() != 0 || w.Stats().Reorders == 0 {
 		t.Fatalf("%d rays left, %d reorders: the run did not exercise the window to completion", pool.Remaining(), w.Stats().Reorders)
 	}
+}
+
+// sink keeps a constructor's result alive so its allocation is counted.
+var sink *ser.Wrapper
+
+// TestSERLoopZeroAlloc: once warm, 64-cycle chunks of window parks,
+// sorts and re-formed warps allocate nothing, and the constructor
+// allocates at most 32 B per slot plus 4 KiB at modern-big's per-SMX
+// shape (64 warps of 32 lanes).
+func TestSERLoopZeroAlloc(t *testing.T) {
+	rays, data, _ := workload(t)
+	pool := &kernels.Pool{Rays: rays}
+	const warps = 8
+	k := kernels.NewAila(data, pool, warps*32, kernels.AilaConfig{})
+	w := ser.New(ser.DefaultConfig(), k, 32)
+	cfg := simt.DefaultConfig()
+	cfg.NumSMX = 1
+	cfg.MaxWarpsPerSMX = warps
+	cfg.MaxCycles = 1 << 24
+	smx, err := simt.NewSMX(0, cfg, k, w.Hooks(), memsys.NewOrderedL2(cfg.Mem, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	smx.LaunchAll(0)
+	chunk := func() {
+		if err := smx.RunFor(64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		chunk()
+	}
+	before := w.Stats()
+	if avg := testing.AllocsPerRun(20, chunk); avg != 0 {
+		t.Errorf("SER hooks allocate: %.1f allocs per 64-cycle chunk (want 0)", avg)
+	}
+	after := w.Stats()
+	if smx.LiveWarps() == 0 || after.Reorders == before.Reorders {
+		t.Fatalf("the measurement did not run SER's regrouper: %+v -> %+v", before, after)
+	}
+
+	const bigWarps, width = 64, 32
+	k = kernels.NewAila(data, pool, bigWarps*width, kernels.AilaConfig{})
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	sink = ser.New(ser.DefaultConfig(), k, width)
+	runtime.ReadMemStats(&m1)
+	got, budget := m1.TotalAlloc-m0.TotalAlloc, uint64(32*bigWarps*width+4096)
+	if got > budget {
+		t.Errorf("New at %dx%d allocates %d B, budget %d B", bigWarps, width, got, budget)
+	}
+	t.Logf("New at %dx%d allocates %d B (budget %d B)", bigWarps, width, got, budget)
 }

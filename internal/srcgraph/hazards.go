@@ -71,6 +71,15 @@ func (g *Graph) Roots() (det, hot map[string]string) {
 	return det, hot
 }
 
+// Cones reports how many functions the determinism roots and the hot
+// roots reach, roots included: a loader regression that drops call
+// edges shrinks them, so drslint prints both.
+func (g *Graph) Cones() (det, hot int) {
+	det = len(g.propagate(func(n *funcNode) bool { return n.detRoot }))
+	hot = len(g.propagate(func(n *funcNode) bool { return n.hotRoot }))
+	return det, hot
+}
+
 // NumFuncs reports the number of functions in the graph (loader
 // health: zero or near-zero means the pass silently checked nothing).
 func (g *Graph) NumFuncs() int { return len(g.nodes) }

@@ -11,7 +11,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -63,11 +63,15 @@ type listedPkg struct {
 
 // Load type-checks the module rooted at dir. Patterns follow the go
 // command ("./...", "./internal/..."); they default to "./...". Only
-// packages belonging to the module itself are parsed from source —
-// dependencies (the standard library; the module has no others) are
-// imported from the compiled export data `go list -export` places in
-// the build cache, so loading is fully offline and needs nothing
-// beyond the toolchain.
+// packages belonging to the module itself are parsed from source, in
+// `go list -deps` order (every package after its imports), and each
+// is checked against the source-checked module packages it imports.
+// So one module type is one *types.Named everywhere, and
+// types.Implements sees that (*kernels.Aila) implements simt.Kernel.
+// Dependencies outside the module (the standard library; the module
+// has no others) are imported from the compiled export data `go list
+// -export` places in the build cache, so loading is fully offline and
+// needs nothing beyond the toolchain.
 func Load(dir string, patterns ...string) (*Program, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -96,18 +100,18 @@ func Load(dir string, patterns ...string) (*Program, error) {
 	}
 
 	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", lookup)
+	imp := &moduleImporter{
+		checked: make(map[string]*types.Package),
+		std:     importer.ForCompiler(fset, "gc", lookup),
+	}
 	prog := &Program{Fset: fset, Dir: abs}
 
-	var modPkgs []*listedPkg
-	for _, p := range pkgs {
-		if p.inModule {
-			modPkgs = append(modPkgs, p)
+	// go list -deps lists every package after its imports, so each
+	// module package's module imports are checked before it.
+	for _, lp := range pkgs {
+		if !lp.inModule {
+			continue
 		}
-	}
-	sort.Slice(modPkgs, func(i, j int) bool { return modPkgs[i].path < modPkgs[j].path })
-
-	for _, lp := range modPkgs {
 		files := make([]*ast.File, 0, len(lp.goFiles))
 		for _, name := range lp.goFiles {
 			f, err := parser.ParseFile(fset, filepath.Join(lp.dir, name), nil, parser.ParseComments)
@@ -127,6 +131,7 @@ func Load(dir string, patterns ...string) (*Program, error) {
 		if err != nil {
 			return nil, fmt.Errorf("srcgraph: type-check %s: %w", lp.path, err)
 		}
+		imp.checked[lp.path] = tp
 		prog.Pkgs = append(prog.Pkgs, &Package{
 			Path:  lp.path,
 			Dir:   lp.dir,
@@ -135,7 +140,22 @@ func Load(dir string, patterns ...string) (*Program, error) {
 			Info:  info,
 		})
 	}
+	slices.SortFunc(prog.Pkgs, func(a, b *Package) int { return strings.Compare(a.Path, b.Path) })
 	return prog, nil
+}
+
+// moduleImporter resolves a module import to its source-checked
+// package and anything else through export data.
+type moduleImporter struct {
+	checked map[string]*types.Package
+	std     types.Importer
+}
+
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
+	if tp, ok := m.checked[path]; ok {
+		return tp, nil
+	}
+	return m.std.Import(path)
 }
 
 // goList invokes `go list -deps -export` in dir and parses the

@@ -35,10 +35,12 @@
 // //drslint:allow line comment suppresses the named checks on its line
 // and the next; in a function's doc comment it covers the function.
 //
-// This is a tripwire, not a proof: calls through plain function values
-// cannot be resolved statically, and interface calls are expanded by
-// implements-based class-hierarchy analysis, which over- rather than
-// under-approximates the cones.
+// This is a tripwire, not a proof. Interface calls are expanded by
+// implements-based class-hierarchy analysis, which may add edges no
+// execution takes; but calls through plain function values cannot be
+// resolved statically, so the cones can miss code that runs (a policy
+// hook the engine calls through a simt.Hooks field is hot only by its
+// own directive).
 package srcgraph
 
 import (

@@ -269,7 +269,10 @@ func TestRealTreeClean(t *testing.T) {
 
 // TestHotConeCoversPerCycleCallees pins the reason function-granular
 // tags could replace the file tags: propagation covers the tagged
-// functions' whole callee cones, including the memory hierarchy.
+// functions' whole callee cones, including the memory hierarchy, the
+// kernels' Step behind simt.Kernel and the tagged policy hooks. The
+// kernels are reached only through interface edges, which exist only
+// when module packages are type-checked against each other.
 func TestHotConeCoversPerCycleCallees(t *testing.T) {
 	g := BuildGraph(load(t, realTree))
 	hot := g.propagate(func(n *funcNode) bool { return n.hotRoot })
@@ -280,9 +283,37 @@ func TestHotConeCoversPerCycleCallees(t *testing.T) {
 		"repro/internal/memsys.(*SMXMem).WarpAccessEx",
 		"repro/internal/memsys.(*cache).access",
 		"repro/internal/memsys.(*L2Port).Reset",
+		"repro/internal/kernels.(*Aila).Step",
+		"repro/internal/kernels.(*WhileIf).Step",
+		"repro/internal/tbc.(*Wrapper).compact",
+		"repro/internal/dmk.(*Wrapper).tick",
+		"repro/internal/ser.(*Wrapper).trySpawn",
 	} {
 		if _, ok := hot[want]; !ok {
 			t.Errorf("%s not hot-reachable", want)
+		}
+	}
+}
+
+// TestDetConeCoversPolicies pins the interface edges of the det cone:
+// the harness builds each SMX's policy instance through
+// reorder.Policy, and the engine steps the kernel through simt.Kernel.
+// reorder's own Baseline and the kernels are reached only through
+// interface edges checked against the source-checked packages.
+func TestDetConeCoversPolicies(t *testing.T) {
+	g := BuildGraph(load(t, realTree))
+	const root = "repro/internal/harness.RunNamedCtx"
+	if n := g.nodes[root]; n == nil || !n.detRoot {
+		t.Fatalf("%s is not a det root", root)
+	}
+	det := g.propagate(func(n *funcNode) bool { return n.id == root })
+	for _, want := range []string{
+		"repro/internal/core.(*Policy).NewSMX",
+		"repro/internal/reorder.(*Baseline).NewSMX",
+		"repro/internal/kernels.(*Aila).Step",
+	} {
+		if _, ok := det[want]; !ok {
+			t.Errorf("%s does not reach %s", root, want)
 		}
 	}
 }

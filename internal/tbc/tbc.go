@@ -10,7 +10,8 @@
 package tbc
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/kernels"
 	"repro/internal/metrics"
@@ -44,24 +45,49 @@ func (s *Stats) Add(o Stats) {
 
 // tblock is the runtime state of one thread block.
 type tblock struct {
-	warps []int // member warp ids
-	// running is the set of member warps currently executing.
-	running map[int]bool
-	// parked maps parked warp id -> the cycle it parked (for barrier
-	// stall accounting).
-	parked map[int]int64
-	// pending holds deposited threads per branch target, per lane.
-	pending map[int][][]int32
+	warps []int // member warp ids, contiguous and ascending
+	// running and parked count the member warps executing and waiting
+	// at the barrier; Wrapper.running and Wrapper.parkedAt say which.
+	running, parked int
+	// pending counts the block's deposited threads over all targets,
+	// and npend[t] those bound for branch target t.
+	pending int
+	npend   []int32
+	// heads[t*warpSize+l] is the top of target t's lane-l column, a
+	// LIFO threaded through Wrapper.next (-1: empty).
+	heads []int32
 }
 
-// Wrapper attaches TBC behaviour to the baseline kernel.
+// notParked is parkedAt's value for a warp that is not at the barrier.
+const notParked = -1
+
+// tcount is one pending target and its thread count.
+type tcount struct {
+	target int
+	n      int
+}
+
+// Wrapper attaches TBC behaviour to the baseline kernel. Every buffer
+// is sized at construction; the hooks allocate nothing.
 type Wrapper struct {
 	cfg       Config
 	k         *kernels.Aila
 	warpSize  int
-	blocks    []*tblock
+	blocks    []tblock
 	warpBlock []int
-	stats     Stats
+	// running[w] reports that warp w executes as a block member;
+	// parkedAt[w] is the cycle it parked at the barrier, or notParked.
+	running  []bool
+	parkedAt []int64
+	// next links the threads of every pending column, per kernel slot.
+	// A thread is in at most one column (see push), so one link per
+	// slot threads them all.
+	next []int32
+	// order and lanes are compaction scratch: one entry per branch
+	// target, and one formed or retired warp's lane -> slot mapping.
+	order []tcount
+	lanes []int32
+	stats Stats
 }
 
 // New creates the per-SMX TBC wrapper for numWarps resident warps.
@@ -69,28 +95,43 @@ func New(cfg Config, k *kernels.Aila, numWarps, warpSize int) *Wrapper {
 	if cfg.WarpsPerBlock <= 0 {
 		cfg.WarpsPerBlock = 6
 	}
+	targets := len(k.Blocks())
+	nblocks := (numWarps + cfg.WarpsPerBlock - 1) / cfg.WarpsPerBlock
 	w := &Wrapper{
 		cfg:       cfg,
 		k:         k,
 		warpSize:  warpSize,
+		blocks:    make([]tblock, nblocks),
 		warpBlock: make([]int, numWarps),
+		running:   make([]bool, numWarps),
+		parkedAt:  make([]int64, numWarps),
+		next:      make([]int32, k.NumSlots()),
+		order:     make([]tcount, 0, targets),
+		lanes:     make([]int32, warpSize),
 	}
-	for start := 0; start < numWarps; start += cfg.WarpsPerBlock {
-		end := start + cfg.WarpsPerBlock
-		if end > numWarps {
-			end = numWarps
-		}
-		tb := &tblock{
-			running: make(map[int]bool),
-			parked:  make(map[int]int64),
-			pending: make(map[int][][]int32),
-		}
+	ids := make([]int, numWarps)
+	npend := make([]int32, nblocks*targets)
+	heads := make([]int32, nblocks*targets*warpSize)
+	for i := range heads {
+		heads[i] = -1
+	}
+	// Each block's slices are capacity-clipped, so an out-of-range
+	// target or lane faults instead of reaching the next block's state.
+	for b := range w.blocks {
+		start := b * cfg.WarpsPerBlock
+		end := min(start+cfg.WarpsPerBlock, numWarps)
+		tb := &w.blocks[b]
+		tb.warps = ids[start:end:end]
+		tb.npend = npend[b*targets : (b+1)*targets : (b+1)*targets]
+		hb := b * targets * warpSize
+		tb.heads = heads[hb : hb+targets*warpSize : hb+targets*warpSize]
 		for wi := start; wi < end; wi++ {
-			tb.warps = append(tb.warps, wi)
-			tb.running[wi] = true
-			w.warpBlock[wi] = len(w.blocks)
+			ids[wi] = wi
+			w.warpBlock[wi] = b
+			w.running[wi] = true
+			w.parkedAt[wi] = notParked
 		}
-		w.blocks = append(w.blocks, tb)
+		tb.running = end - start
 	}
 	return w
 }
@@ -119,6 +160,8 @@ func (w *Wrapper) RegisterMetrics(reg *metrics.Registry, prefix string) {
 // onBlockEnd parks the warp at the block barrier, depositing its
 // threads, and compacts once every running member has arrived. Full
 // warps that branched uniformly continue without synchronizing.
+//
+//drslint:hotpath
 func (w *Wrapper) onBlockEnd(s *simt.SMX, warp, block int, lanes []int, targets []int) bool {
 	uniform := true
 	for _, t := range targets[1:] {
@@ -130,25 +173,18 @@ func (w *Wrapper) onBlockEnd(s *simt.SMX, warp, block int, lanes []int, targets 
 	if uniform && len(lanes) >= w.warpSize*3/4 {
 		return false // keep running at full occupancy
 	}
-	tb := w.blocks[w.warpBlock[warp]]
+	tb := &w.blocks[w.warpBlock[warp]]
 	wp := s.Warp(warp)
 	slots := wp.Slots()
 	for i, l := range lanes {
-		t := targets[i]
-		perLane := tb.pending[t]
-		if perLane == nil {
-			perLane = make([][]int32, w.warpSize)
-			tb.pending[t] = perLane
-		}
-		perLane[l] = append(perLane[l], slots[l])
+		w.push(tb, targets[i], l, slots[l])
 	}
-	delete(tb.running, warp)
-	tb.parked[warp] = s.Cycle()
+	w.park(tb, warp, s.Cycle())
 	wp.Park()
 	w.stats.Syncs++
 	// Compact once half the block has synchronized (enough arrivals to
 	// aggregate threads), or when nothing is left running.
-	if len(tb.running) == 0 || len(tb.parked)*3 >= len(tb.warps) {
+	if tb.running == 0 || tb.parked*3 >= len(tb.warps) {
 		w.compact(s, tb)
 	}
 	return true
@@ -157,61 +193,110 @@ func (w *Wrapper) onBlockEnd(s *simt.SMX, warp, block int, lanes []int, targets 
 // onWarpDone re-parks retired warps so compaction can hand them the
 // block's remaining pending threads; a block whose last running warp
 // retires can then compact.
+//
+//drslint:hotpath
 func (w *Wrapper) onWarpDone(s *simt.SMX, warp int) {
-	tb := w.blocks[w.warpBlock[warp]]
-	if !tb.running[warp] {
+	if !w.running[warp] {
 		return
 	}
-	delete(tb.running, warp)
-	tb.parked[warp] = s.Cycle()
-	if len(tb.running) == 0 {
+	tb := &w.blocks[w.warpBlock[warp]]
+	w.park(tb, warp, s.Cycle())
+	if tb.running == 0 {
 		w.compact(s, tb)
 	}
 }
 
+// park moves a member warp from running (if it was) to the barrier,
+// stamping the cycle it arrived.
+func (w *Wrapper) park(tb *tblock, warp int, now int64) {
+	if w.running[warp] {
+		w.running[warp] = false
+		tb.running--
+	}
+	if w.parkedAt[warp] == notParked {
+		tb.parked++
+	}
+	w.parkedAt[warp] = now
+}
+
+// column returns the tops of target t's lane columns, capacity-clipped
+// to the warp width.
+func (w *Wrapper) column(tb *tblock, t int) []int32 {
+	return tb.heads[t*w.warpSize : (t+1)*w.warpSize : (t+1)*w.warpSize]
+}
+
+// push deposits slot on top of target t's lane-l column. The slot comes
+// from lane l of a warp that is parking: a thread is in exactly one
+// place (a warp lane or a column), so no column holds slot now, its
+// link is free, and the columns together never hold more threads than
+// the kernel has slots — the bound that sizes next.
+func (w *Wrapper) push(tb *tblock, t, l int, slot int32) {
+	col := w.column(tb, t)
+	w.next[slot] = col[l]
+	col[l] = slot
+	tb.npend[t]++
+	tb.pending++
+}
+
+// pop takes the top of target t's lane-l column, or returns -1 when it
+// is empty.
+func (w *Wrapper) pop(tb *tblock, t, l int) int32 {
+	col := w.column(tb, t)
+	slot := col[l]
+	if slot < 0 {
+		return -1
+	}
+	col[l] = w.next[slot]
+	tb.npend[t]--
+	tb.pending--
+	return slot
+}
+
+// depth returns the deepest of target t's lane columns: the warps its
+// threads need under the lane-alignment constraint of a per-SIMD-lane
+// register file.
+func (w *Wrapper) depth(tb *tblock, t int) int {
+	need := 0
+	for _, top := range w.column(tb, t) {
+		n := 0
+		for slot := top; slot >= 0; slot = w.next[slot] {
+			n++
+		}
+		need = max(need, n)
+	}
+	return need
+}
+
 // compact forms lane-aligned warps for the pending targets (largest
-// first) and resumes parked warps with them. Targets that do not fit in
-// the available warps stay pending until the next barrier.
+// first) and resumes parked warps with them, lowest warp id first.
+// Targets that do not fit in the available warps stay pending until
+// the next barrier.
+//
+//drslint:hotpath
 func (w *Wrapper) compact(s *simt.SMX, tb *tblock) {
-	if len(tb.parked) == 0 {
+	if tb.parked == 0 {
 		return
 	}
-	// Deterministic warp pool, ordered by id.
-	ids := make([]int, 0, len(tb.parked))
-	//drslint:allow map-range -- collected ids are sorted before use
-	for wid := range tb.parked {
-		ids = append(ids, wid)
-	}
-	sort.Ints(ids)
-
-	// Targets ordered by pending thread count, descending.
-	type tcount struct {
-		target int
-		n      int
-	}
-	var order []tcount
-	//drslint:allow map-range -- counts are order-independent and the result is sorted
-	for t, perLane := range tb.pending {
-		n := 0
-		for _, col := range perLane {
-			n += len(col)
-		}
+	// Targets ordered by pending thread count, descending; target ids
+	// are unique, so the order is total.
+	order := w.order[:0]
+	for t, n := range tb.npend {
 		if n > 0 {
-			order = append(order, tcount{t, n})
+			order = append(order, tcount{t, int(n)})
 		}
 	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].n != order[j].n {
-			return order[i].n > order[j].n
+	slices.SortFunc(order, func(a, b tcount) int {
+		if a.n != b.n {
+			return cmp.Compare(b.n, a.n)
 		}
-		return order[i].target < order[j].target
+		return cmp.Compare(a.target, b.target)
 	})
 
 	now := s.Cycle()
-	next := 0 // next warp id index to hand out
-	drain := len(tb.running) == 0
+	cand := 0 // tb.warps index at or below the lowest parked warp
+	drain := tb.running == 0
 	for _, tc := range order {
-		if next >= len(ids) {
+		if tb.parked == 0 {
 			break
 		}
 		// Before the drain phase, only spend warps on targets with a
@@ -219,73 +304,40 @@ func (w *Wrapper) compact(s *simt.SMX, tb *tblock) {
 		if !drain && tc.n < w.warpSize {
 			continue
 		}
-		perLane := tb.pending[tc.target]
-		// Warps needed = deepest lane (the lane-alignment constraint of
-		// a per-SIMD-lane register file).
-		need := 0
-		for _, col := range perLane {
-			if len(col) > need {
-				need = len(col)
-			}
-		}
-		formed := need
-		if formed > len(ids)-next {
-			formed = len(ids) - next
-		}
+		// Each formed warp takes the top of every lane's column, so the
+		// threads consumed are the top `formed` of each.
+		formed := min(w.depth(tb, tc.target), tb.parked)
 		for i := 0; i < formed; i++ {
-			slots := make([]int32, w.warpSize)
-			for l := 0; l < w.warpSize; l++ {
-				col := perLane[l]
-				if i < len(col) {
-					slots[l] = col[len(col)-1-i]
-				} else {
-					slots[l] = -1
-				}
+			for l := range w.lanes {
+				w.lanes[l] = w.pop(tb, tc.target, l)
 			}
-			wid := ids[next]
-			next++
-			s.AddBarrierStall(now - tb.parked[wid])
-			s.Warp(wid).Resume(slots, tc.target)
-			delete(tb.parked, wid)
-			tb.running[wid] = true
+			for w.parkedAt[tb.warps[cand]] == notParked {
+				cand++
+			}
+			wid := tb.warps[cand]
+			s.AddBarrierStall(now - w.parkedAt[wid])
+			s.Warp(wid).Resume(w.lanes, tc.target)
+			w.parkedAt[wid] = notParked
+			tb.parked--
+			w.running[wid] = true
+			tb.running++
 			w.stats.WarpsFormed++
-		}
-		// Remove the consumed threads (the top `formed` of each lane).
-		empty := true
-		for l := range perLane {
-			col := perLane[l]
-			take := formed
-			if take > len(col) {
-				take = len(col)
-			}
-			perLane[l] = col[:len(col)-take]
-			if len(perLane[l]) > 0 {
-				empty = false
-			}
-		}
-		if empty {
-			delete(tb.pending, tc.target)
 		}
 	}
 	w.stats.Compactions++
-	if len(tb.running) > 0 {
+	if tb.running > 0 || tb.pending > 0 {
 		return
 	}
-	// Nothing was formed and nothing runs: the block is out of work;
-	// retire the remaining parked warps.
-	if len(tb.pending) == 0 {
-		// Iterate the pre-sorted id snapshot, not the map: warps consumed
-		// by the formation phase above are gone from parked already.
-		for _, wid := range ids {
-			if _, still := tb.parked[wid]; !still {
-				continue
-			}
-			empty := make([]int32, w.warpSize)
-			for i := range empty {
-				empty[i] = -1
-			}
-			s.Warp(wid).Resume(empty, 0)
-			delete(tb.parked, wid)
+	// Nothing was formed, nothing runs and nothing is pending: the
+	// block is out of work; retire the remaining parked warps.
+	for l := range w.lanes {
+		w.lanes[l] = -1
+	}
+	for _, wid := range tb.warps {
+		if w.parkedAt[wid] != notParked {
+			s.Warp(wid).Resume(w.lanes, 0)
+			w.parkedAt[wid] = notParked
+			tb.parked--
 		}
 	}
 }

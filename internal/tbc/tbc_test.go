@@ -2,6 +2,7 @@ package tbc
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/bvh"
@@ -91,13 +92,19 @@ func TestTBCTracesCorrectly(t *testing.T) {
 	if st.BarrierStallCycles == 0 {
 		t.Errorf("no barrier stalls recorded")
 	}
-	// No threads may be stranded in pending lists.
-	for _, tb := range w.blocks {
-		for target, perLane := range tb.pending {
-			for _, col := range perLane {
-				if len(col) > 0 {
-					t.Fatalf("threads stranded pending target %d", target)
-				}
+	// No threads may be stranded in pending columns.
+	for b, tb := range w.blocks {
+		if tb.pending != 0 {
+			t.Fatalf("block %d: %d threads stranded pending", b, tb.pending)
+		}
+		for target, n := range tb.npend {
+			if n != 0 {
+				t.Fatalf("block %d: %d threads stranded pending target %d", b, n, target)
+			}
+		}
+		for i, top := range tb.heads {
+			if top >= 0 {
+				t.Fatalf("block %d: slot %d stranded in target %d's lane %d column", b, top, i/w.warpSize, i%w.warpSize)
 			}
 		}
 	}
@@ -188,4 +195,43 @@ func TestLiveWarpsStayExact(t *testing.T) {
 	if pool.Remaining() != 0 || w.Stats().Syncs == 0 {
 		t.Fatalf("%d rays left, %d syncs: the run did not exercise compaction to completion", pool.Remaining(), w.Stats().Syncs)
 	}
+}
+
+// sink keeps a constructor's result alive so its allocation is counted.
+var sink *Wrapper
+
+// TestTBCLoopZeroAlloc: once warm, 64-cycle chunks of barrier syncs,
+// compactions and warp formation allocate nothing, and the constructor
+// allocates at most 32 B per slot plus 4 KiB at modern-big's per-SMX
+// shape (64 warps of 32 lanes).
+func TestTBCLoopZeroAlloc(t *testing.T) {
+	smx, w, _, pool, bv := buildTBC(t, 6000, 12, 6)
+	chunk := func() {
+		if err := smx.RunFor(64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		chunk()
+	}
+	before := w.Stats()
+	if avg := testing.AllocsPerRun(20, chunk); avg != 0 {
+		t.Errorf("TBC hooks allocate: %.1f allocs per 64-cycle chunk (want 0)", avg)
+	}
+	after := w.Stats()
+	if smx.LiveWarps() == 0 || after.Syncs == before.Syncs || after.WarpsFormed == before.WarpsFormed {
+		t.Fatalf("the measurement did not run TBC's barriers and compaction: %+v -> %+v", before, after)
+	}
+
+	const warps, width = 64, 32
+	k := kernels.NewAila(kernels.NewSceneData(bv), pool, warps*width, kernels.AilaConfig{})
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	sink = New(DefaultConfig(), k, warps, width)
+	runtime.ReadMemStats(&m1)
+	got, budget := m1.TotalAlloc-m0.TotalAlloc, uint64(32*warps*width+4096)
+	if got > budget {
+		t.Errorf("New at %dx%d allocates %d B, budget %d B", warps, width, got, budget)
+	}
+	t.Logf("New at %dx%d allocates %d B (budget %d B)", warps, width, got, budget)
 }
