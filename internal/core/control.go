@@ -116,6 +116,15 @@ type Control struct {
 	// every row is uniform.
 	rowMixed []bool
 	numMixed int
+	// rowCand[r] records which of findMove's two scans row r is a
+	// candidate of, per ray state: bit s as a donor (mixed, unbound, not
+	// busy, holding state s), bit 4+s as a consolidation row (uniform,
+	// unbound, not busy, holding 1 to warpSize-1 rays of s). donorRows
+	// and consRows count the candidates per state, so a plan that both
+	// scans would fail gives up in O(1) (findMove).
+	rowCand   []uint8
+	donorRows [4]int
+	consRows  [4]int
 
 	// version counts every mutation of the state the gate and the swap
 	// planner read: ray state transitions (onStateChange), row content
@@ -144,6 +153,11 @@ type Control struct {
 	stats Stats
 
 	scratch []int32
+	// idealRows and idealRays are idealShuffle's scratch, built in
+	// Ideal mode only: the free rows, and each state's rays, of one
+	// regroup.
+	idealRows []int
+	idealRays [4][]int32
 }
 
 // NewControl builds the DRS control for one SMX, organizing the
@@ -202,11 +216,24 @@ func NewControl(cfg Config, kernel *kernels.WhileIf) (*Control, error) {
 		c.warpRow[w] = w
 		c.rowWarp[w] = w
 	}
+	// The candidates follow rowMixed as it stands, all false until a
+	// row's first refresh, as findMove reads it.
+	c.rowCand = make([]uint8, nRows)
+	for r := range c.rows {
+		c.refreshCand(r)
+	}
 	bpr := cfg.buffersPerRole()
 	c.roles = [3]role{
 		{name: "fetch-collect", buffers: bpr, want: kernels.StateFetch, noMoveVersion: ^uint64(0)},
 		{name: "leaf-collect", buffers: bpr, want: kernels.StateLeaf, noMoveVersion: ^uint64(0)},
 		{name: "inner-eject", buffers: bpr, want: kernels.StateInner, noMoveVersion: ^uint64(0)},
+	}
+	if cfg.Ideal {
+		// A regroup gathers at most every row and, per state, every slot.
+		c.idealRows = make([]int, 0, nRows)
+		for st := kernels.StateFetch; st <= kernels.StateLeaf; st++ {
+			c.idealRays[st] = make([]int32, 0, kernel.NumSlots())
+		}
 	}
 	// A plan selects at most one row of cells. Sizing the cell buffers
 	// to a row up front keeps planning allocation-free even when
@@ -265,6 +292,8 @@ func (c *Control) maskedSlots(row int) []int32 {
 
 // onStateChange mirrors kernel ray state transitions into the row
 // counters (the DRS ray state table updates of §3.2.2).
+//
+//drslint:hotpath
 func (c *Control) onStateChange(slot int32, old, new kernels.State) {
 	c.version++
 	r := c.slotRow[slot]
@@ -276,11 +305,12 @@ func (c *Control) onStateChange(slot int32, old, new kernels.State) {
 	if new == kernels.StateEmpty {
 		c.workSlots--
 	}
-	c.refreshMixed(int(r))
+	c.refreshRow(int(r))
 }
 
-// refreshMixed recomputes row r's mixed flag from its counters.
-func (c *Control) refreshMixed(r int) {
+// refreshRow recomputes row r's mixed flag from its counters, then its
+// swap-plan candidacy.
+func (c *Control) refreshRow(r int) {
 	distinct := 0
 	for s := kernels.StateFetch; s <= kernels.StateLeaf; s++ {
 		if c.rowCounts[r][s] > 0 {
@@ -295,6 +325,35 @@ func (c *Control) refreshMixed(r int) {
 		} else {
 			c.numMixed--
 		}
+	}
+	c.refreshCand(r)
+}
+
+// refreshCand recomputes row r's candidate bits (rowCand) with
+// findMove's own tests on its counters, mixed flag, binding and busy
+// count, and moves the per-state counts with them. Every site that
+// changes one of those calls it: the same sites that bump version.
+func (c *Control) refreshCand(r int) {
+	var cand uint8
+	if c.rowWarp[r] < 0 && c.rowBusy[r] == 0 {
+		for s := kernels.StateFetch; s <= kernels.StateLeaf; s++ {
+			switch n := c.rowCounts[r][s]; {
+			case n == 0:
+			case c.rowMixed[r]:
+				cand |= 1 << s
+			case n < c.cfg.warpSize():
+				cand |= 1 << (4 + s)
+			}
+		}
+	}
+	old := c.rowCand[r]
+	if cand == old {
+		return
+	}
+	c.rowCand[r] = cand
+	for s := kernels.StateFetch; s <= kernels.StateLeaf; s++ {
+		c.donorRows[s] += int(cand>>s&1) - int(old>>s&1)
+		c.consRows[s] += int(cand>>(4+s)&1) - int(old>>(4+s)&1)
 	}
 }
 
@@ -321,6 +380,7 @@ func (c *Control) unbind(w int) {
 		c.rowWarp[r] = -1
 		c.warpRow[w] = -1
 		c.version++
+		c.refreshCand(r)
 	}
 }
 
@@ -329,11 +389,14 @@ func (c *Control) bind(w, r int) {
 	c.warpRow[w] = r
 	c.rowWarp[r] = w
 	c.version++
+	c.refreshCand(r)
 }
 
 // gate implements the rdctrl issue semantics (§3.2.3): map the warp to
 // a row of rays in the same state, or suspend its issue until ray
 // shuffling produces one.
+//
+//drslint:hotpath
 func (c *Control) gate(s *simt.SMX, warp int, now int64) simt.GateResult {
 	// Stall memoization: the gate's whole decision reads state covered by
 	// the mutation version (row counts, bindings, busy flags, pool
@@ -413,6 +476,8 @@ func (c *Control) gate(s *simt.SMX, warp int, now int64) simt.GateResult {
 // returns at one of the two stall memos and changes nothing. An
 // unsettled ideal regroup never records idleStallVersion, so there the
 // hook reports false and every retry calls the gate.
+//
+//drslint:hotpath
 func (c *Control) gateHolds() bool { return c.idleStallVersion == c.version }
 
 // bindThreshold returns the minimum live-ray count for handing a
@@ -449,8 +514,11 @@ func (c *Control) idealShuffle() (settled bool) {
 		return true
 	}
 	c.version++
-	var byState [4][]int32
-	var freeRows []int
+	byState := &c.idealRays
+	for st := range byState {
+		byState[st] = byState[st][:0]
+	}
+	freeRows := c.idealRows[:0]
 	for r := range c.rows {
 		if c.rowWarp[r] >= 0 || c.rowBusy[r] > 0 {
 			continue
@@ -466,7 +534,7 @@ func (c *Control) idealShuffle() (settled bool) {
 			}
 			c.rows[r][l] = -1
 		}
-		c.refreshMixed(r)
+		c.refreshRow(r)
 	}
 	ws := c.cfg.warpSize()
 	capacity := len(freeRows) * ws
@@ -480,7 +548,7 @@ func (c *Control) idealShuffle() (settled bool) {
 		c.rows[r][pos%ws] = s
 		c.slotRow[s] = int32(r)
 		c.rowCounts[r][c.kernel.StateOf(s)]++
-		c.refreshMixed(r)
+		c.refreshRow(r)
 		pos++
 	}
 	for _, st := range []kernels.State{kernels.StateInner, kernels.StateLeaf, kernels.StateFetch} {
@@ -518,6 +586,8 @@ func (c *Control) freeRowMixed() bool {
 
 // tick advances the swap engine by one cycle (§3.2.4): each role
 // progresses its in-flight register transfers and plans new ray moves.
+//
+//drslint:hotpath
 func (c *Control) tick(s *simt.SMX, now int64) {
 	if c.cfg.Ideal {
 		return
@@ -527,6 +597,11 @@ func (c *Control) tick(s *simt.SMX, now int64) {
 	}
 }
 
+// tickRole advances one role: it retires finished transfers, issues new
+// ones through free buffers, completes the role's move when its last
+// transfer lands, and plans the next.
+//
+//drslint:hotpath
 func (c *Control) tickRole(r *role, s *simt.SMX, now int64) {
 	if r.op != nil {
 		op := r.op
@@ -580,10 +655,10 @@ func (c *Control) completeMove(op *move, now int64) {
 			c.stats.RaysMoved++
 		}
 	}
-	c.refreshMixed(op.srcRow)
-	c.refreshMixed(op.dstRow)
 	c.rowBusy[op.srcRow]--
 	c.rowBusy[op.dstRow]--
+	c.refreshRow(op.srcRow)
+	c.refreshRow(op.dstRow)
 	c.version++
 	c.stats.SwapsCompleted++
 	c.stats.SwapCycleSum += now - op.started
@@ -607,6 +682,8 @@ func (c *Control) planMove(r *role, now int64) *move {
 	}
 	c.rowBusy[src]++
 	c.rowBusy[dst]++
+	c.refreshCand(src)
+	c.refreshCand(dst)
 	c.version++
 	c.stats.SwapsStarted++
 	if c.traceOps != nil {
@@ -641,6 +718,11 @@ func (c *Control) planMove(r *role, now int64) *move {
 // dstCells) so steady-state planning does not allocate; findMove itself
 // mutates nothing.
 func (c *Control) findMove(want kernels.State, srcCells, dstCells []int) (srcRow, dstRow int, exchange bool, srcOut, dstOut []int) {
+	// The donor scan below finds a row iff donorRows counts one, and the
+	// consolidation scan needs two of consRows: with neither, both fail.
+	if c.donorRows[want] == 0 && c.consRows[want] < 2 {
+		return -1, -1, false, nil, nil
+	}
 	// Donor first: a mixed unbound row holding a wanted ray. (Choosing
 	// the donor before the collector matters at drain time, when the
 	// last mixed row must not be selected as its own collector.) When
@@ -817,7 +899,8 @@ func (c *Control) WarpRow(w int) int { return c.warpRow[w] }
 
 // CheckInvariants verifies the structural invariants of the renaming
 // and row tables: every live slot appears in exactly one cell, bindings
-// are bijective, and busy counters are non-negative.
+// are bijective, busy counters are non-negative, and the swap planner's
+// per-state donor and consolidation row counts equal a recount.
 func (c *Control) CheckInvariants() error {
 	// Slot occupancy counted in a dense slice so the first violating
 	// slot (lowest id) is reported deterministically.
@@ -857,6 +940,24 @@ func (c *Control) CheckInvariants() error {
 		if c.rowBusy[r] < 0 {
 			return fmt.Errorf("core: row %d busy count negative", r)
 		}
+	}
+	var donors, cons [4]int
+	for r := range c.rows {
+		if c.rowWarp[r] >= 0 || c.rowBusy[r] > 0 {
+			continue
+		}
+		for s := kernels.StateFetch; s <= kernels.StateLeaf; s++ {
+			switch n := c.rowCounts[r][s]; {
+			case n > 0 && c.rowMixed[r]:
+				donors[s]++
+			case n > 0 && n < c.cfg.warpSize():
+				cons[s]++
+			}
+		}
+	}
+	if donors != c.donorRows || cons != c.consRows {
+		return fmt.Errorf("core: donor rows %v and consolidation rows %v per state, recount %v and %v",
+			c.donorRows, c.consRows, donors, cons)
 	}
 	return nil
 }

@@ -69,23 +69,34 @@ func TestIdleWarpRegime(t *testing.T) {
 
 // TestGatedLoopZeroAlloc is TestSteadyCycleLoopZeroAlloc for a
 // DRS-gated SMX in the idle-warp regime: once warm, epochs of rdctrl
-// retries, gate stalls, swaps and the GTO loop allocate nothing.
+// retries, gate stalls, swaps or ideal regroups, and the GTO loop
+// allocate nothing.
 func TestGatedLoopZeroAlloc(t *testing.T) {
-	smx, _, _, _, _ := buildDRS(t, DefaultConfig(), idleRays)
-	epoch := func() {
-		if err := smx.RunFor(64); err != nil {
-			t.Fatal(err)
+	for _, ideal := range []bool{false, true} {
+		cfg := DefaultConfig()
+		if ideal {
+			cfg.Ideal, cfg.SwapBuffers = true, 0
 		}
-	}
-	for i := 0; i < 20; i++ {
-		epoch()
-	}
-	before := smx.Stats().CtrlStalls
-	if avg := testing.AllocsPerRun(20, epoch); avg != 0 {
-		t.Errorf("gated cycle loop allocates: %.1f allocs per 64-cycle epoch (want 0)", avg)
-	}
-	if smx.LiveWarps() == 0 || smx.Stats().CtrlStalls == before {
-		t.Fatal("the measurement did not run the gated retry loop")
+		smx, ctrl, _, _, _ := buildDRS(t, cfg, idleRays)
+		epoch := func() {
+			if err := smx.RunFor(64); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 20; i++ {
+			epoch()
+		}
+		before, cs := smx.Stats().CtrlStalls, ctrl.Stats()
+		if avg := testing.AllocsPerRun(20, epoch); avg != 0 {
+			t.Errorf("ideal %v: gated cycle loop allocates: %.1f allocs per 64-cycle epoch (want 0)", ideal, avg)
+		}
+		if smx.LiveWarps() == 0 || smx.Stats().CtrlStalls == before {
+			t.Fatalf("ideal %v: the measurement did not run the gated retry loop", ideal)
+		}
+		if after := ctrl.Stats(); ideal && after.IdealShuffles == cs.IdealShuffles ||
+			!ideal && after.SwapsStarted == cs.SwapsStarted {
+			t.Fatalf("ideal %v: the measurement moved no rays (%+v)", ideal, after)
+		}
 	}
 }
 
@@ -136,7 +147,7 @@ func unsettledIdeal(t *testing.T, wrap func(*Control, simt.Hooks) simt.Hooks) (*
 	c.warpRow = []int{-1, -1, 2, 3}
 	c.rowWarp = []int{-1, -1, 2, 3, -1, -1}
 	for r := range c.rows {
-		c.refreshMixed(r)
+		c.refreshRow(r)
 	}
 	c.version++
 	return smx, c

@@ -42,7 +42,9 @@ func TestInvariantsHoldThroughoutRun(t *testing.T) {
 // stalled stalls again and changes nothing — not the version, the
 // bindings or Stats. It also requires the hook to report false after a
 // stall that leaves a free row mixed: there a repeat Ideal-mode gate
-// would regroup again.
+// would regroup again. After every tick it checks the control's
+// invariants, so the swap planner's candidate counts are recounted
+// every cycle.
 type gateHoldsChecker struct {
 	t       *testing.T
 	c       *Control
@@ -69,6 +71,9 @@ func (g *gateHoldsChecker) wrap(c *Control, h simt.Hooks) simt.Hooks {
 	}
 	h.Tick = func(s *simt.SMX, now int64) {
 		tick(s, now)
+		if err := c.CheckInvariants(); err != nil {
+			g.t.Fatalf("cycle %d: %v", now, err)
+		}
 		g.check(s, now)
 	}
 	g.gate = h.Gate

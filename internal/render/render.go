@@ -151,11 +151,15 @@ func Render(s *scene.Scene, bv *bvh.BVH, cam *camera.Pinhole, cfg Config) (*Resu
 }
 
 // renderPixel traces all samples of one pixel, accumulating radiance
-// and recording per-bounce rays into local trace buffers.
+// and recording per-bounce rays into local trace buffers. Both
+// generators are locals seeded in place, so a pixel allocates nothing
+// beyond the trace buffers' growth.
 func renderPixel(s *scene.Scene, bv *bvh.BVH, cam *camera.Pinhole, cfg Config, px, py int, traces *[trace.MaxBounces][]geom.Ray) vec.V3 {
 	pixelSeed := uint64(py)*uint64(cfg.Width) + uint64(px)
-	sampler := rng.NewHalton(pixelSeed)
-	rand := rng.NewPCG32(pixelSeed, 77)
+	var sampler rng.Halton
+	sampler.Reset(pixelSeed)
+	var rand rng.PCG32
+	rand.Seed(pixelSeed, 77)
 	var acc vec.V3
 	for sp := 0; sp < cfg.SamplesPerPixel; sp++ {
 		sampler.StartSample(uint64(sp))

@@ -137,3 +137,22 @@ func TestWritePPM(t *testing.T) {
 		t.Errorf("PPM length = %d, want %d", len(b), wantLen)
 	}
 }
+
+// TestRenderPixelAllocatesNothing pins renderPixel's generators to the
+// stack: without trace capture a pixel makes no heap allocation.
+func TestRenderPixelAllocatesNothing(t *testing.T) {
+	s := scene.Generate(scene.ConferenceRoom, 1500)
+	bv, err := bvh.Build(s.Tris, bvh.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Width: 16, Height: 16, SamplesPerPixel: 2, MaxDepth: trace.MaxBounces}
+	cam := CameraFor(scene.ConferenceRoom, cfg.Width, cfg.Height)
+	px := 0
+	if avg := testing.AllocsPerRun(64, func() {
+		renderPixel(s, bv, cam, cfg, px%cfg.Width, px/cfg.Width%cfg.Height, nil)
+		px++
+	}); avg != 0 {
+		t.Errorf("renderPixel allocates %.1f times per pixel, want 0", avg)
+	}
+}

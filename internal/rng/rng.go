@@ -14,11 +14,19 @@ type PCG32 struct {
 // NewPCG32 seeds a generator from a seed and a stream selector.
 // Distinct streams produce decorrelated sequences.
 func NewPCG32(seed, stream uint64) *PCG32 {
-	p := &PCG32{inc: stream<<1 | 1}
+	p := &PCG32{}
+	p.Seed(seed, stream)
+	return p
+}
+
+// Seed reseeds p in place: it then yields NewPCG32(seed, stream)'s
+// sequence. A generator held by value and reseeded per use stays off
+// the heap.
+func (p *PCG32) Seed(seed, stream uint64) {
+	*p = PCG32{inc: stream<<1 | 1}
 	p.Next()
 	p.state += seed
 	p.Next()
-	return p
 }
 
 // Next returns the next 32 random bits.
@@ -84,11 +92,19 @@ type Halton struct {
 // offsets are drawn from a PCG stream keyed by the pixel.
 func NewHalton(pixelSeed uint64) *Halton {
 	h := &Halton{}
-	p := NewPCG32(pixelSeed, 0x9e3779b97f4a7c15)
+	h.Reset(pixelSeed)
+	return h
+}
+
+// Reset reinitialises h in place: it then yields NewHalton(pixelSeed)'s
+// samples.
+func (h *Halton) Reset(pixelSeed uint64) {
+	var p PCG32
+	p.Seed(pixelSeed, 0x9e3779b97f4a7c15)
+	h.index, h.dim = 0, 0
 	for i := range h.rotate {
 		h.rotate[i] = p.Float32()
 	}
-	return h
 }
 
 // StartSample positions the sampler at sample index i, dimension 0.

@@ -157,3 +157,31 @@ func BenchmarkHalton(b *testing.B) {
 		_, _ = h.Next2D()
 	}
 }
+
+// TestInPlaceSeedingMatchesConstructors pins Seed and Reset to the
+// sequences NewPCG32 and NewHalton give, reusing one value across seeds.
+func TestInPlaceSeedingMatchesConstructors(t *testing.T) {
+	var p PCG32
+	var h Halton
+	for seed := uint64(0); seed < 8; seed++ {
+		p.Seed(seed, 77)
+		want := NewPCG32(seed, 77)
+		for i := 0; i < 16; i++ {
+			if got, w := p.Next(), want.Next(); got != w {
+				t.Fatalf("seed %d draw %d: Seed gives %d, NewPCG32 %d", seed, i, got, w)
+			}
+		}
+		h.Next1D() // leave state behind for Reset to clear
+		h.Reset(seed)
+		wantH := NewHalton(seed)
+		for sp := uint64(0); sp < 4; sp++ {
+			h.StartSample(sp)
+			wantH.StartSample(sp)
+			for d := 0; d < 6; d++ {
+				if got, w := h.Next1D(), wantH.Next1D(); got != w {
+					t.Fatalf("seed %d sample %d dim %d: Reset gives %v, NewHalton %v", seed, sp, d, got, w)
+				}
+			}
+		}
+	}
+}

@@ -10,8 +10,22 @@ func (s *SMX) View() SchedView { return SchedView{s: s} }
 func (v SchedView) Cycle() int64 { return v.s.cycle }
 
 // Issuable reports whether warp w could issue this cycle: live, not
-// parked, and not stalled on memory or a gate push-back.
-func (v SchedView) Issuable(w int) bool { return v.s.issuable(w) }
+// parked, and not stalled on memory or a gate push-back, including a
+// retry its scheduler holds for it.
+func (v SchedView) Issuable(w int) bool {
+	s := v.s
+	if s.st.gateWait[w] && s.cache[w%s.nsched].retry > s.cycle {
+		return false
+	}
+	return s.issuable(w)
+}
+
+// BulkTurns returns the number of turns charged from a turn cache.
+func (s *SMX) BulkTurns() int64 { return s.bulkTurns }
+
+// HoldDrops returns the number of turn caches a hold event dropped
+// before their wake cycle.
+func (s *SMX) HoldDrops() int64 { return s.holdDrops }
 
 // LastIssued returns the cycle warp w last issued an instruction, 0
 // before its first issue: the age key of the scheduler's age list.

@@ -11,11 +11,12 @@ import (
 // The scheduler twin tests run two SMXs in lockstep, one cycle at a
 // time, on the same kernel and the same deterministic gate, and compare
 // them after every cycle. The twin under test charges held gate stalls
-// through Hooks.GateHolds and walks its scheduler's own order. The
-// reference has no GateHolds, so every retry calls the gate, as the
-// engine did before the hook existed, and its order comes from a loop
-// over the scheduler's pick as it was written before the scheduler API
-// became an order.
+// through Hooks.GateHolds, singly in a walk or in bulk from its turn
+// cache, and walks its scheduler's own order. The reference has no
+// GateHolds, so every retry calls the gate, as the engine did before
+// the hook existed, and its order comes from a loop over the
+// scheduler's pick as it was written before the scheduler API became
+// an order.
 
 // The ref* picks below are those picks: plain scans over SchedView
 // state, with "not yet linked" in place of "issuable". Called again
@@ -339,6 +340,21 @@ type twinCounts struct {
 	// scheduler's previous issue; exhaustedWithStall counts turns that
 	// issued nothing although a gate call of the reference stalled.
 	wraps, exhaustedWithStall int64
+	// bulk counts the twin under test's turns charged from its turn
+	// cache, and holdDrops its caches a hold event dropped.
+	bulk, holdDrops int64
+}
+
+// add accumulates o into n.
+func (n *twinCounts) add(o twinCounts) {
+	n.turns += o.turns
+	n.greedy += o.greedy
+	n.dual += o.dual
+	n.charged += o.charged
+	n.wraps += o.wraps
+	n.exhaustedWithStall += o.exhaustedWithStall
+	n.bulk += o.bulk
+	n.holdDrops += o.holdDrops
 }
 
 // runTwins runs the pair for up to cycles cycles, failing at the first
@@ -410,6 +426,7 @@ func runTwins(t *testing.T, name string, a, b *twin, cycles int) twinCounts {
 		}
 	}
 	n.charged = a.s.Stats().CtrlStalls - a.g.stalls
+	n.bulk, n.holdDrops = a.s.BulkTurns(), a.s.HoldDrops()
 	if b.g.stalls != b.s.Stats().CtrlStalls {
 		t.Fatalf("%s: the reference charged %d stalls without a gate call", name, b.s.Stats().CtrlStalls-b.g.stalls)
 	}
@@ -442,7 +459,9 @@ func twinSetup(seed uint64) (simt.Config, simt.Kernel, func(t *testing.T) *twinG
 // order, with GateHolds, against a twin whose order links refPickGTO's
 // picks through a SchedFactory, with no GateHolds. Both must issue the
 // same warp in every scheduler turn and count the same gate stalls
-// every cycle. The mix must reach every case the loop has to get right.
+// every cycle. The mix must reach every case the loop has to get right,
+// turns charged in bulk from the turn cache and caches a hold event
+// dropped among them.
 func TestGTOLoopMatchesPickLoop(t *testing.T) {
 	var sum twinCounts
 	var ties, waitingCalls, proceeds, resumes, parks, addStalls, holds int64
@@ -474,12 +493,7 @@ func TestGTOLoopMatchesPickLoop(t *testing.T) {
 			}}
 		}
 		b := newTwin(t, ref, k, newGate(t), false)
-		n := runTwins(t, "gto", a, b, 3000)
-		sum.turns += n.turns
-		sum.greedy += n.greedy
-		sum.dual += n.dual
-		sum.charged += n.charged
-		sum.exhaustedWithStall += n.exhaustedWithStall
+		sum.add(runTwins(t, "gto", a, b, 3000))
 		waitingCalls += ga.waitingCalls
 		proceeds += ga.proceeds
 		resumes += ga.resumes
@@ -491,7 +505,8 @@ func TestGTOLoopMatchesPickLoop(t *testing.T) {
 		sum, ties, waitingCalls, proceeds, resumes, parks, addStalls, holds)
 	if sum.greedy < 1000 || sum.charged < 10000 || waitingCalls < 1000 || proceeds < 1000 ||
 		resumes < 1000 || parks < 500 || addStalls < 500 || holds < 500 ||
-		sum.dual < 1000 || ties < 500 || sum.exhaustedWithStall < 1000 {
+		sum.dual < 1000 || ties < 500 || sum.exhaustedWithStall < 1000 ||
+		sum.bulk < 50000 || sum.holdDrops < 1000 {
 		t.Fatal("weak mix: some case the loop must match occurred too rarely")
 	}
 }
@@ -532,8 +547,9 @@ func checkedOrder(t *testing.T, factory simt.SchedFactory, empty *int64) simt.Sc
 // (refPickLRR, refWaSP.pick), with no GateHolds. The
 // registry order must equal the pick's whole preference order, and
 // charging a held stall instead of calling the gate must not change a
-// turn. The mix must reach a scheduler with no warps, mid-turn resumes
-// and charged stalls; LRR must wrap past its last warp, and a WaSP with
+// turn. The mix must reach a scheduler with no warps, mid-turn resumes,
+// charged stalls, bulk-charged turns (which skip Order) and caches a
+// hold event dropped; LRR must wrap past its last warp, and a WaSP with
 // one runner must issue from each of its three tiers.
 func TestPickLoopHeldGateTwins(t *testing.T) {
 	for _, tc := range []struct {
@@ -571,10 +587,7 @@ func TestPickLoopHeldGateTwins(t *testing.T) {
 					return simt.SchedProgram{}
 				}
 				b := newTwin(t, ref, k, newGate(t), false)
-				n := runTwins(t, tc.name, a, b, 3000)
-				sum.charged += n.charged
-				sum.wraps += n.wraps
-				sum.exhaustedWithStall += n.exhaustedWithStall
+				sum.add(runTwins(t, tc.name, a, b, 3000))
 				waitingCalls += ga.waitingCalls
 				resumes += ga.resumes
 				if wasp != nil {
@@ -585,7 +598,8 @@ func TestPickLoopHeldGateTwins(t *testing.T) {
 			}
 			t.Logf("%+v; %d orders for schedulers without warps, %d non-held calls on waiting warps, %d mid-turn resumes, issues by tier %v",
 				sum, empty, waitingCalls, resumes, tiers)
-			if sum.charged < 5000 || waitingCalls < 500 || resumes < 500 || empty < 10 || sum.exhaustedWithStall < 500 {
+			if sum.charged < 5000 || waitingCalls < 500 || resumes < 500 || empty < 10 || sum.exhaustedWithStall < 500 ||
+				sum.bulk < 25000 || sum.holdDrops < 500 {
 				t.Fatal("weak mix: some case the order must match occurred too rarely")
 			}
 			if _, ok := tc.sched.(warpsched.LRR); ok && sum.wraps < 500 {

@@ -45,20 +45,18 @@ type SMX struct {
 	gtoNext []int32
 	gtoPrev []int32
 	// orderLink is the chain a bound scheduler policy's Order links its
-	// warps into, once per non-idle turn (nil under the builtin order).
+	// warps into, once per walked turn (nil under the builtin order).
 	orderLink []int32
-	// Idle cache: before cycle schedWake[sched] (valid while
-	// schedWakeGen[sched] matches the store's wakeGen) none of the
-	// scheduler's warps is issuable, so its turn ends at once. Stalls
-	// only push wake-ups later and parks only remove candidates; the
-	// one event that wakes a warp early — a launch/resume resetting
-	// readyCycle — bumps wakeGen.
-	schedWake    []int64
-	schedWakeGen []uint64
+	// cache is each scheduler's turn cache (turnCache).
+	cache []turnCache
 	// held caches gateHoldsFn's answer between two real issue attempts
 	// (0: not asked, 1: the gate holds, -1: it does not); step and
 	// issueOne clear it.
 	held int8
+	// bulkTurns counts turns charged from the cache, and holdDrops
+	// caches that a hold event dropped before their wake cycle (tests
+	// read both).
+	bulkTurns, holdDrops int64
 
 	// Issue path devirtualized at NewSMX: the kernel's Step method
 	// value, the optional voter, the architecture hooks, and the
@@ -108,6 +106,25 @@ type gtoOrder struct {
 	head, tail int32 // oldest and youngest warp (-1: no warps)
 }
 
+// turnCache is what a scheduler's last exhausted walk proved about its
+// live, unparked warps. Until cycle wake, while the store's wakeGen
+// still equals gen:
+//   - no warp outside the waiting count is issuable;
+//   - while holdGen also equals hold, waiting marked warps (gateWait)
+//     are ready every cycle, each held at its gate.
+//
+// So a turn either ends at once (waiting 0) or, while the gate holds,
+// charges the waiting warps' stalls in bulk and holds their retry cycle
+// once in retry, which settle writes into their readyCycle before
+// anything reads it (DESIGN §13.3).
+type turnCache struct {
+	gen     uint64
+	wake    int64
+	waiting int32
+	hold    uint64
+	retry   int64
+}
+
 // NewSMX builds one SMX running kernel with the given hooks, attached
 // to port id of the shared ordered L2. A standalone SMX (driven by Run
 // or RunFor rather than RunGPU) can use its own
@@ -149,8 +166,7 @@ func NewSMX(id int, cfg Config, kernel Kernel, hooks Hooks, l2 *memsys.OrderedL2
 		l2:            l2,
 		rf:            regfile.New(cfg.RF),
 		lastWarp:      make([]int, cfg.SchedulersPerSMX),
-		schedWake:     make([]int64, cfg.SchedulersPerSMX),
-		schedWakeGen:  make([]uint64, cfg.SchedulersPerSMX),
+		cache:         make([]turnCache, cfg.SchedulersPerSMX),
 		launchBuf:     make([]int32, ws),
 		stepFn:        kernel.Step,
 		gateFn:        hooks.Gate,
@@ -332,6 +348,7 @@ func (s *SMX) RunEpoch(end int64) error {
 //
 //drslint:hotpath
 func (s *SMX) ResolveEpoch() {
+	s.settleAll()
 	port := s.mem.Port()
 	if port.Pending() == 0 {
 		return
@@ -348,10 +365,10 @@ func (s *SMX) ResolveEpoch() {
 				if p.missReady > st.memReady[w] {
 					st.memReady[w] = p.missReady
 				}
-			} else if p.missReady > st.readyCycle[w] {
+			} else {
 				// Block completed inside the epoch: completion moved the
 				// provisional memReady into readyCycle; raise it there.
-				st.readyCycle[w] = p.missReady
+				st.raise(w, p.missReady)
 			}
 		}
 		st.pending[w] = st.pending[w][:0]
@@ -392,6 +409,7 @@ func (s *SMX) step() {
 		s.tickFn(s, s.cycle)
 	}
 	if s.cycle%64 == 0 {
+		s.settleAll()
 		st := s.st
 		for w := 0; w < st.n; w++ {
 			switch {
@@ -436,7 +454,7 @@ func (s *SMX) step() {
 // warp, or -1 when none did. The builtin greedy-then-oldest order is
 // the warp the scheduler issued from last, then the age list from its
 // head. A bound policy's order is the chain its Order links into
-// orderLink, once per non-idle turn.
+// orderLink, once per walked turn.
 //
 // This is the order in which a pick-then-try loop over the same
 // preference tries warps. Within one (cycle, wakeGen) a warp whose try
@@ -448,12 +466,31 @@ func (s *SMX) step() {
 // start; the chain holds every warp of the scheduler, so a warp the try
 // resumed is on it. A scheduler that fails more tries than the SMX has
 // warps gives up the turn, as the pick loop does.
+//
+// The turn cache comes first, before Order: a turn it decides (idle,
+// or every issuable warp held at a gate that still holds) makes no walk
+// and no Order call.
 func (s *SMX) turn(sched int) int {
-	if s.idle(sched) {
-		return -1
-	}
 	st := s.st
-	fails, stalled := 0, false
+	c := &s.cache[sched]
+	if c.gen == st.wakeGen && s.cycle < c.wake {
+		if c.waiting == 0 {
+			return -1 // a hold event cannot wake a warp early
+		}
+		if c.hold != st.holdGen {
+			s.holdDrops++
+		} else if s.held > 0 || s.held == 0 && s.askGateHolds() {
+			// What the walk would do: charge each waiting warp one
+			// CtrlStalls and a retry next cycle, and issue nothing.
+			s.stats.CtrlStalls += int64(c.waiting)
+			c.retry = s.cycle + 1
+			s.bulkTurns++
+			return -1
+		}
+	}
+	s.settle(sched)
+	c.wake = 0 // a walk drops the cache; recordWake makes it anew
+	fails := 0
 	gen := st.wakeGen
 	greedy, head, link := s.lastWarp[sched], s.gto[sched].head, s.gtoNext
 	if s.orderFn != nil {
@@ -470,16 +507,12 @@ func (s *SMX) turn(sched int) int {
 		if s.issuable(w) {
 			// A warp waiting at a gate that still holds (Hooks.GateHolds)
 			// is charged what the gate call would cost it, one CtrlStalls
-			// and a retry next cycle, with no call: idle warps retry here
-			// tens of millions of times a run.
+			// and a retry next cycle, with no call.
 			if st.gateWait[w] && (s.held > 0 || s.held == 0 && s.askGateHolds()) {
 				s.stats.CtrlStalls++
 				st.readyCycle[w] = s.cycle + 1
-				stalled = true
 			} else if s.issueOne(w) {
 				return w
-			} else {
-				stalled = stalled || st.gateWait[w]
 			}
 			if fails++; fails > st.n {
 				return -1
@@ -492,39 +525,56 @@ func (s *SMX) turn(sched int) int {
 		}
 		w = -1
 	}
-	// A warp that stalled at a gate this turn is issuable next cycle,
-	// so the idle cache could only record cycle+1, which skips nothing.
-	if !stalled {
-		s.recordWake(sched)
-	}
+	s.recordWake(sched)
 	return -1
 }
 
-// idle reports whether the idle cache rules out every warp of the
-// scheduler this cycle. Memory- and gate-bound phases leave most cycles
-// with no issuable warp; the cache ends those turns without a walk.
-func (s *SMX) idle(sched int) bool {
-	return s.schedWakeGen[sched] == s.st.wakeGen && s.cycle < s.schedWake[sched]
-}
-
-// recordWake caches the scheduler's next possible wake-up after a turn
-// found nothing to issue: the minimum readyCycle over its live,
-// unparked warps (none of which is issuable now, so all exceed the
-// current cycle). With no live warps the cache holds until a launch
-// bumps the generation.
+// recordWake fills the scheduler's turn cache after a walk that issued
+// nothing, in one pass over its live, unparked warps. Every warp the
+// walk tried is now marked and ready at cycle+1, or not issuable until
+// later: waiting counts the former, and wake is the least ready cycle
+// of the rest. With no live warps the cache holds until a launch bumps
+// wakeGen.
 func (s *SMX) recordWake(sched int) {
 	st := s.st
-	wake := int64(1) << 62
+	wake, waiting := int64(1)<<62, int32(0)
 	for w := sched; w < st.n; w += s.nsched {
 		if p := st.phase[w]; p == phaseDone || p == phaseParked {
 			continue
 		}
-		if st.readyCycle[w] < wake {
+		if st.gateWait[w] && st.readyCycle[w] <= s.cycle+1 {
+			waiting++
+		} else if st.readyCycle[w] < wake {
 			wake = st.readyCycle[w]
 		}
 	}
-	s.schedWake[sched] = wake
-	s.schedWakeGen[sched] = st.wakeGen
+	s.cache[sched] = turnCache{wake: wake, waiting: waiting, gen: st.wakeGen, hold: st.holdGen}
+}
+
+// settle writes the scheduler's held retry cycle into the readyCycle of
+// its marked warps: a marked warp's ready cycle is the larger of the
+// two. Every reader of readyCycle runs after a settle (a walk of that
+// scheduler, the census, ResolveEpoch) or reads the store through
+// raise, which takes the same maximum.
+func (s *SMX) settle(sched int) {
+	c := &s.cache[sched]
+	if c.retry == 0 {
+		return
+	}
+	st := s.st
+	for w := sched; w < st.n; w += s.nsched {
+		if st.gateWait[w] && st.readyCycle[w] < c.retry {
+			st.readyCycle[w] = c.retry
+		}
+	}
+	c.retry = 0
+}
+
+// settleAll settles every scheduler's held retry.
+func (s *SMX) settleAll() {
+	for sched := range s.cache {
+		s.settle(sched)
+	}
 }
 
 // noteIssue records warp w's first issue of the cycle for scheduler

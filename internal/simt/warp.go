@@ -55,10 +55,7 @@ func (w *Warp) StackDepth() int { return int(w.st.stackLen[w.id]) }
 //
 //drslint:hotpath
 func (w *Warp) AddStall(now int64, cycles int) {
-	target := now + int64(cycles)
-	if target > w.st.readyCycle[w.id] {
-		w.st.readyCycle[w.id] = target
-	}
+	w.st.raise(w.id, now+int64(cycles))
 }
 
 // SetMapping replaces the warp's lane -> slot mapping and resets its
@@ -72,9 +69,16 @@ func (w *Warp) SetMapping(slots []int32, pc int) {
 }
 
 // Park suspends the warp (TBC barrier). Resume with SetMapping.
+// Parking a marked warp drops the turn caches (holdGen), which may
+// count it.
 //
 //drslint:hotpath
-func (w *Warp) Park() { w.st.setPhase(w.id, phaseParked) }
+func (w *Warp) Park() {
+	if w.st.gateWait[w.id] {
+		w.st.holdGen++
+	}
+	w.st.setPhase(w.id, phaseParked)
+}
 
 // Resume reactivates a parked (or retired) warp at block pc with a
 // fresh mapping. Retired warps may be resurrected because compaction

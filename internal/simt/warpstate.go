@@ -90,7 +90,7 @@ type warpState struct {
 	// gateWait marks a warp whose last gate call stalled. Only launch
 	// and the warp's next gate call clear it; while Hooks.GateHolds
 	// reports true, a retry of a marked warp is charged its stall
-	// without the call (SMX.try).
+	// without the call (SMX.turn).
 	gateWait []bool
 
 	// slots maps lane -> kernel context slot (-1 = empty lane); next
@@ -118,10 +118,15 @@ type warpState struct {
 	// wakeGen counts launches/resumes — the only events that can make a
 	// warp issuable *earlier* than its recorded readyCycle (launch
 	// resets it to 0; stalls and parks only push wake-ups later). The
-	// scheduler's idle cache keys on it: a scan that found nothing
+	// schedulers' turn caches key on it: a walk that found nothing
 	// issuable stays valid until the recorded wake cycle unless this
 	// generation moves.
 	wakeGen uint64
+	// holdGen counts the events that can take a marked warp out of a
+	// turn cache's waiting count without a launch: a raise of its ready
+	// cycle (raise) and a park (Warp.Park). A cache that counts waiting
+	// warps keys on it too.
+	holdGen uint64
 }
 
 // newWarpState builds the store for n warps of wsz lanes running a
@@ -171,6 +176,18 @@ func (st *warpState) setPhase(w int, p warpPhase) {
 		st.live++
 	} else if p == phaseDone {
 		st.live--
+	}
+}
+
+// raise lifts warp w's ready cycle to at least t. Raising a marked
+// warp's drops the turn caches (holdGen): a cache may count it as ready
+// next cycle.
+func (st *warpState) raise(w int, t int64) {
+	if t > st.readyCycle[w] {
+		st.readyCycle[w] = t
+		if st.gateWait[w] {
+			st.holdGen++
+		}
 	}
 }
 

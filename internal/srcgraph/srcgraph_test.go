@@ -270,9 +270,10 @@ func TestRealTreeClean(t *testing.T) {
 // TestHotConeCoversPerCycleCallees pins the reason function-granular
 // tags could replace the file tags: propagation covers the tagged
 // functions' whole callee cones, including the memory hierarchy, the
-// kernels' Step behind simt.Kernel and the tagged policy hooks. The
-// kernels are reached only through interface edges, which exist only
-// when module packages are type-checked against each other.
+// kernels' Step behind simt.Kernel and the tagged policy hooks (TBC,
+// DMK, SER and the DRS control's gate and tick). The kernels are
+// reached only through interface edges, which exist only when module
+// packages are type-checked against each other.
 func TestHotConeCoversPerCycleCallees(t *testing.T) {
 	g := BuildGraph(load(t, realTree))
 	hot := g.propagate(func(n *funcNode) bool { return n.hotRoot })
@@ -288,6 +289,9 @@ func TestHotConeCoversPerCycleCallees(t *testing.T) {
 		"repro/internal/tbc.(*Wrapper).compact",
 		"repro/internal/dmk.(*Wrapper).tick",
 		"repro/internal/ser.(*Wrapper).trySpawn",
+		"repro/internal/core.(*Control).tick",
+		"repro/internal/core.(*Control).findMove",
+		"repro/internal/core.(*Control).gate",
 	} {
 		if _, ok := hot[want]; !ok {
 			t.Errorf("%s not hot-reachable", want)
