@@ -12,12 +12,16 @@
 //     declared program.
 //
 //   - Source lint (-mode graph): the type-aware whole-program pass
-//     (internal/srcgraph) over the non-test Go under internal/ and
-//     cmd/ — map iteration, wall-clock and global-RNG reads and
-//     goroutine captured-variable writes anywhere, with the witness
-//     call chain when an engine or harness entry point reaches the
-//     site; allocation churn in the //drslint:hotpath cone; plus the
-//     spec-hash drift and metrics-registration completeness verifiers.
+//     (internal/srcgraph) over the non-test Go under internal/, cmd/
+//     and examples/ — map iteration, wall-clock and global-RNG reads
+//     and goroutine captured-variable writes anywhere, with the
+//     witness call chain when an engine or harness entry point reaches
+//     the site; allocation churn in the //drslint:hotpath cone; the
+//     spec-hash drift and metrics-registration completeness verifiers;
+//     and unreachable code: a function that no binary, package
+//     initializer or bench/ reaches. bench/ is a module of its own, so
+//     it is loaded separately and read only for the functions it
+//     references.
 //
 // Usage:
 //
@@ -26,9 +30,9 @@
 // With -json the findings are emitted as one machine-readable object.
 //
 // The exit code is a bitmask identifying which checks failed: 1 =
-// kernel-program findings, 4 = source-lint hazards, 8 = spec-hash
-// drift, 16 = metrics-registration gaps. Usage and internal errors
-// (a bad flag, a load or build failure) exit 32. Bit 2 is unused.
+// kernel-program findings, 2 = unreachable code, 4 = source-lint
+// hazards, 8 = spec-hash drift, 16 = metrics-registration gaps. Usage
+// and internal errors (a bad flag, a load or build failure) exit 32.
 package main
 
 import (
@@ -50,6 +54,7 @@ import (
 // OR of every bit whose check produced findings.
 const (
 	exitProg        = 1  // kernel program verification/exploration
+	exitUnreachable = 2  // functions no binary reaches
 	exitGraphHazard = 4  // source-lint hazards
 	exitSpecHash    = 8  // spec-hash drift
 	exitMetricsReg  = 16 // metrics-registration gaps
@@ -103,9 +108,12 @@ type graphReport struct {
 	DetRoots map[string]string `json:"det_roots"`
 	HotRoots map[string]string `json:"hot_roots"`
 	// DetCone and HotCone count the functions the roots reach.
-	DetCone  int                `json:"det_cone"`
-	HotCone  int                `json:"hot_cone"`
-	Findings []srcgraph.Finding `json:"findings"`
+	DetCone int `json:"det_cone"`
+	HotCone int `json:"hot_cone"`
+	// Unreachable counts the unreachable check's roots, the functions
+	// they reach, the allowed functions and the exempt ones.
+	Unreachable srcgraph.Census    `json:"unreachable"`
+	Findings    []srcgraph.Finding `json:"findings"`
 }
 
 type exploreSummary struct {
@@ -133,7 +141,7 @@ func main() {
 	case *mode != "all" && *mode != "prog" && *mode != "graph":
 		usage("unknown -mode %q; valid: all, prog, graph", *mode)
 	case flag.NArg() > 0:
-		usage("unexpected argument %q; the source lint covers internal/ and cmd/", flag.Arg(0))
+		usage("unexpected argument %q; the source lint covers internal/, cmd/ and examples/", flag.Arg(0))
 	case *slots < 1 || *slots > maxSlots:
 		usage("-slots must be in [1, %d]", maxSlots)
 	case *tris < 0 || *tris > experiments.MaxTris:
@@ -205,26 +213,32 @@ func main() {
 
 // summary renders the graph's size, roots and cones.
 func (gr *graphReport) summary() string {
-	return fmt.Sprintf("%d funcs, %d det roots reaching %d, %d hot roots reaching %d",
-		gr.Funcs, len(gr.DetRoots), gr.DetCone, len(gr.HotRoots), gr.HotCone)
+	u := gr.Unreachable
+	return fmt.Sprintf("%d funcs, %d det roots reaching %d, %d hot roots reaching %d, %d live roots reaching %d (%d allowed, %d exempt)",
+		gr.Funcs, len(gr.DetRoots), gr.DetCone, len(gr.HotRoots), gr.HotCone, u.Roots, u.Reached, u.Allowed, u.Exempt)
 }
 
-// runGraph loads the module, runs the whole-program analyses, and maps
-// each finding onto its exit-code bit.
+// runGraph loads the module, and bench/ for its references, runs the
+// whole-program analyses, and maps each finding onto its exit-code bit.
 func runGraph() (*graphReport, int, error) {
-	prog, err := srcgraph.Load(".", "./internal/...", "./cmd/...")
+	prog, err := srcgraph.Load(".", "./internal/...", "./cmd/...", "./examples/...")
 	if err != nil {
 		return nil, 0, fmt.Errorf("graph load: %w", err)
 	}
-	g := srcgraph.BuildGraph(prog)
+	bench, err := srcgraph.Load("bench", ".")
+	if err != nil {
+		return nil, 0, fmt.Errorf("graph load of bench/: %w", err)
+	}
+	g := srcgraph.BuildGraph(prog, bench)
 	det, hot := g.Roots()
 	gr := &graphReport{
 		Funcs:    g.NumFuncs(),
 		DetRoots: det,
 		HotRoots: hot,
-		Findings: srcgraph.Analyze(prog),
+		Findings: g.Analyze(),
 	}
 	gr.DetCone, gr.HotCone = g.Cones()
+	_, gr.Unreachable = g.Unreachable()
 	if gr.Findings == nil {
 		gr.Findings = []srcgraph.Finding{}
 	}
@@ -235,6 +249,8 @@ func runGraph() (*graphReport, int, error) {
 			bits |= exitSpecHash
 		case srcgraph.CheckMetricsReg:
 			bits |= exitMetricsReg
+		case srcgraph.CheckUnreachable:
+			bits |= exitUnreachable
 		default:
 			bits |= exitGraphHazard
 		}

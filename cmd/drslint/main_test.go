@@ -77,7 +77,8 @@ func TestUsageErrorsExit32(t *testing.T) {
 }
 
 // The source lint is clean on the real tree, and its JSON report has
-// the program and graph keys and no source key.
+// the program and graph keys and no source key. The graph carries the
+// unreachable check's census: roots that reach most of the graph.
 func TestGraphModeJSONReport(t *testing.T) {
 	code, stdout, stderr := runDrslint(t, "../..", "-mode graph -json")
 	if code != 0 {
@@ -94,5 +95,17 @@ func TestGraphModeJSONReport(t *testing.T) {
 	}
 	if _, ok := rep["source"]; ok {
 		t.Errorf("report still has a source key: %s", rep["source"])
+	}
+	var graph struct {
+		Funcs       int `json:"funcs"`
+		Unreachable struct {
+			Roots, Reached, Allowed, Exempt int
+		} `json:"unreachable"`
+	}
+	if err := json.Unmarshal(rep["graph"], &graph); err != nil {
+		t.Fatalf("graph report: %v", err)
+	}
+	if u := graph.Unreachable; u.Roots == 0 || u.Reached < graph.Funcs/2 || u.Allowed == 0 || u.Exempt == 0 {
+		t.Errorf("unreachable census %+v over %d funcs", u, graph.Funcs)
 	}
 }

@@ -23,7 +23,6 @@
 package archconfig
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -123,13 +122,6 @@ func (e *ConfigError) Error() string {
 }
 
 func (e *ConfigError) Unwrap() error { return e.Err }
-
-// AsConfigError unwraps err to a *ConfigError if there is one.
-func AsConfigError(err error) (*ConfigError, bool) {
-	var ce *ConfigError
-	ok := errors.As(err, &ce)
-	return ce, ok
-}
 
 // UnknownArchError is the typed error for a device-model name the
 // builtin catalog does not know, mirroring reorder.UnknownPolicyError:

@@ -16,7 +16,8 @@ import (
 
 func TestDecodeEmptyObjectNeedsName(t *testing.T) {
 	_, err := Decode([]byte(`{}`))
-	ce, ok := AsConfigError(err)
+	var ce *ConfigError
+	ok := errors.As(err, &ce)
 	if !ok || ce.Field != "name" {
 		t.Fatalf("want name ConfigError, got %v", err)
 	}
@@ -59,7 +60,8 @@ func TestDecodeRejections(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Decode([]byte(tc.body))
-			ce, ok := AsConfigError(err)
+			var ce *ConfigError
+			ok := errors.As(err, &ce)
 			if !ok {
 				t.Fatalf("want *ConfigError, got %v", err)
 			}
@@ -104,7 +106,8 @@ func TestValidateRanges(t *testing.T) {
 		c := base()
 		tc.mutate(&c)
 		err := c.Validate()
-		ce, ok := AsConfigError(err)
+		var ce *ConfigError
+		ok := errors.As(err, &ce)
 		if !ok {
 			t.Errorf("%s: want *ConfigError, got %v", tc.field, err)
 			continue

@@ -1,6 +1,7 @@
 package archconfig
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -42,7 +43,7 @@ func FuzzArchConfig(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := Decode(data)
 		if err != nil {
-			if _, ok := AsConfigError(err); !ok {
+			if !errors.As(err, new(*ConfigError)) {
 				t.Fatalf("non-typed decode error %T: %v", err, err)
 			}
 			return

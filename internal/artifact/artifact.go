@@ -400,27 +400,6 @@ func (s *Store) dropCorruptLocked(id string, e *entry) {
 	s.appendLocked(&record{Op: opDrop, ID: id, Unix: s.cfg.Now()})
 }
 
-// Stat reports an id's disposition without reading the body: the meta
-// for a live entry, ErrEvicted for a tombstone, ErrNotFound otherwise.
-func (s *Store) Stat(id string) (Meta, error) {
-	if !validID(id) {
-		return Meta{}, fmt.Errorf("%w: %q", ErrBadID, id)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return Meta{}, ErrClosed
-	}
-	e, ok := s.entries[id]
-	switch {
-	case !ok:
-		return Meta{}, ErrNotFound
-	case e.evicted:
-		return Meta{}, ErrEvicted
-	}
-	return e.meta, nil
-}
-
 // Len returns the number of live (non-tombstone) artifacts.
 func (s *Store) Len() int {
 	s.mu.Lock()
@@ -553,7 +532,9 @@ func (s *Store) Close() error {
 
 // VerifyAll re-reads and re-hashes every live artifact, returning the
 // ids that failed verification (each is dropped exactly as a failed
-// Get would). Used by tests and by operators after suspect storage.
+// Get would).
+//
+//drslint:allow unreachable -- the store's consistency checker, which the corruption tests run
 func (s *Store) VerifyAll() []string {
 	s.mu.Lock()
 	ids := make([]string, 0, len(s.order))

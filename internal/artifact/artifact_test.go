@@ -75,8 +75,8 @@ func TestGetMissAndBadID(t *testing.T) {
 		if err := s.Put(bad, []byte("x")); !errors.Is(err, ErrBadID) {
 			t.Fatalf("Put(%q): want ErrBadID, got %v", bad, err)
 		}
-		if _, err := s.Stat(bad); !errors.Is(err, ErrBadID) {
-			t.Fatalf("Stat(%q): want ErrBadID, got %v", bad, err)
+		if _, _, err := s.Get(bad); !errors.Is(err, ErrBadID) {
+			t.Fatalf("Get(%q): want ErrBadID, got %v", bad, err)
 		}
 	}
 }
@@ -259,7 +259,7 @@ func TestEvictionSurvivesRestartAndRePut(t *testing.T) {
 	if _, err := s.GC(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Stat(id); !errors.Is(err, ErrEvicted) {
+	if _, _, err := s.Get(id); !errors.Is(err, ErrEvicted) {
 		t.Fatalf("want ErrEvicted, got %v", err)
 	}
 	s.Close()
@@ -375,9 +375,6 @@ func TestClosedStoreRejectsEverything(t *testing.T) {
 	if _, _, err := s.Get(id); !errors.Is(err, ErrClosed) {
 		t.Fatalf("get: want ErrClosed, got %v", err)
 	}
-	if _, err := s.Stat(id); !errors.Is(err, ErrClosed) {
-		t.Fatalf("stat: want ErrClosed, got %v", err)
-	}
 	if _, err := s.GC(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("gc: want ErrClosed, got %v", err)
 	}
@@ -442,8 +439,9 @@ func TestMetricsGauges(t *testing.T) {
 		"store/evicted":         1,
 		"store/gc_runs":         1,
 	}
+	snap := reg.Snapshot()
 	for path, v := range want {
-		got, ok := reg.Value(path)
+		got, ok := snap.Get(path)
 		if !ok {
 			t.Fatalf("gauge %s not registered", path)
 		}
@@ -470,7 +468,7 @@ func TestGCDeterministicTieBreak(t *testing.T) {
 		}
 		var evicted []string
 		for _, tag := range []string{"t1", "t2", "t3"} {
-			if _, err := s.Stat(idOf(tag)); errors.Is(err, ErrEvicted) {
+			if _, _, err := s.Get(idOf(tag)); errors.Is(err, ErrEvicted) {
 				evicted = append(evicted, tag)
 			}
 		}

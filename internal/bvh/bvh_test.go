@@ -119,11 +119,10 @@ func TestStatsAccumulate(t *testing.T) {
 	if st.Rays != 1 || st.NodesVisited == 0 {
 		t.Errorf("stats not accumulated: %+v", st)
 	}
-	var st2 TraversalStats
-	st2.Add(st)
-	st2.Add(st)
-	if st2.NodesVisited != 2*st.NodesVisited || st2.Rays != 2 {
-		t.Errorf("Add wrong: %+v", st2)
+	first := st
+	bv.Intersect(r, &st)
+	if st.Rays != 2 || st.NodesVisited != 2*first.NodesVisited || st.TrisTested != 2*first.TrisTested {
+		t.Errorf("the same ray again did not add the same work: %+v after %+v", st, first)
 	}
 }
 

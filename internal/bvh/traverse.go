@@ -11,8 +11,6 @@ func errorfBVH(format string, args ...any) error {
 	return fmt.Errorf("bvh: "+format, args...)
 }
 
-func vecSplat(s float32) vec.V3 { return vec.Splat(s) }
-
 // TraversalStats accumulates work counters over one or more rays; the
 // experiments use these to explain performance differences (e.g. sponza
 // rays visiting more nodes than other scenes, §4.4).
@@ -22,15 +20,6 @@ type TraversalStats struct {
 	TrisTested   int64
 	Rays         int64
 	Hits         int64
-}
-
-// Add merges other into s.
-func (s *TraversalStats) Add(other TraversalStats) {
-	s.NodesVisited += other.NodesVisited
-	s.LeavesTested += other.LeavesTested
-	s.TrisTested += other.TrisTested
-	s.Rays += other.Rays
-	s.Hits += other.Hits
 }
 
 // Intersect finds the closest triangle hit by r, returning the hit with
@@ -135,6 +124,8 @@ func (b *BVH) Intersect(r geom.Ray, stats *TraversalStats) geom.Hit {
 
 // IntersectAny reports whether r hits anything (shadow-ray query),
 // terminating at the first hit found.
+//
+//drslint:allow unreachable -- the reference the any-hit kernel tests compare against
 func (b *BVH) IntersectAny(r geom.Ray, stats *TraversalStats) bool {
 	if len(b.Nodes) == 0 {
 		return false
@@ -184,9 +175,6 @@ func (b *BVH) IntersectAny(r geom.Ray, stats *TraversalStats) bool {
 	return false
 }
 
-// NodeCount returns the number of inner nodes.
-func (b *BVH) NodeCount() int { return len(b.Nodes) }
-
 // LeafRanges iterates over all leaves, calling fn with each leaf's
 // first triangle index and count. Used by validation and tests.
 func (b *BVH) LeafRanges(fn func(first, count int32)) {
@@ -203,6 +191,8 @@ func (b *BVH) LeafRanges(fn func(first, count int32)) {
 // Validate checks structural invariants: every triangle appears in
 // exactly one leaf, child bounds contain their triangles, and child
 // node indices are in range and acyclic (tree-shaped).
+//
+//drslint:allow unreachable -- the checker both builders' tests run on every scene
 func (b *BVH) Validate() error {
 	seen := make([]int, len(b.Tris))
 	b.LeafRanges(func(first, count int32) {
@@ -262,8 +252,8 @@ func (b *BVH) validateChild(parent int, idx, count int32, bounds geom.AABB) erro
 		return errorfBVH("node %d leaf range [%d,%d) out of range", parent, first, first+count)
 	}
 	grow := bounds
-	grow.Min = grow.Min.Sub(vecSplat(1e-4))
-	grow.Max = grow.Max.Add(vecSplat(1e-4))
+	grow.Min = grow.Min.Sub(vec.Splat(1e-4))
+	grow.Max = grow.Max.Add(vec.Splat(1e-4))
 	for i := first; i < first+count; i++ {
 		if !grow.ContainsBox(b.Tris[i].Bounds()) {
 			return errorfBVH("node %d leaf triangle %d escapes child bounds", parent, i)

@@ -42,12 +42,6 @@ func New(from, at, up vec.V3, vfovDeg float64, width, height int) *Pinhole {
 	}
 }
 
-// Width returns the image width in pixels.
-func (c *Pinhole) Width() int { return c.width }
-
-// Height returns the image height in pixels.
-func (c *Pinhole) Height() int { return c.height }
-
 // Ray generates the primary ray through pixel (px, py) at subpixel
 // offset (sx, sy) in [0, 1).
 func (c *Pinhole) Ray(px, py int, sx, sy float32) geom.Ray {

@@ -8,8 +8,8 @@ import (
 
 func TestCameraDimensions(t *testing.T) {
 	c := New(vec.New(0, 0, 0), vec.New(0, 0, -1), vec.New(0, 1, 0), 60, 640, 480)
-	if c.Width() != 640 || c.Height() != 480 {
-		t.Errorf("dims = %dx%d", c.Width(), c.Height())
+	if c.width != 640 || c.height != 480 {
+		t.Errorf("dims = %dx%d", c.width, c.height)
 	}
 }
 

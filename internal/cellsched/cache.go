@@ -63,10 +63,3 @@ func (c *Cache[K, V]) Stats() CacheStats {
 	defer c.mu.Unlock()
 	return c.stats
 }
-
-// Len returns the number of distinct keys ever requested.
-func (c *Cache[K, V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}

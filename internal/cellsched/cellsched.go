@@ -9,7 +9,7 @@
 // cell's inputs (the epoch-barrier engine makes each device simulation
 // bit-reproducible regardless of goroutine scheduling, see DESIGN.md
 // §3), cells share no mutable state (workloads come from a build-once
-// Cache and are read-only after construction), and Run assembles
+// Cache and are read-only after construction), and RunCtx assembles
 // results positionally in the caller's canonical cell order. Worker
 // count and completion order therefore cannot affect the output: the
 // result slice — and everything rendered from it — is byte-identical
@@ -18,7 +18,7 @@
 //
 // Error propagation is deterministic too: workers claim cells in index
 // order, so when a cell fails, every lower-index cell has already been
-// claimed; Run stops issuing new cells, waits for the in-flight ones,
+// claimed; RunCtx stops issuing new cells, waits for the in-flight ones,
 // and reports the failure with the lowest index — first-by-key in the
 // canonical order, not first-by-time.
 package cellsched
@@ -42,30 +42,21 @@ type Cell[T any] struct {
 	Run func() (T, error)
 }
 
-// Run executes the cells on a bounded worker pool and returns their
+// RunCtx executes the cells on a bounded worker pool and returns their
 // values in cell order. par is the worker count: <= 0 means
 // runtime.GOMAXPROCS(0). par == 1 degenerates to a plain sequential
 // loop; any par produces byte-identical results (see the package
 // comment).
 //
-// If any cell fails, Run cancels the remaining unstarted cells, waits
-// for in-flight ones, and returns the error of the failing cell with
-// the lowest index, wrapped with its Key.
-func Run[T any](cells []Cell[T], par int) ([]T, error) {
-	return RunCtx(context.Background(), cells, par)
-}
-
-// RunCtx is Run with cooperative cancellation: once ctx is done,
-// workers stop claiming new cells, wait for the in-flight ones (whose
-// Run closures observe the same cancellation at their next internal
-// check, provided the caller threaded ctx into them), and RunCtx
-// returns an error. An uncancelled RunCtx behaves exactly like Run:
-// same results, byte for byte, at any worker count.
-//
-// Error reporting stays deterministic under cancellation: the failing
-// cell with the lowest index wins, exactly as in Run. Only if no
-// claimed cell reported an error does RunCtx fall back to ctx.Err()
-// (cells were skipped, so the grid is incomplete).
+// If any cell fails, RunCtx cancels the remaining unstarted cells,
+// waits for in-flight ones, and returns the error of the failing cell
+// with the lowest index, wrapped with its Key. Once ctx is done,
+// workers likewise stop claiming new cells and wait for the in-flight
+// ones (whose Run closures observe the same cancellation at their next
+// internal check, provided the caller threaded ctx into them). The
+// failing cell with the lowest index still wins; only if no claimed
+// cell reported an error does RunCtx fall back to ctx.Err() (cells
+// were skipped, so the grid is incomplete).
 func RunCtx[T any](ctx context.Context, cells []Cell[T], par int) ([]T, error) {
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)

@@ -1,6 +1,7 @@
 package cellsched
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -24,12 +25,12 @@ func squareCells(n int) []Cell[int] {
 // Results must be positional and identical for every worker count.
 func TestRunOrderIndependentOfWorkers(t *testing.T) {
 	const n = 100
-	want, err := Run(squareCells(n), 1)
+	want, err := RunCtx(context.Background(), squareCells(n), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{0, 2, 3, 4, 16, 200} {
-		got, err := Run(squareCells(n), par)
+		got, err := RunCtx(context.Background(), squareCells(n), par)
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}
@@ -42,7 +43,7 @@ func TestRunOrderIndependentOfWorkers(t *testing.T) {
 }
 
 func TestRunEmpty(t *testing.T) {
-	out, err := Run([]Cell[int]{}, 4)
+	out, err := RunCtx(context.Background(), []Cell[int]{}, 4)
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty grid: out=%v err=%v", out, err)
 	}
@@ -60,7 +61,7 @@ func TestRunEachCellOnce(t *testing.T) {
 			return i, nil
 		}}
 	}
-	if _, err := Run(cells, 8); err != nil {
+	if _, err := RunCtx(context.Background(), cells, 8); err != nil {
 		t.Fatal(err)
 	}
 	for i := range counts {
@@ -97,7 +98,7 @@ func TestRunErrorFirstByKeyNotFirstByTime(t *testing.T) {
 	}
 	for run := 0; run < 20; run++ {
 		lateFailed = make(chan struct{})
-		_, err := Run(cells, 4)
+		_, err := RunCtx(context.Background(), cells, 4)
 		if err == nil {
 			t.Fatal("no error reported")
 		}
@@ -124,10 +125,10 @@ func TestRunErrorSequentialMatchesParallel(t *testing.T) {
 		}}
 	}
 	seqErr := func() string {
-		_, err := Run(cells, 1)
+		_, err := RunCtx(context.Background(), cells, 1)
 		return err.Error()
 	}()
-	_, parErr := Run(cells, 4)
+	_, parErr := RunCtx(context.Background(), cells, 4)
 	if parErr == nil || parErr.Error() != seqErr {
 		t.Fatalf("parallel error %v, sequential %q", parErr, seqErr)
 	}
@@ -150,7 +151,7 @@ func TestRunCancelsAfterFailure(t *testing.T) {
 			return i, nil
 		}}
 	}
-	if _, err := Run(cells, 2); err == nil {
+	if _, err := RunCtx(context.Background(), cells, 2); err == nil {
 		t.Fatal("no error")
 	}
 	if n := started.Load(); n >= 100 {
@@ -190,8 +191,8 @@ func TestCacheBuildOnceUnderContention(t *testing.T) {
 	if st.Hits != 16*100-5 {
 		t.Errorf("hits = %d, want %d", st.Hits, 16*100-5)
 	}
-	if c.Len() != 5 {
-		t.Errorf("len = %d, want 5", c.Len())
+	if len(c.entries) != 5 {
+		t.Errorf("len = %d, want 5", len(c.entries))
 	}
 }
 

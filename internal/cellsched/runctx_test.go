@@ -30,16 +30,18 @@ func labelCells(n int) []Cell[string] {
 func TestRunCtxUncancelledMatchesRun(t *testing.T) {
 	cells := labelCells(37)
 	for _, par := range []int{1, 2, 4} {
-		want, err := Run(cells, par)
-		if err != nil {
-			t.Fatalf("Run(par=%d): %v", par, err)
-		}
-		got, err := RunCtx(context.Background(), cells, par)
+		want, err := RunCtx(context.Background(), cells, par)
 		if err != nil {
 			t.Fatalf("RunCtx(par=%d): %v", par, err)
 		}
+		ctx, cancel := context.WithCancel(context.Background())
+		got, err := RunCtx(ctx, cells, par)
+		cancel()
+		if err != nil {
+			t.Fatalf("RunCtx(par=%d) under a live context: %v", par, err)
+		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("par=%d: RunCtx diverged from Run:\n got %v\nwant %v", par, got, want)
+			t.Fatalf("par=%d: a cancellable, uncancelled run diverged:\n got %v\nwant %v", par, got, want)
 		}
 	}
 }

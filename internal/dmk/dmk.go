@@ -165,9 +165,6 @@ func (w *Wrapper) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.Gauge(prefix+"/queued_threads", func() int64 { return int64(w.queued) })
 }
 
-// QueuedThreads returns the current spawn-memory occupancy.
-func (w *Wrapper) QueuedThreads() int { return w.queued }
-
 // spawnAccess charges one spawn-memory transfer of `threads` contexts.
 // The spawn memory is banked, so concurrent transfers overlap; each
 // access pays its own bank-serialized duration, plus a bounded queueing

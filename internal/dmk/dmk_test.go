@@ -65,8 +65,8 @@ func TestDMKTracesCorrectly(t *testing.T) {
 	if pool.Remaining() != 0 {
 		t.Fatalf("pool not drained")
 	}
-	if w.QueuedThreads() != 0 {
-		t.Errorf("threads stranded in spawn memory: %d", w.QueuedThreads())
+	if w.queued != 0 {
+		t.Errorf("threads stranded in spawn memory: %d", w.queued)
 	}
 	bad := 0
 	for i, r := range pool.Rays {

@@ -110,7 +110,7 @@ func TestObservedMetricsParallelIdentical(t *testing.T) {
 				},
 			}
 		}
-		out, err := cellsched.Run(grid, par)
+		out, err := cellsched.RunCtx(context.Background(), grid, par)
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}

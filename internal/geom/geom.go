@@ -82,36 +82,30 @@ func (a AABB) ContainsBox(b AABB) bool {
 	return a.Contains(b.Min) && a.Contains(b.Max)
 }
 
-// IsEmpty reports whether the box is inverted (contains nothing).
-func (a AABB) IsEmpty() bool {
-	d := a.Diagonal()
-	return d.X < 0 || d.Y < 0 || d.Z < 0
-}
-
 // IntersectRay performs the slab test against ray r using precomputed
 // inverse direction. It returns the entry parameter and whether the box
-// is hit within (tmin, tmax).
+// is hit within (tmin, tmax). The sign of each invDir component picks
+// that axis's entry and exit plane, so an inverted box (EmptyAABB)
+// yields an empty interval and is never hit.
 func (a AABB) IntersectRay(r Ray, invDir vec.V3) (float32, bool) {
-	t0x := (a.Min.X - r.Origin.X) * invDir.X
-	t1x := (a.Max.X - r.Origin.X) * invDir.X
-	if t0x > t1x {
-		t0x, t1x = t1x, t0x
-	}
-	t0y := (a.Min.Y - r.Origin.Y) * invDir.Y
-	t1y := (a.Max.Y - r.Origin.Y) * invDir.Y
-	if t0y > t1y {
-		t0y, t1y = t1y, t0y
-	}
-	t0z := (a.Min.Z - r.Origin.Z) * invDir.Z
-	t1z := (a.Max.Z - r.Origin.Z) * invDir.Z
-	if t0z > t1z {
-		t0z, t1z = t1z, t0z
-	}
+	t0x, t1x := slab(a.Min.X, a.Max.X, r.Origin.X, invDir.X)
+	t0y, t1y := slab(a.Min.Y, a.Max.Y, r.Origin.Y, invDir.Y)
+	t0z, t1z := slab(a.Min.Z, a.Max.Z, r.Origin.Z, invDir.Z)
 	tEnter := max3(t0x, t0y, t0z)
 	tExit := min3(t1x, t1y, t1z)
 	tEnter = maxf(tEnter, r.TMin)
 	tExit = minf(tExit, r.TMax)
 	return tEnter, tEnter <= tExit
+}
+
+// slab returns the ray parameters at which one axis's planes lo and hi
+// are entered and left: lo first when the ray runs toward +axis, hi
+// first when it runs toward -axis.
+func slab(lo, hi, origin, inv float32) (enter, exit float32) {
+	if inv < 0 {
+		lo, hi = hi, lo
+	}
+	return (lo - origin) * inv, (hi - origin) * inv
 }
 
 // Triangle is an indexed triangle with a material id. Vertices are
@@ -136,9 +130,6 @@ func (t Triangle) Centroid() vec.V3 {
 func (t Triangle) Normal() vec.V3 {
 	return t.B.Sub(t.A).Cross(t.C.Sub(t.A))
 }
-
-// Area returns the triangle's surface area.
-func (t Triangle) Area() float32 { return t.Normal().Len() / 2 }
 
 // Hit records a ray/triangle intersection.
 type Hit struct {

@@ -27,8 +27,8 @@ func TestAABBUnionExtend(t *testing.T) {
 		t.Errorf("union does not contain inputs: %v", u)
 	}
 	e := EmptyAABB()
-	if !e.IsEmpty() {
-		t.Errorf("EmptyAABB not empty")
+	if d := e.Diagonal(); d.X >= 0 || d.Y >= 0 || d.Z >= 0 {
+		t.Errorf("EmptyAABB not inverted: %v", e)
 	}
 	if got := e.Union(a); got != a {
 		t.Errorf("empty union = %v", got)
@@ -79,12 +79,22 @@ func TestAABBIntersectRay(t *testing.T) {
 	if _, ok := box.IntersectRay(r5, r5.InvDir()); ok {
 		t.Errorf("box beyond TMax should miss")
 	}
+	// The inverted box is never hit: not from outside, inside or on a
+	// face of a real box, and not along an axis, where invDir holds
+	// infinities.
+	empty := EmptyAABB()
+	for _, r := range []Ray{r, r2, r3, r4, NewRay(vec.New(0, 0, 0), vec.New(1, 1, 1)),
+		NewRay(vec.New(-1, 0, 0), vec.New(0, 0, -1)), NewRay(vec.New(1, 1, 1), vec.New(-1, -2, 0.5))} {
+		if _, ok := empty.IntersectRay(r, r.InvDir()); ok {
+			t.Errorf("ray %v hits the empty box", r)
+		}
+	}
 }
 
 func TestTriangleBasics(t *testing.T) {
 	tri := Triangle{A: vec.New(0, 0, 0), B: vec.New(1, 0, 0), C: vec.New(0, 1, 0)}
-	if got := tri.Area(); got != 0.5 {
-		t.Errorf("Area = %v", got)
+	if got := tri.Normal().Len() / 2; got != 0.5 {
+		t.Errorf("area = %v", got)
 	}
 	n := tri.Normal().Norm()
 	if n != vec.New(0, 0, 1) {
@@ -176,7 +186,7 @@ func TestQuickTriangleBarycentricConsistency(t *testing.T) {
 	}
 	for i := 0; i < 300; i++ {
 		tri := Triangle{A: randV(5), B: randV(5), C: randV(5)}
-		if tri.Area() < 1e-3 {
+		if tri.Normal().Len()/2 < 1e-3 {
 			continue
 		}
 		// Aim at a random interior point.

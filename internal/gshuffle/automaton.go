@@ -91,9 +91,6 @@ func (a *Automaton) WorkLeft() bool { return a.left > 0 }
 // SetListener implements TaskKernel.
 func (a *Automaton) SetListener(fn func(slot int32, old, new int)) { a.listen = fn }
 
-// Retired returns the number of finished tasks.
-func (a *Automaton) Retired() int { return a.retired }
-
 // setPhase transitions a task and notifies the control.
 func (a *Automaton) setPhase(slot int32, phase int) {
 	t := &a.tasks[slot]

@@ -129,8 +129,8 @@ func TestAutomatonSettleOutcome(t *testing.T) {
 			if a.PhaseOf(0) != -1 {
 				t.Fatalf("stream %d: rng chose retirement but phase = %d", stream, a.PhaseOf(0))
 			}
-			if a.Retired() != 1 || a.WorkLeft() {
-				t.Fatalf("stream %d: retirement bookkeeping: retired=%d left=%v", stream, a.Retired(), a.WorkLeft())
+			if a.retired != 1 || a.WorkLeft() {
+				t.Fatalf("stream %d: retirement bookkeeping: retired=%d left=%v", stream, a.retired, a.WorkLeft())
 			}
 		} else {
 			restarted = true
@@ -141,8 +141,8 @@ func TestAutomatonSettleOutcome(t *testing.T) {
 			if b[0] < 1 || b[0] > 6 || b[1] < 1 || b[1] > 4 || b[2] < 1 || b[2] > 3 {
 				t.Fatalf("stream %d: restart budgets out of range: %v", stream, b)
 			}
-			if a.Retired() != 0 || !a.WorkLeft() {
-				t.Fatalf("stream %d: restart bookkeeping: retired=%d left=%v", stream, a.Retired(), a.WorkLeft())
+			if a.retired != 0 || !a.WorkLeft() {
+				t.Fatalf("stream %d: restart bookkeeping: retired=%d left=%v", stream, a.retired, a.WorkLeft())
 			}
 		}
 	}
@@ -244,9 +244,9 @@ func TestAutomatonMappingsNeverReferenceInactiveLanes(t *testing.T) {
 			if _, err := smx.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if a.WorkLeft() || a.Retired() != cfg.Warps*cfg.WarpSize {
+			if a.WorkLeft() || a.retired != cfg.Warps*cfg.WarpSize {
 				t.Fatalf("seed %d frac %v: run left work behind: retired %d of %d",
-					seed, frac, a.Retired(), cfg.Warps*cfg.WarpSize)
+					seed, frac, a.retired, cfg.Warps*cfg.WarpSize)
 			}
 		}
 	}

@@ -443,11 +443,3 @@ func (c *Control) plan(p int, now int64) *swapOp {
 	c.rowBusy[coll]++
 	return op
 }
-
-// MeanSwapCycles returns the average batched swap duration.
-func (s Stats) MeanSwapCycles() float64 {
-	if s.SwapsCompleted == 0 {
-		return 0
-	}
-	return float64(s.SwapCycleSum) / float64(s.SwapsCompleted)
-}

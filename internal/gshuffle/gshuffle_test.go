@@ -80,8 +80,8 @@ func TestAutomatonCompletesBothWays(t *testing.T) {
 	total := cfg.Warps * cfg.WarpSize
 	for _, shuffle := range []bool{false, true} {
 		_, a, _ := runAutomaton(t, cfg, shuffle, 7)
-		if a.Retired() != total {
-			t.Errorf("shuffle=%v: retired %d of %d tasks", shuffle, a.Retired(), total)
+		if a.retired != total {
+			t.Errorf("shuffle=%v: retired %d of %d tasks", shuffle, a.retired, total)
 		}
 		if a.WorkLeft() {
 			t.Errorf("shuffle=%v: work left", shuffle)
@@ -134,17 +134,5 @@ func TestAutomatonDeterministic(t *testing.T) {
 	b, _, _ := runAutomaton(t, cfg, true, 3)
 	if a.Cycles != b.Cycles || a.WarpInstrs != b.WarpInstrs {
 		t.Errorf("nondeterministic: %d/%d vs %d/%d", a.Cycles, a.WarpInstrs, b.Cycles, b.WarpInstrs)
-	}
-}
-
-func TestMeanSwapCycles(t *testing.T) {
-	var s Stats
-	if s.MeanSwapCycles() != 0 {
-		t.Errorf("empty mean nonzero")
-	}
-	s.SwapsCompleted = 2
-	s.SwapCycleSum = 50
-	if s.MeanSwapCycles() != 25 {
-		t.Errorf("mean = %v", s.MeanSwapCycles())
 	}
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -227,7 +228,8 @@ func TestSchedulerPin(t *testing.T) {
 
 	opt.Scheduler = warpsched.WaSP{Runners: 0, Distance: 16}
 	_, err = RunNamed("aila", rays, data, opt)
-	oe, ok := AsOptionsError(err)
+	var oe *OptionsError
+	ok := errors.As(err, &oe)
 	if !ok || oe.Field != "Scheduler" {
 		t.Fatalf("want Scheduler OptionsError for invalid wasp config, got %v", err)
 	}
@@ -244,7 +246,8 @@ func TestRunRejectsSimtSchedFactory(t *testing.T) {
 	opt := smallOptions()
 	opt.Simt.SchedFactory = warpsched.NewLRR().Factory()
 	_, err := RunNamed("aila", rays, data, opt)
-	if oe, ok := AsOptionsError(err); !ok || oe.Field != "Simt.SchedFactory" {
+	var oe *OptionsError
+	if !errors.As(err, &oe) || oe.Field != "Simt.SchedFactory" {
 		t.Fatalf("want Simt.SchedFactory OptionsError, got %v", err)
 	}
 	got, err := ApplyArch(mustBuiltin(t, "modern-mid"), opt)

@@ -74,7 +74,7 @@ func TestGoldenStats(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", r.key, err)
 		}
-		if res.Metrics == nil || res.Metrics.Len() == 0 {
+		if res.Metrics == nil || len(res.Metrics.Paths) == 0 {
 			t.Fatalf("%s: empty metrics snapshot", r.key)
 		}
 		b, err := json.Marshal(res.Metrics)

@@ -1,11 +1,9 @@
 package harness
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/scene"
-	"repro/internal/trace"
 )
 
 // Hits must be identical regardless of how rays are partitioned across
@@ -28,39 +26,6 @@ func TestPartitioningPreservesHits(t *testing.T) {
 	for i := range rays {
 		if one.Hits[i].TriIndex != five.Hits[i].TriIndex {
 			t.Fatalf("ray %d: 1-SMX hit %d, 5-SMX hit %d", i, one.Hits[i].TriIndex, five.Hits[i].TriIndex)
-		}
-	}
-}
-
-// A trace stream written to the binary format and read back must
-// simulate to identical results — the tracegen/drsbench file exchange.
-func TestTraceFileRoundTripSimulatesIdentically(t *testing.T) {
-	data, traces, _ := testWorkload(t, scene.ConferenceRoom, 1200)
-	stream := traces.Bounce(2)
-	var buf bytes.Buffer
-	if err := stream.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := trace.Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := smallOptions()
-	direct, err := RunNamed("aila", stream.Rays, data, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromFile, err := RunNamed("aila", loaded.Rays, data, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.GPU.Stats.WarpInstrs != fromFile.GPU.Stats.WarpInstrs {
-		t.Errorf("instruction counts differ: %d vs %d",
-			direct.GPU.Stats.WarpInstrs, fromFile.GPU.Stats.WarpInstrs)
-	}
-	for i := range direct.Hits {
-		if direct.Hits[i].TriIndex != fromFile.Hits[i].TriIndex {
-			t.Fatalf("ray %d hits differ", i)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/reorder"
@@ -11,7 +10,7 @@ import (
 // RunNamedCtx reject bad configurations up front with this typed error
 // instead of letting them panic deep in the engine (a zero warp count
 // used to surface as a divide-by-zero inside the scheduler); callers
-// match it with errors.As or AsOptionsError.
+// match it with errors.As.
 type OptionsError struct {
 	// Field names the offending option ("PolicyOverrides", "Simt").
 	Field string
@@ -21,13 +20,6 @@ type OptionsError struct {
 
 func (e *OptionsError) Error() string {
 	return fmt.Sprintf("harness: invalid options: %s: %s", e.Field, e.Reason)
-}
-
-// AsOptionsError unwraps err to an *OptionsError if there is one.
-func AsOptionsError(err error) (*OptionsError, bool) {
-	var oe *OptionsError
-	ok := errors.As(err, &oe)
-	return oe, ok
 }
 
 // MaxParallelism bounds Options.Parallelism: a worker-pool size beyond

@@ -77,7 +77,8 @@ func TestValidateRejections(t *testing.T) {
 			if err == nil {
 				t.Fatalf("resolve accepted a %s configuration", tc.name)
 			}
-			oe, ok := AsOptionsError(err)
+			var oe *OptionsError
+			ok := errors.As(err, &oe)
 			if !ok {
 				t.Fatalf("want *OptionsError, got %T: %v", err, err)
 			}
@@ -124,7 +125,7 @@ func TestRunRejectsBeforeBuilding(t *testing.T) {
 	if err == nil {
 		t.Fatal("Run accepted a zero warp budget")
 	}
-	if _, ok := AsOptionsError(err); !ok {
+	if !errors.As(err, new(*OptionsError)) {
 		t.Fatalf("want *OptionsError from Run, got %T: %v", err, err)
 	}
 }

@@ -108,7 +108,7 @@ func TestCtxTraversalMatchesReference(t *testing.T) {
 	data, bv := testData(t, scene.ConferenceRoom, 1500)
 	rays := randomRays(300, 7)
 	for i, r := range rays {
-		c := Ctx{Stack: make([]int64, bv.MaxDepth+1)}
+		c := Ctx{Stack: make([]int64, bv.MaxDepth)}
 		c.initRay(r, int32(i))
 		steps := 0
 		for c.Cur != RefNone {
@@ -326,10 +326,10 @@ func checkHits(t *testing.T, bv *bvh.BVH, rays []geom.Ray, hits []geom.Hit) {
 // MaxDepth = k, and a tie sends near-first traversal left, pushing the
 // right child at every level. Driving one slot of either kernel from
 // its entry block to BlockExit must fill the stack to exactly MaxDepth;
-// a push beyond its MaxDepth+1 entries would fault. A scene of
+// a push beyond its MaxDepth entries would fault. A scene of
 // MaxLeafSize triangles is one leaf under a synthesized root (MaxDepth
-// 0) whose empty right box passes the slab test, so its count-0 leaf
-// takes the one entry there is.
+// 0) whose empty right box the slab test rejects, so nothing is pushed
+// onto the empty stack.
 func TestTravStackBound(t *testing.T) {
 	leaf := bvh.DefaultOptions().MaxLeafSize
 	tri := geom.Triangle{A: vec.New(0, 0, 0), B: vec.New(1, 0.2, 0.3), C: vec.New(0.1, 1, 0.4)}
@@ -362,8 +362,8 @@ func TestTravStackBound(t *testing.T) {
 			for _, sk := range seedKernels {
 				k, table, hits := sk.build(data, &Pool{Rays: rays}, 1)
 				stack := table.arena[0].Stack
-				if len(stack) != depth+1 {
-					t.Fatalf("%s %s: stack has %d entries, want MaxDepth+1 = %d", b.name, sk.name, len(stack), depth+1)
+				if len(stack) != depth {
+					t.Fatalf("%s %s: stack has %d entries, want MaxDepth = %d", b.name, sk.name, len(stack), depth)
 				}
 				for i := range stack {
 					stack[i] = unused
@@ -379,8 +379,8 @@ func TestTravStackBound(t *testing.T) {
 				for peak < len(stack) && stack[peak] != unused {
 					peak++
 				}
-				if want := max(depth, 1); peak != want {
-					t.Errorf("%s %s, MaxDepth %d: the stack filled to %d entries, want %d", b.name, sk.name, depth, peak, want)
+				if peak != depth {
+					t.Errorf("%s %s, MaxDepth %d: the stack filled to %d entries, want %d", b.name, sk.name, depth, peak, depth)
 				}
 				if hits[0].TriIndex < 0 {
 					t.Errorf("%s %s, MaxDepth %d: the ray missed the triangles", b.name, sk.name, depth)
@@ -401,7 +401,7 @@ func TestTravStackBound(t *testing.T) {
 func TestCtxArenaScalesWithRays(t *testing.T) {
 	data, bv := testData(t, scene.ConferenceRoom, 12000)
 	rays := randomRays(209, 17)
-	perRay := uint64(unsafe.Sizeof(Ctx{})) + uint64(bv.MaxDepth+1)*8 + uint64(unsafe.Sizeof(geom.Hit{}))
+	perRay := uint64(unsafe.Sizeof(Ctx{})) + uint64(bv.MaxDepth)*8 + uint64(unsafe.Sizeof(geom.Hit{}))
 	const slack = 4 << 10
 	modernBigSlots := map[string]int{"aila": 2048, "whileif": 1856}
 	for _, sk := range seedKernels {

@@ -68,7 +68,7 @@ type Ctx struct {
 	Hit    geom.Hit
 
 	// Stack holds the far children still to visit; it has the BVH's
-	// MaxDepth+1 entries, which push shows is enough.
+	// MaxDepth entries, which push shows is enough.
 	Stack []int64
 	SP    int
 
@@ -218,16 +218,15 @@ type slotTable struct {
 // maxDepth. Every slot starts in the fetch state.
 func newSlotTable(slots, rays, maxDepth int) slotTable {
 	n := min(slots, rays)
-	depth := maxDepth + 1
 	t := slotTable{
 		state: make([]State, slots),
 		ctxOf: make([]int32, slots),
 		arena: make([]Ctx, n),
 		blank: Ctx{Cur: RefNone, Pending: RefNone, CurLeaf: RefNone},
 	}
-	stacks := make([]int64, n*depth)
+	stacks := make([]int64, n*maxDepth)
 	for i := range t.arena {
-		t.arena[i].Stack = stacks[i*depth : (i+1)*depth : (i+1)*depth]
+		t.arena[i].Stack = stacks[i*maxDepth : (i+1)*maxDepth : (i+1)*maxDepth]
 	}
 	for i := range t.state {
 		t.state[i] = StateFetch
@@ -280,7 +279,7 @@ func (c *Ctx) initRay(r geom.Ray, index int32) {
 }
 
 // push adds a child reference to the traversal stack. Stack's
-// MaxDepth+1 entries always suffice:
+// MaxDepth entries always suffice:
 //
 //   - Near-first traversal pushes at most one reference per visited
 //     inner node: the far child, and only when both children are hit.
@@ -294,11 +293,9 @@ func (c *Ctx) initRay(r geom.Ray, index int32) {
 //   - The deepest inner node is at depth MaxDepth-1, so SP <= MaxDepth.
 //   - Aila's speculative traversal parks a leaf in Pending and pops; it
 //     never pushes. Any-hit clears the stack.
-//   - bvh.Build and BuildLBVH wrap a lone leaf in a synthesized root
-//     whose right box is empty while MaxDepth stays 0. The slab test
-//     does not reject an empty box, so that root, an inner node at
-//     depth 0, pushes its count-0 right leaf: the one entry beyond
-//     MaxDepth.
+//   - bvh.Build and BuildLBVH wrap a lone leaf in a synthesized root,
+//     an inner node at depth 0 = MaxDepth. Its right box is empty, which
+//     the slab test never hits, so it never pushes.
 func (c *Ctx) push(ref int64) {
 	c.Stack[c.SP] = ref
 	c.SP++

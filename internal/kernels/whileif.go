@@ -126,10 +126,6 @@ func (k *WhileIf) Blocks() []simt.BlockInfo { return k.blocks }
 // Entry implements simt.Kernel: every warp starts at rdctrl.
 func (k *WhileIf) Entry() int { return WiRdctrl }
 
-// Ctx returns the context of a slot. A slot that has not fetched a ray
-// reads a shared blank context, which callers must not write.
-func (k *WhileIf) Ctx(slot int32) *Ctx { return k.slots.ctx(slot) }
-
 // NumSlots returns the number of ray slots.
 func (k *WhileIf) NumSlots() int { return len(k.slots.state) }
 

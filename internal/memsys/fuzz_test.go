@@ -136,8 +136,8 @@ func FuzzWarpCoalesce(f *testing.F) {
 			t.Fatalf("replay diverged: %+v vs %+v", r2, r)
 		}
 		o2.Drain()
-		if m2.L1DataStats() != m.L1DataStats() || m2.L1TexStats() != m.L1TexStats() ||
-			m2.Transactions() != m.Transactions() || o2.Stats() != o.Stats() {
+		if m2.L1Stats(Data) != m.L1Stats(Data) || m2.L1Stats(Tex) != m.L1Stats(Tex) ||
+			m2.txns != m.txns || o2.Stats() != o.Stats() {
 			t.Fatal("replay cache counters diverged")
 		}
 	})

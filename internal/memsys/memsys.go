@@ -74,14 +74,6 @@ func (s CacheStats) HitRate() float64 {
 	return 1 - float64(s.Misses)/float64(s.Accesses)
 }
 
-// MissRate returns the fraction of accesses that missed.
-func (s CacheStats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // cache is a set-associative cache with LRU replacement, tracked at
 // line-tag granularity (no data storage — the simulator only needs
 // hit/miss behaviour).
@@ -242,9 +234,6 @@ func (o *OrderedL2) drainPort(p *L2Port) {
 	}
 }
 
-// Drains returns how many epoch drains have run.
-func (o *OrderedL2) Drains() int64 { return o.drains }
-
 // Stats returns a snapshot of the L2 counters.
 func (o *OrderedL2) Stats() CacheStats { return o.c.stats }
 
@@ -283,18 +272,10 @@ func NewSMXMem(cfg Config, l2 *OrderedL2, smxID int) *SMXMem {
 	}
 }
 
-// AccessLine performs one transaction for the line containing addr in
-// the given space and returns its latency in cycles. An L1 miss queues
-// the line on the SMX's L2 port and the returned latency is provisional
-// (it assumes an L2 hit); callers that need the resolved outcome use
-// WarpAccessEx and a drain.
-func (m *SMXMem) AccessLine(space Space, addr uint64) int {
-	lat, _ := m.accessLine(space, addr)
-	return lat
-}
-
-// accessLine is AccessLine plus a flag reporting whether the access was
-// queued on the L2 port (an L1 miss) rather than resolved.
+// accessLine performs one transaction for the line containing addr in
+// the given space and returns its latency in cycles, and whether it was
+// queued on the L2 port (an L1 miss) rather than resolved. A queued
+// line's latency is provisional: it assumes an L2 hit.
 func (m *SMXMem) accessLine(space Space, addr uint64) (lat int, queued bool) {
 	m.txns++
 	l1 := m.l1d
@@ -327,19 +308,12 @@ type AccessResult struct {
 	PendingCount int
 }
 
-// WarpAccess coalesces the addresses of one warp memory instruction
-// into line transactions and returns the total warp latency plus the
-// number of transactions. Latency is the max single-transaction latency
-// plus a serialization cost per extra transaction, matching the
-// stall-until-complete model the engine uses. The latency is
-// provisional (see AccessResult); the engine uses WarpAccessEx instead.
-func (m *SMXMem) WarpAccess(space Space, addrs []uint64, bytes uint32) (latency, transactions int) {
-	r := m.WarpAccessEx(space, addrs, bytes)
-	return r.Latency, r.Transactions
-}
-
-// WarpAccessEx is WarpAccess with the pending-request bookkeeping the
-// epoch-barrier engine needs.
+// WarpAccessEx coalesces the addresses of one warp memory instruction
+// into line transactions and returns the total warp latency, the number
+// of transactions and the requests queued on the L2 port. Latency is
+// the max single-transaction latency plus a serialization cost per
+// extra transaction, matching the stall-until-complete model the
+// engine uses; it is provisional (see AccessResult).
 func (m *SMXMem) WarpAccessEx(space Space, addrs []uint64, bytes uint32) AccessResult {
 	if len(addrs) == 0 {
 		return AccessResult{}
@@ -408,14 +382,14 @@ func (m *SMXMem) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.Counter(prefix+"/transactions", &m.txns)
 }
 
-// L1DataStats returns a snapshot of the L1 data cache counters.
-func (m *SMXMem) L1DataStats() CacheStats { return m.l1d.stats }
-
-// L1TexStats returns a snapshot of the L1 texture cache counters.
-func (m *SMXMem) L1TexStats() CacheStats { return m.l1t.stats }
-
-// Transactions returns the number of line transactions performed.
-func (m *SMXMem) Transactions() int64 { return m.txns }
+// L1Stats returns a snapshot of the counters of the L1 cache that
+// serves space.
+func (m *SMXMem) L1Stats(space Space) CacheStats {
+	if space == Tex {
+		return m.l1t.stats
+	}
+	return m.l1d.stats
+}
 
 // String summarizes the SMX's cache behaviour.
 func (m *SMXMem) String() string {

@@ -15,7 +15,7 @@ func newTestMem() (*SMXMem, *OrderedL2) {
 // the L2 right away and returns the resolved latency, DRAM round trip
 // included when the line missed the L2.
 func accessNow(m *SMXMem, l2 *OrderedL2, space Space, addr uint64) int {
-	lat := m.AccessLine(space, addr)
+	lat, _ := m.accessLine(space, addr)
 	p := m.Port()
 	if p.Pending() > 0 {
 		l2.Drain()
@@ -41,8 +41,8 @@ func TestColdMissThenHit(t *testing.T) {
 
 func TestSameLineIsHit(t *testing.T) {
 	m, _ := newTestMem()
-	m.AccessLine(Data, 0x2000)
-	if lat := m.AccessLine(Data, 0x2000+64); lat != DefaultConfig().L1HitLat {
+	m.accessLine(Data, 0x2000)
+	if lat, _ := m.accessLine(Data, 0x2000+64); lat != DefaultConfig().L1HitLat {
 		t.Errorf("same-line access missed: %d", lat)
 	}
 }
@@ -78,19 +78,19 @@ func TestLRUEviction(t *testing.T) {
 	// Fill one set beyond associativity: lines mapping to set 0.
 	// numSets = 8/2 = 4; stride between same-set lines = 4*128.
 	stride := uint64(4 * 128)
-	m.AccessLine(Tex, 0)
-	m.AccessLine(Tex, stride)
-	m.AccessLine(Tex, 2*stride) // evicts line 0
-	st := m.L1TexStats()
+	m.accessLine(Tex, 0)
+	m.accessLine(Tex, stride)
+	m.accessLine(Tex, 2*stride) // evicts line 0
+	st := m.L1Stats(Tex)
 	if st.Misses != 3 {
 		t.Fatalf("expected 3 cold misses, got %d", st.Misses)
 	}
-	m.AccessLine(Tex, 0) // must miss again (evicted)
-	if got := m.L1TexStats().Misses; got != 4 {
+	m.accessLine(Tex, 0) // must miss again (evicted)
+	if got := m.L1Stats(Tex).Misses; got != 4 {
 		t.Errorf("expected LRU eviction miss, misses = %d", got)
 	}
-	m.AccessLine(Tex, 2*stride) // still resident
-	if got := m.L1TexStats().Misses; got != 4 {
+	m.accessLine(Tex, 2*stride) // still resident
+	if got := m.L1Stats(Tex).Misses; got != 4 {
 		t.Errorf("MRU line evicted unexpectedly, misses = %d", got)
 	}
 }
@@ -102,7 +102,7 @@ func TestWarpAccessCoalescing(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = 0x4000 + uint64(i*4)
 	}
-	_, txns := m.WarpAccess(Data, addrs, 4)
+	txns := m.WarpAccessEx(Data, addrs, 4).Transactions
 	if txns != 1 {
 		t.Errorf("fully coalesced access took %d transactions", txns)
 	}
@@ -110,7 +110,7 @@ func TestWarpAccessCoalescing(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = 0x100000 + uint64(i)*128*7
 	}
-	_, txns = m.WarpAccess(Data, addrs, 4)
+	txns = m.WarpAccessEx(Data, addrs, 4).Transactions
 	if txns != 32 {
 		t.Errorf("scattered access coalesced to %d transactions", txns)
 	}
@@ -120,7 +120,7 @@ func TestWarpAccessStraddlesLines(t *testing.T) {
 	m, _ := newTestMem()
 	// A 64-byte object starting 32 bytes before a line boundary spans 2 lines.
 	addrs := []uint64{128 - 32}
-	_, txns := m.WarpAccess(Tex, addrs, 64)
+	txns := m.WarpAccessEx(Tex, addrs, 64).Transactions
 	if txns != 2 {
 		t.Errorf("straddling access = %d transactions, want 2", txns)
 	}
@@ -129,12 +129,12 @@ func TestWarpAccessStraddlesLines(t *testing.T) {
 func TestWarpAccessLatencyGrowsWithTxns(t *testing.T) {
 	m, _ := newTestMem()
 	one := []uint64{0}
-	lat1, _ := m.WarpAccess(Tex, one, 4)
+	lat1 := m.WarpAccessEx(Tex, one, 4).Latency
 	var scattered []uint64
 	for i := 0; i < 16; i++ {
 		scattered = append(scattered, uint64(0x200000+i*128*5))
 	}
-	lat2, _ := m.WarpAccess(Tex, scattered, 4)
+	lat2 := m.WarpAccessEx(Tex, scattered, 4).Latency
 	if lat2 <= lat1 {
 		t.Errorf("scattered warp access (%d) not slower than unit (%d)", lat2, lat1)
 	}
@@ -142,7 +142,8 @@ func TestWarpAccessLatencyGrowsWithTxns(t *testing.T) {
 
 func TestWarpAccessEmpty(t *testing.T) {
 	m, _ := newTestMem()
-	lat, txns := m.WarpAccess(Data, nil, 4)
+	r := m.WarpAccessEx(Data, nil, 4)
+	lat, txns := r.Latency, r.Transactions
 	if lat != 0 || txns != 0 {
 		t.Errorf("empty access = %d cycles %d txns", lat, txns)
 	}
@@ -150,21 +151,18 @@ func TestWarpAccessEmpty(t *testing.T) {
 
 func TestStatsAndHitRate(t *testing.T) {
 	m, _ := newTestMem()
-	m.AccessLine(Tex, 0)
-	m.AccessLine(Tex, 0)
-	m.AccessLine(Tex, 0)
-	st := m.L1TexStats()
+	m.accessLine(Tex, 0)
+	m.accessLine(Tex, 0)
+	m.accessLine(Tex, 0)
+	st := m.L1Stats(Tex)
 	if st.Accesses != 3 || st.Misses != 1 {
 		t.Errorf("stats = %+v", st)
 	}
 	if hr := st.HitRate(); hr < 0.66 || hr > 0.67 {
 		t.Errorf("hit rate = %v", hr)
 	}
-	if st.MissRate()+st.HitRate() != 1 {
-		t.Errorf("rates don't sum to 1")
-	}
 	var empty CacheStats
-	if empty.HitRate() != 0 || empty.MissRate() != 0 {
+	if empty.HitRate() != 0 {
 		t.Errorf("empty stats rates nonzero")
 	}
 }
@@ -179,9 +177,9 @@ func TestSmallerCacheMissesMore(t *testing.T) {
 		rnd := rand.New(rand.NewSource(1))
 		const footprint = 96 * 1024
 		for i := 0; i < 20000; i++ {
-			m.AccessLine(Tex, uint64(rnd.Intn(footprint)))
+			m.accessLine(Tex, uint64(rnd.Intn(footprint)))
 		}
-		return m.L1TexStats().MissRate()
+		return 1 - m.L1Stats(Tex).HitRate()
 	}
 	small := run(16)
 	large := run(128)

@@ -144,8 +144,8 @@ func TestOrderedL2PortLifecycle(t *testing.T) {
 	if st.Accesses != 3 || st.Misses != 2 {
 		t.Errorf("stats = %+v, want 3 accesses / 2 misses", st)
 	}
-	if o.Drains() != 1 {
-		t.Errorf("drains = %d, want 1", o.Drains())
+	if o.drains != 1 {
+		t.Errorf("drains = %d, want 1", o.drains)
 	}
 	p.Reset()
 	if p.Pending() != 0 {

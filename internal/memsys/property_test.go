@@ -62,7 +62,7 @@ func TestCacheMatchesReference(t *testing.T) {
 				addr = uint64(rnd.Int63()) % footprint
 			}
 			wantHit := ref.access(addr)
-			lat := m.AccessLine(Tex, addr)
+			lat, _ := m.accessLine(Tex, addr)
 			gotHit := lat == cfg.L1HitLat
 			if gotHit != wantHit {
 				t.Fatalf("seed %d access %d addr %#x: hit=%v, reference=%v",
@@ -79,7 +79,7 @@ func TestWarpAccessMonotoneInLines(t *testing.T) {
 	m := NewSMXMem(cfg, NewOrderedL2(cfg, 1), 0)
 	// Warm every line we will use.
 	for i := 0; i < 64; i++ {
-		m.AccessLine(Data, uint64(i)*128)
+		m.accessLine(Data, uint64(i)*128)
 	}
 	prev := -1
 	for n := 1; n <= 32; n++ {
@@ -87,7 +87,8 @@ func TestWarpAccessMonotoneInLines(t *testing.T) {
 		for i := range addrs {
 			addrs[i] = uint64(i) * 128
 		}
-		lat, txns := m.WarpAccess(Data, addrs, 4)
+		r := m.WarpAccessEx(Data, addrs, 4)
+		lat, txns := r.Latency, r.Transactions
 		if txns != n {
 			t.Fatalf("n=%d: txns=%d", n, txns)
 		}

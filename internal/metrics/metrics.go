@@ -108,24 +108,6 @@ func (r *Registry) Const(path string, v int64) {
 	r.register(path, func() int64 { return v })
 }
 
-// Len returns the number of registered metrics.
-func (r *Registry) Len() int { return len(r.names) }
-
-// Has reports whether path is registered.
-func (r *Registry) Has(path string) bool {
-	_, ok := r.byName[path]
-	return ok
-}
-
-// Value returns the current value of the metric at path.
-func (r *Registry) Value(path string) (int64, bool) {
-	i, ok := r.byName[path]
-	if !ok {
-		return 0, false
-	}
-	return r.probes[i](), true
-}
-
 // RegisterStruct registers every exported integer field of the struct
 // pointed to by p under prefix, naming each field by its lower-snake
 // form ("WarpInstrs" -> prefix+"/warp_instrs"). Arrays of integers
@@ -251,9 +233,6 @@ func (s *Snapshot) Get(path string) (int64, bool) {
 	}
 	return 0, false
 }
-
-// Len returns the number of captured metrics.
-func (s *Snapshot) Len() int { return len(s.Paths) }
 
 // MarshalJSON encodes the snapshot as a canonical flat JSON object:
 // paths in sorted order, one numeric value each, no whitespace

@@ -101,9 +101,6 @@ func (s *Series) Sample(cycle int64) {
 // Len returns the number of retained samples.
 func (s *Series) Len() int { return s.n }
 
-// Cap returns the ring capacity.
-func (s *Series) Cap() int { return s.cap }
-
 // Dropped returns how many old samples the ring evicted.
 func (s *Series) Dropped() int64 { return s.dropped }
 
@@ -136,16 +133,6 @@ func (s *Series) At(i int) (cycle int64, row []int64) {
 	}
 	idx := (s.start + i) % s.cap
 	return s.cycles[idx], s.rows[idx]
-}
-
-// Last returns the newest sample of the named column.
-func (s *Series) Last(name string) (int64, bool) {
-	i, ok := s.byName[name]
-	if !ok || s.n == 0 {
-		return 0, false
-	}
-	_, row := s.At(s.n - 1)
-	return row[i], true
 }
 
 // MarshalJSON encodes the series canonically: column names in

@@ -31,9 +31,6 @@ type Arg struct {
 // NewTrace creates an empty trace.
 func NewTrace() *Trace { return &Trace{} }
 
-// Events returns the number of events recorded.
-func (t *Trace) Events() int { return t.events }
-
 func (t *Trace) begin() {
 	if t.events > 0 {
 		t.buf.WriteByte(',')

@@ -38,7 +38,7 @@ var lintCases = sync.OnceValues(func() (*casesLint, error) {
 	if len(prog.Pkgs) != 1 {
 		return nil, fmt.Errorf("loaded %d packages, want 1", len(prog.Pkgs))
 	}
-	return &casesLint{pkg: prog.Pkgs[0], findings: srcgraph.CheckHazards(prog)}, nil
+	return &casesLint{pkg: prog.Pkgs[0], findings: srcgraph.BuildGraph(prog).Hazards()}, nil
 })
 
 // lint returns the findings in one function of the cases package,
@@ -197,7 +197,7 @@ func TestLintRepoClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs := srcgraph.CheckHazards(prog); len(fs) != 0 {
+	if fs := srcgraph.BuildGraph(prog).Hazards(); len(fs) != 0 {
 		t.Fatalf("internal/ and cmd/ have hazard findings:\n%v", fs)
 	}
 }

@@ -32,9 +32,6 @@ func DefaultConfig() Config {
 	return Config{NumBanks: 32, RegsPerSMX: 65536, WarpSize: 32}
 }
 
-// SizeKB returns the register file capacity in KB (4 bytes/register).
-func (c Config) SizeKB() int { return c.RegsPerSMX * 4 / 1024 }
-
 // Stats counts register file activity.
 type Stats struct {
 	// OperandReads/Writes are accesses made by instruction execution.
@@ -107,9 +104,6 @@ func New(cfg Config) *File {
 	}
 	return &File{cfg: cfg}
 }
-
-// Config returns the file's configuration.
-func (f *File) Config() Config { return f.cfg }
 
 // Stats returns a snapshot of the counters.
 func (f *File) Stats() Stats { return f.stats }

@@ -4,8 +4,8 @@ import "testing"
 
 func TestConfigSize(t *testing.T) {
 	cfg := DefaultConfig()
-	if cfg.SizeKB() != 256 {
-		t.Errorf("GTX780 RF size = %dKB, want 256", cfg.SizeKB())
+	if kb := cfg.RegsPerSMX * 4 / 1024; kb != 256 {
+		t.Errorf("GTX780 RF size = %dKB, want 256", kb)
 	}
 }
 

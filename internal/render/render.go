@@ -34,17 +34,6 @@ type Config struct {
 	Workers         int  // parallel workers; 0 = GOMAXPROCS
 }
 
-// DefaultConfig returns a small, fast configuration suitable for tests;
-// the paper-scale configuration is 640x480 with 64 spp.
-func DefaultConfig() Config {
-	return Config{Width: 160, Height: 120, SamplesPerPixel: 4, MaxDepth: trace.MaxBounces, CaptureTraces: true}
-}
-
-// PaperConfig returns the paper's render parameters (§4.1).
-func PaperConfig() Config {
-	return Config{Width: 640, Height: 480, SamplesPerPixel: 64, MaxDepth: trace.MaxBounces, CaptureTraces: true}
-}
-
 // Result is the output of a render: the image and, if requested, the
 // per-bounce ray streams.
 type Result struct {

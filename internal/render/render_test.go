@@ -102,7 +102,7 @@ func TestRenderImageNotBlack(t *testing.T) {
 	_, res := renderSmall(t, scene.ConferenceRoom, cfg)
 	lit := 0
 	for _, p := range res.Film {
-		if p.MaxComp() > 0.01 {
+		if max(p.X, p.Y, p.Z) > 0.01 {
 			lit++
 		}
 	}

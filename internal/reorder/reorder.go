@@ -58,7 +58,6 @@ package reorder
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/kernels"
@@ -258,12 +257,5 @@ func (r *Registry) New(name string) (Policy, error) {
 func (r *Registry) Names() []string {
 	out := make([]string, len(r.order))
 	copy(out, r.order)
-	return out
-}
-
-// SortedNames returns the registered names sorted lexicographically.
-func (r *Registry) SortedNames() []string {
-	out := r.Names()
-	sort.Strings(out)
 	return out
 }

@@ -16,9 +16,6 @@ func TestRegistryLookupAndOrder(t *testing.T) {
 	if got := r.Names(); len(got) != 2 || got[0] != "b" || got[1] != "a" {
 		t.Fatalf("Names() = %v, want registration order [b a]", got)
 	}
-	if got := r.SortedNames(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("SortedNames() = %v, want [a b]", got)
-	}
 	reg, ok := r.Lookup("a")
 	if !ok || reg.Summary != "first" {
 		t.Fatalf("Lookup(a) = %+v, %v", reg, ok)

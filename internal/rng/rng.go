@@ -88,16 +88,9 @@ type Halton struct {
 	rotate [len(primes)]float32
 }
 
-// NewHalton creates a sampler for a pixel-distinct stream. The rotation
-// offsets are drawn from a PCG stream keyed by the pixel.
-func NewHalton(pixelSeed uint64) *Halton {
-	h := &Halton{}
-	h.Reset(pixelSeed)
-	return h
-}
-
-// Reset reinitialises h in place: it then yields NewHalton(pixelSeed)'s
-// samples.
+// Reset (re)initialises h as the sampler of a pixel-distinct stream:
+// the rotation offsets are drawn from a PCG stream keyed by the pixel.
+// A zero Halton has no rotation until it is Reset.
 func (h *Halton) Reset(pixelSeed uint64) {
 	var p PCG32
 	p.Seed(pixelSeed, 0x9e3779b97f4a7c15)

@@ -102,7 +102,8 @@ func TestRadicalInverseRange(t *testing.T) {
 
 func TestHaltonStratification(t *testing.T) {
 	// The first 16 base-2 samples must land in distinct 1/16 strata.
-	h := NewHalton(0)
+	var h Halton
+	h.Reset(0)
 	seen := make(map[int]bool)
 	for i := uint64(0); i < 16; i++ {
 		h.StartSample(i)
@@ -116,7 +117,8 @@ func TestHaltonStratification(t *testing.T) {
 }
 
 func TestHaltonDimensionsAdvance(t *testing.T) {
-	h := NewHalton(3)
+	var h Halton
+	h.Reset(3)
 	h.StartSample(5)
 	a := h.Next1D()
 	b := h.Next1D()
@@ -128,8 +130,10 @@ func TestHaltonDimensionsAdvance(t *testing.T) {
 }
 
 func TestHaltonPixelDecorrelation(t *testing.T) {
-	h0 := NewHalton(0)
-	h1 := NewHalton(1)
+	var h0 Halton
+	h0.Reset(0)
+	var h1 Halton
+	h1.Reset(1)
 	same := 0
 	for i := uint64(0); i < 64; i++ {
 		h0.StartSample(i)
@@ -151,15 +155,17 @@ func BenchmarkPCG32(b *testing.B) {
 }
 
 func BenchmarkHalton(b *testing.B) {
-	h := NewHalton(1)
+	var h Halton
+	h.Reset(1)
 	for i := 0; i < b.N; i++ {
 		h.StartSample(uint64(i))
 		_, _ = h.Next2D()
 	}
 }
 
-// TestInPlaceSeedingMatchesConstructors pins Seed and Reset to the
-// sequences NewPCG32 and NewHalton give, reusing one value across seeds.
+// TestInPlaceSeedingMatchesConstructors pins Seed to the sequences
+// NewPCG32 gives and Reset to the samples of a fresh Halton, reusing
+// one value of each across seeds.
 func TestInPlaceSeedingMatchesConstructors(t *testing.T) {
 	var p PCG32
 	var h Halton
@@ -173,13 +179,14 @@ func TestInPlaceSeedingMatchesConstructors(t *testing.T) {
 		}
 		h.Next1D() // leave state behind for Reset to clear
 		h.Reset(seed)
-		wantH := NewHalton(seed)
+		var wantH Halton
+		wantH.Reset(seed)
 		for sp := uint64(0); sp < 4; sp++ {
 			h.StartSample(sp)
 			wantH.StartSample(sp)
 			for d := 0; d < 6; d++ {
 				if got, w := h.Next1D(), wantH.Next1D(); got != w {
-					t.Fatalf("seed %d sample %d dim %d: Reset gives %v, NewHalton %v", seed, sp, d, got, w)
+					t.Fatalf("seed %d sample %d dim %d: reused Halton gives %v, fresh %v", seed, sp, d, got, w)
 				}
 			}
 		}

@@ -103,7 +103,7 @@ func TestGenerateAllScenes(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Errorf("%v invalid: %v", b, err)
 		}
-		if s.Bounds.IsEmpty() {
+		if s.Bounds.SurfaceArea() == 0 {
 			t.Errorf("%v empty bounds", b)
 		}
 	}
@@ -147,7 +147,7 @@ func TestPlantsIsDense(t *testing.T) {
 	s := Generate(Plants, 8000)
 	var areaSum float32
 	for _, tri := range s.Tris {
-		areaSum += tri.Area()
+		areaSum += tri.Normal().Len() / 2
 	}
 	avg := areaSum / float32(len(s.Tris))
 	// Excluding the two huge quads, leaves are tiny; average area must
@@ -155,7 +155,7 @@ func TestPlantsIsDense(t *testing.T) {
 	// small triangles instead.
 	small := 0
 	for _, tri := range s.Tris {
-		if tri.Area() < 0.1 {
+		if tri.Normal().Len()/2 < 0.1 {
 			small++
 		}
 	}

@@ -177,9 +177,6 @@ func (w *Wrapper) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.Gauge(prefix+"/window_threads", func() int64 { return int64(w.count) })
 }
 
-// WindowThreads returns the current reorder-window occupancy.
-func (w *Wrapper) WindowThreads() int { return w.count }
-
 // hitKey derives a thread's coherence key: the identity hash of the
 // hit-object reference it will work on next — the leaf being tested,
 // a postponed leaf, or the child node about to be visited. Packed

@@ -51,7 +51,7 @@ type Config struct {
 	MaxCycles int64
 
 	// Collector, when non-nil, attaches the unified observability layer
-	// to the run: RunGPU registers every component's counters into
+	// to the run: RunGPUCtx registers every component's counters into
 	// Collector.Registry under hierarchical smx<N>/... paths, and the
 	// epoch-barrier engine samples Collector.Series at every barrier
 	// (active warps, issued instructions, L2 queue depths — see

@@ -1,6 +1,7 @@
 package simt
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/memsys"
@@ -58,7 +59,7 @@ func TestEpochEngineDeterministic(t *testing.T) {
 	cfg.NumSMX = 6
 	var ref *GPUResult
 	for i := 0; i < 4; i++ {
-		res, err := RunGPU(cfg, memHeavyFactory(40))
+		res, err := RunGPUCtx(context.Background(), cfg, memHeavyFactory(40))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +134,7 @@ func TestEpochEngineMatchesFreeOnSingleSMX(t *testing.T) {
 		return s.Stats()
 	}
 
-	gpu, err := RunGPU(cfg, memHeavyFactory(30))
+	gpu, err := RunGPUCtx(context.Background(), cfg, memHeavyFactory(30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestEpochEngineMatchesFreeOnSingleSMX(t *testing.T) {
 		name string
 		got  Stats
 	}{
-		{"RunGPU", gpu.Stats},
+		{"RunGPUCtx", gpu.Stats},
 		{"SMX.Run", standalone(func(s *SMX) error {
 			_, err := s.Run()
 			return err

@@ -2,6 +2,22 @@ package simt
 
 import "fmt"
 
+// newWarp builds a standalone warp backed by its own single-view store,
+// so tests exercise the warp-level operations without an SMX.
+func newWarp(id, warpSize int) *Warp {
+	return &Warp{st: newWarpState(id+1, warpSize, 0), id: id}
+}
+
+// Parked reports whether the warp is suspended at a barrier.
+func (w *Warp) Parked() bool { return w.st.phase[w.id] == phaseParked }
+
+// Block returns the warp's current block.
+func (w *Warp) Block() int { return int(w.st.block[w.id]) }
+
+// ActiveMask returns the mask of the top reconvergence stack entry, or
+// 0 if the warp is done.
+func (w *Warp) ActiveMask() uint32 { return w.st.topMask(w.id) }
+
 // View returns the scheduling view of s, so tests outside the package
 // can read the state a scheduler sees whatever policy s runs.
 func (s *SMX) View() SchedView { return SchedView{s: s} }

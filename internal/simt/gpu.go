@@ -41,21 +41,15 @@ type GPUResult struct {
 	RFStats regfile.Stats
 }
 
-// RunGPU simulates the whole device on the epoch-barrier engine: one
-// goroutine per SMX over a shared ordered L2, drained in fixed order at
-// every barrier, so the run is bit-reproducible. Device cycles are the
-// max over SMXs (they interact only through the L2 in these workloads).
-func RunGPU(cfg Config, factory Factory) (*GPUResult, error) {
-	return RunGPUCtx(context.Background(), cfg, factory)
-}
-
-// RunGPUCtx is RunGPU with cooperative cancellation. The epoch-barrier
-// engine checks ctx at every barrier — once per EpochLen device cycles,
-// with all SMX workers parked — so a cancelled or expired context stops
-// the simulation within one epoch and returns ctx's error. Cancellation
-// never yields a partial result (the error return is the only output),
-// so it cannot perturb determinism: an uncancelled RunGPUCtx is exactly
-// RunGPU.
+// RunGPUCtx simulates the whole device on the epoch-barrier engine:
+// one goroutine per SMX over a shared ordered L2, drained in fixed
+// order at every barrier, so the run is bit-reproducible. Device cycles
+// are the max over SMXs (they interact only through the L2 in these
+// workloads). The engine checks ctx at every barrier — once per
+// EpochLen device cycles, with all SMX workers parked — so a cancelled
+// or expired context stops the simulation within one epoch and returns
+// ctx's error. Cancellation never yields a partial result (the error
+// return is the only output), so it cannot perturb determinism.
 func RunGPUCtx(ctx context.Context, cfg Config, factory Factory) (*GPUResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -98,7 +92,7 @@ func RunGPUCtx(ctx context.Context, cfg Config, factory Factory) (*GPUResult, er
 		st := s.Stats()
 		res.PerSMX[i] = st
 		res.Stats.Add(st)
-		t := s.Mem().L1TexStats()
+		t := s.Mem().L1Stats(memsys.Tex)
 		texAcc += t.Accesses
 		texMiss += t.Misses
 		res.RFStats.Add(s.RF().Stats())

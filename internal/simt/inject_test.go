@@ -84,8 +84,8 @@ func TestUtilizationBreakdownSI(t *testing.T) {
 
 func TestWarpAccessors(t *testing.T) {
 	w := newWarp(3, 32)
-	if w.ID() != 3 {
-		t.Errorf("ID = %d", w.ID())
+	if w.id != 3 {
+		t.Errorf("ID = %d", w.id)
 	}
 	if !w.Done() {
 		t.Errorf("fresh warp should be done until launched")
@@ -94,7 +94,7 @@ func TestWarpAccessors(t *testing.T) {
 	for i := range slots {
 		slots[i] = int32(i)
 	}
-	w.Launch(0, slots)
+	w.SetMapping(slots, 0)
 	if w.Done() || w.Parked() {
 		t.Errorf("launched warp in wrong phase")
 	}
@@ -118,7 +118,7 @@ func TestWarpAccessors(t *testing.T) {
 	}
 	// Launch with a partial mapping masks the empty lanes.
 	slots[5] = -1
-	w.Launch(0, slots)
+	w.SetMapping(slots, 0)
 	if w.ActiveMask()&(1<<5) != 0 {
 		t.Errorf("lane 5 should be masked")
 	}
@@ -127,7 +127,7 @@ func TestWarpAccessors(t *testing.T) {
 func TestResumePanicsOnRunningWarp(t *testing.T) {
 	w := newWarp(0, 32)
 	slots := make([]int32, 32)
-	w.Launch(0, slots)
+	w.SetMapping(slots, 0)
 	defer func() {
 		if recover() == nil {
 			t.Errorf("expected panic")
@@ -142,8 +142,8 @@ func TestRetireLanes(t *testing.T) {
 	for i := range slots {
 		slots[i] = int32(i)
 	}
-	w.Launch(0, slots)
-	n := w.retireLanes(0b1111)
+	w.SetMapping(slots, 0)
+	n := w.st.retireLanes(w.id, 0b1111)
 	if n != 4 {
 		t.Errorf("retired %d", n)
 	}
@@ -155,7 +155,7 @@ func TestRetireLanes(t *testing.T) {
 			t.Errorf("slot %d not cleared", l)
 		}
 	}
-	if w.retireLanes(0) != 0 {
+	if w.st.retireLanes(w.id, 0) != 0 {
 		t.Errorf("empty retire should be 0")
 	}
 }

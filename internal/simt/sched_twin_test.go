@@ -293,17 +293,19 @@ func (g *twinGate) tick(s *simt.SMX, now int64) {
 	}
 	// Keep the run going: now and then bring back a retired or parked
 	// warp between cycles too.
-	if v := s.Warp(int(h >> 8 % uint64(s.NumWarps()))); (v.Done() || v.Parked()) && h>>16%100 < 5 {
-		v.Resume(g.mapping(v.ID()), 0)
+	k := int(h >> 8 % uint64(s.NumWarps()))
+	if v := s.Warp(k); (v.Done() || v.Parked()) && h>>16%100 < 5 {
+		v.Resume(g.mapping(k), 0)
 	}
 }
 
 // twin is one SMX of a pair, with its own L2 and gate.
 type twin struct {
-	s  *simt.SMX
-	v  simt.SchedView
-	l2 *memsys.OrderedL2
-	g  *twinGate
+	s     *simt.SMX
+	v     simt.SchedView
+	l2    *memsys.OrderedL2
+	g     *twinGate
+	epoch int64 // cycles between L2 drains
 }
 
 func newTwin(t *testing.T, cfg simt.Config, k simt.Kernel, g *twinGate, holds bool) *twin {
@@ -319,7 +321,7 @@ func newTwin(t *testing.T, cfg simt.Config, k simt.Kernel, g *twinGate, holds bo
 		t.Fatal(err)
 	}
 	s.LaunchAll(0)
-	return &twin{s: s, v: s.View(), l2: l2, g: g}
+	return &twin{s: s, v: s.View(), l2: l2, g: g, epoch: cfg.EpochLen()}
 }
 
 // issued returns the warp that made its first issue of the current
@@ -365,7 +367,7 @@ func runTwins(t *testing.T, name string, a, b *twin, cycles int) twinCounts {
 	var n twinCounts
 	nsched := a.v.NumSchedulers()
 	prevLast := make([]int, nsched)
-	epoch := a.s.Config().EpochLen()
+	epoch := a.epoch
 	for c := 0; c < cycles && a.s.LiveWarps() > 0; c++ {
 		for sched := range prevLast {
 			prevLast[sched] = a.v.LastPicked(sched)

@@ -127,7 +127,7 @@ type turnCache struct {
 
 // NewSMX builds one SMX running kernel with the given hooks, attached
 // to port id of the shared ordered L2. A standalone SMX (driven by Run
-// or RunFor rather than RunGPU) can use its own
+// or RunFor rather than RunGPUCtx) can use its own
 // memsys.NewOrderedL2(cfg.Mem, 1).
 func NewSMX(id int, cfg Config, kernel Kernel, hooks Hooks, l2 *memsys.OrderedL2) (*SMX, error) {
 	if err := cfg.Validate(); err != nil {
@@ -266,9 +266,6 @@ func (s *SMX) Stats() Stats {
 	st.Cycles = s.cycle
 	return st
 }
-
-// Config returns the SMX's configuration.
-func (s *SMX) Config() Config { return s.cfg }
 
 // MetricsPrefix returns the SMX's path prefix in the unified registry
 // ("smx3"). Architecture wrappers append their own segment

@@ -1,6 +1,7 @@
 package simt
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -511,7 +512,7 @@ func TestRunGPU(t *testing.T) {
 		}
 		return SMXProgram{Kernel: k}, nil
 	}
-	res, err := RunGPU(cfg, factory)
+	res, err := RunGPUCtx(context.Background(), cfg, factory)
 	if err != nil {
 		t.Fatal(err)
 	}

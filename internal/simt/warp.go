@@ -11,40 +11,13 @@ type Warp struct {
 	id int
 }
 
-// newWarp builds a standalone warp backed by its own single-view store
-// (tests exercise the warp-level operations without an SMX).
-func newWarp(id, warpSize int) *Warp {
-	return &Warp{st: newWarpState(id+1, warpSize, 0), id: id}
-}
-
-// Launch activates the warp at the given entry block with the lane ->
-// slot mapping. Lanes with slot -1 are masked off.
-//
-//drslint:hotpath
-func (w *Warp) Launch(entry int, slots []int32) {
-	w.st.launch(w.id, entry, slots)
-}
-
-// ID returns the warp's index within its SMX.
-func (w *Warp) ID() int { return w.id }
-
 // Done reports whether all the warp's lanes have retired.
 func (w *Warp) Done() bool { return w.st.phase[w.id] == phaseDone }
-
-// Parked reports whether the warp is suspended at a barrier.
-func (w *Warp) Parked() bool { return w.st.phase[w.id] == phaseParked }
-
-// Block returns the warp's current block.
-func (w *Warp) Block() int { return int(w.st.block[w.id]) }
 
 // Slots returns the warp's lane -> slot mapping. The returned slice
 // aliases the SMX's store; callers must not retain it across engine
 // steps.
 func (w *Warp) Slots() []int32 { return w.st.laneSlots(w.id) }
-
-// ActiveMask returns the mask of the top reconvergence stack entry, or
-// 0 if the warp is done.
-func (w *Warp) ActiveMask() uint32 { return w.st.topMask(w.id) }
 
 // StackDepth returns the current reconvergence stack depth.
 func (w *Warp) StackDepth() int { return int(w.st.stackLen[w.id]) }
@@ -92,13 +65,3 @@ func (w *Warp) Resume(slots []int32, pc int) {
 	}
 	w.st.launch(w.id, pc, slots)
 }
-
-// retireLanes removes the given lanes from every stack entry, dropping
-// entries that become empty. Returns the number of lanes retired.
-func (w *Warp) retireLanes(mask uint32) int {
-	return w.st.retireLanes(w.id, mask)
-}
-
-// popReconverged pops stack entries whose pc reached their
-// reconvergence block.
-func (w *Warp) popReconverged() { w.st.popReconverged(w.id) }

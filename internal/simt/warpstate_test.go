@@ -124,7 +124,7 @@ func TestWarpStateScalesWithKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l1d, l1t := mixed.Mem().L1DataStats(), mixed.Mem().L1TexStats()
+	l1d, l1t := mixed.Mem().L1Stats(memsys.Data), mixed.Mem().L1Stats(memsys.Tex)
 	if st.MemTransactions != mixedPin.txns || l1d.Accesses != mixedPin.l1d || l1t.Accesses != mixedPin.l1t || st.Cycles != mixedPin.cycles {
 		t.Errorf("mixed kernel: %d transactions, %d L1D and %d L1T accesses, %d cycles; want %d, %d, %d, %d",
 			st.MemTransactions, l1d.Accesses, l1t.Accesses, st.Cycles,
@@ -173,7 +173,7 @@ func (k peelKernel) Step(slot int32, block int, res *StepResult) {
 // returns the final stats and the deepest stack seen.
 func runStackBounded(t *testing.T, s *SMX) (Stats, int) {
 	t.Helper()
-	bound, deepest := 2*s.Config().WarpSize-1, 0
+	bound, deepest := 2*s.cfg.WarpSize-1, 0
 	for s.LiveWarps() > 0 {
 		if err := s.RunFor(1); err != nil {
 			t.Fatal(err)

@@ -20,6 +20,7 @@ type funcNode struct {
 	id   string
 	pkg  *Package
 	file *ast.File
+	pos  token.Pos // the declaration, where an unreachable finding points
 
 	// callees holds resolved outgoing edges, by function id. Interface
 	// calls are expanded by class-hierarchy analysis in BuildGraph;
@@ -51,11 +52,11 @@ type hazard struct {
 
 // ifaceCall records an unresolved interface method call for the CHA
 // expansion: every module type implementing iface contributes its
-// method named name as a callee of from.
+// method named name to callees.
 type ifaceCall struct {
-	from  *funcNode
-	iface *types.Interface
-	name  string
+	callees map[string]bool
+	iface   *types.Interface
+	name    string
 }
 
 // Graph is the static call graph over a loaded program.
@@ -63,6 +64,10 @@ type Graph struct {
 	prog  *Program
 	nodes map[string]*funcNode
 	order []string // node ids, sorted for deterministic iteration
+
+	// extRefs holds the module functions that root modules reference:
+	// modules outside this one's tree that import it, such as bench/.
+	extRefs map[string]bool
 }
 
 // detRootRule matches built-in determinism roots: the engine entry
@@ -81,12 +86,18 @@ var detRootRules = []detRootRule{
 	{"internal/harness", "Run", true, "harness entry point"},
 }
 
+// testSupportPkgs are the packages, by import path suffix, that only
+// tests import: the unreachable check reports none of their functions.
+var testSupportPkgs = []string{"internal/cluster", "internal/statcheck"}
+
 // BuildGraph constructs the call graph: one node per declared function
 // with a body and one per file with package-level var initializers,
 // direct edges for static calls and references, and class-hierarchy
-// edges for interface method calls.
-func BuildGraph(prog *Program) *Graph {
-	g := &Graph{prog: prog, nodes: make(map[string]*funcNode)}
+// edges for interface method calls. Each root module (a module outside
+// prog's tree that imports it, loaded on its own) contributes the prog
+// functions its sources reference, as roots of the unreachable check.
+func BuildGraph(prog *Program, rootMods ...*Program) *Graph {
+	g := &Graph{prog: prog, nodes: make(map[string]*funcNode), extRefs: make(map[string]bool)}
 	var ifaceCalls []ifaceCall
 	add := func(n *funcNode, fileHot bool, body ...ast.Node) {
 		if fileHot && !n.hotRoot {
@@ -120,6 +131,7 @@ func BuildGraph(prog *Program) *Graph {
 					continue
 				}
 				n := newNode(funcID(obj), pkg, file)
+				n.pos = decl.Pos()
 				if decl.Recv == nil && decl.Name.Name == "init" {
 					// A package may declare several; number them as the
 					// runtime does.
@@ -154,6 +166,9 @@ func BuildGraph(prog *Program) *Graph {
 				add(newNode(pkg.Path+".init@"+name, pkg, file), fileHot, values...)
 			}
 		}
+	}
+	for _, ext := range rootMods {
+		ifaceCalls = append(ifaceCalls, g.collectRefs(ext)...)
 	}
 
 	g.expandInterfaceCalls(ifaceCalls)
@@ -222,19 +237,7 @@ func (g *Graph) expandInterfaceCalls(calls []ifaceCall) {
 	if len(calls) == 0 {
 		return
 	}
-	var named []*types.Named
-	for _, pkg := range g.prog.Pkgs {
-		scope := pkg.Types.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			if n, ok := tn.Type().(*types.Named); ok {
-				named = append(named, n)
-			}
-		}
-	}
+	named := g.prog.namedTypes()
 	for _, call := range calls {
 		for _, n := range named {
 			ptr := types.NewPointer(n)
@@ -243,7 +246,7 @@ func (g *Graph) expandInterfaceCalls(calls []ifaceCall) {
 			}
 			obj, _, _ := types.LookupFieldOrMethod(ptr, true, n.Obj().Pkg(), call.name)
 			if m, ok := obj.(*types.Func); ok {
-				call.from.callees[funcID(m)] = true
+				call.callees[funcID(m)] = true
 			}
 		}
 	}
@@ -273,7 +276,7 @@ func collectBody(n *funcNode, body []ast.Node) []ifaceCall {
 			sig, ok := fn.Type().(*types.Signature)
 			if ok && sig.Recv() != nil {
 				if iface, isIface := sig.Recv().Type().Underlying().(*types.Interface); isIface {
-					ifaceCalls = append(ifaceCalls, ifaceCall{from: n, iface: iface, name: fn.Name()})
+					ifaceCalls = append(ifaceCalls, ifaceCall{callees: n.callees, iface: iface, name: fn.Name()})
 					return true
 				}
 			}

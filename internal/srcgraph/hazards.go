@@ -2,8 +2,8 @@ package srcgraph
 
 import "sort"
 
-// CheckHazards builds the call graph and reports every hazard site
-// that no //drslint:allow suppresses:
+// Hazards reports every hazard site that no //drslint:allow
+// suppresses:
 //
 //   - map-range, wallclock, global-rand and goroutine-captured-write
 //     fire in every function and package-level initializer; when a
@@ -14,12 +14,7 @@ import "sort"
 //
 // A //drslint:allow in a function's doc comment suppresses the named
 // checks for the whole function.
-func CheckHazards(prog *Program) []Finding {
-	g := BuildGraph(prog)
-	return g.findings()
-}
-
-func (g *Graph) findings() []Finding {
+func (g *Graph) Hazards() []Finding {
 	hot := g.propagate(func(n *funcNode) bool { return n.hotRoot })
 	det := g.propagate(func(n *funcNode) bool { return n.detRoot })
 

@@ -6,7 +6,7 @@
 // the determinism and hot-path contracts are rooted, and propagates
 // reachability along call edges.
 //
-// Three analyses share the loaded program:
+// Four analyses share the loaded program:
 //
 //   - Hazards (hazards.go): map-range, wallclock, global-rand and
 //     goroutine-captured-write fire wherever they occur, judged with
@@ -29,6 +29,16 @@
 //     otherwise the tags are dead annotation and the counters silently
 //     never appear in snapshots.
 //
+//   - Unreachable code (unreachable.go): a function no root reaches is
+//     a finding. The roots are every main.main and package initializer,
+//     every function a root module references (a module outside the
+//     tree that imports it, such as bench/, loaded on its own), every
+//     method the standard library calls through fmt.Stringer, error,
+//     Unwrap() error, json.Marshaler, http.Handler, sort.Interface or
+//     types.Importer, and every function allowed with
+//     //drslint:allow unreachable. The test-support packages
+//     (testSupportPkgs) are exempt.
+//
 // The directive grammar (directives.go) has one parser. A function is
 // a hot root when its doc comment carries //drslint:hotpath; a
 // file-level tag marks every function and initializer in the file. A
@@ -40,7 +50,9 @@
 // execution takes; but calls through plain function values cannot be
 // resolved statically, so the cones can miss code that runs (a policy
 // hook the engine calls through a simt.Hooks field is hot only by its
-// own directive).
+// own directive). A reference counts as an edge, so the unreachable
+// check sees a method value stored into such a field as reached from
+// where it is stored.
 package srcgraph
 
 import (
@@ -70,6 +82,9 @@ const (
 	// CheckMetricsReg flags metrics-tagged structs never reached by a
 	// RegisterStruct call.
 	CheckMetricsReg = "metrics-registration"
+	// CheckUnreachable flags a production function that no binary,
+	// package initializer or root module reaches.
+	CheckUnreachable = "unreachable"
 )
 
 // Finding is one graph-pass diagnostic.
@@ -99,13 +114,13 @@ func (f Finding) String() string {
 	return s
 }
 
-// Analyze runs every graph check over a loaded program and returns the
+// Analyze runs every check over the graph's program and returns the
 // findings sorted by file, line and check.
-func Analyze(prog *Program) []Finding {
-	var all []Finding
-	all = append(all, CheckHazards(prog)...)
-	all = append(all, CheckSpecHashDrift(prog)...)
-	all = append(all, CheckMetricsRegistration(prog)...)
+func (g *Graph) Analyze() []Finding {
+	unreached, _ := g.Unreachable()
+	all := append(g.Hazards(), unreached...)
+	all = append(all, CheckSpecHashDrift(g.prog)...)
+	all = append(all, CheckMetricsRegistration(g.prog)...)
 	SortFindings(all)
 	return all
 }

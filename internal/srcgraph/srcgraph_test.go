@@ -9,20 +9,25 @@ import (
 )
 
 // The specimen module under testdata is a self-contained miniature of
-// the repo: an engine package whose import path matches the det-root
-// rules, a content-addressed spec with deliberate drift, a metrics
-// registry with one orphaned struct, hazards planted where no det root
-// reaches, and one function per behaviour of the hazard checks. Every
-// analyzer must fire on it — these are the negative tests CI's
-// zero-findings budget leans on: a loader regression that silently
-// empties the call graph fails here, not as a suspiciously green lint
-// run.
+// the repo: a binary, an engine package whose import path matches the
+// det-root rules, a content-addressed spec with deliberate drift, a
+// metrics registry with one orphaned struct, hazards planted where no
+// det root reaches, one function per behaviour of the hazard checks,
+// the unreachable check's cases, a test-support package, and a root
+// module of its own under bench/, as the repo has. Every analyzer must
+// fire on it — these are the negative tests CI's zero-findings budget
+// leans on: a loader regression that silently empties the call graph
+// fails here, not as a suspiciously green lint run.
 
 // Each module is loaded once for all tests; nothing mutates a loaded
 // Program.
 var (
-	specimen = sync.OnceValues(func() (*Program, error) { return Load("testdata/specimen") })
-	realTree = sync.OnceValues(func() (*Program, error) { return Load("../..", "./internal/...", "./cmd/...") })
+	specimen      = sync.OnceValues(func() (*Program, error) { return Load("testdata/specimen") })
+	specimenBench = sync.OnceValues(func() (*Program, error) { return Load("testdata/specimen/bench", ".") })
+	realTree      = sync.OnceValues(func() (*Program, error) {
+		return Load("../..", "./internal/...", "./cmd/...", "./examples/...")
+	})
+	realBench = sync.OnceValues(func() (*Program, error) { return Load("../../bench", ".") })
 )
 
 func load(t *testing.T, module func() (*Program, error)) *Program {
@@ -51,7 +56,7 @@ func byCheck(fs []Finding, check string) []Finding {
 func TestSpecimenWants(t *testing.T) {
 	prog := load(t, specimen)
 	got := make(map[string][]string) // file -> "line check", one per finding
-	for _, f := range Analyze(prog) {
+	for _, f := range BuildGraph(prog, load(t, specimenBench)).Analyze() {
 		got[f.File] = append(got[f.File], fmt.Sprintf("%d %s", f.Line, f.Check))
 	}
 	for _, pkg := range prog.Pkgs {
@@ -100,7 +105,7 @@ func multisetDiff(a, b []string) []string {
 func TestInterproceduralHazards(t *testing.T) {
 	prog := load(t, specimen)
 	var fs []Finding
-	for _, f := range CheckHazards(prog) {
+	for _, f := range BuildGraph(prog).Hazards() {
 		if strings.HasPrefix(f.File, "internal/simt/") {
 			fs = append(fs, f)
 		}
@@ -170,7 +175,7 @@ func TestPlantedHazards(t *testing.T) {
 		{CheckGoCapturedWrite, "specimen/internal/service.lastSeen"},
 	}
 	var got []site
-	for _, f := range CheckHazards(prog) {
+	for _, f := range BuildGraph(prog).Hazards() {
 		if f.File != "internal/service/clock.go" {
 			continue
 		}
@@ -235,13 +240,58 @@ func TestMetricsRegistration(t *testing.T) {
 	}
 }
 
+// TestUnreachableRoots pins the unreachable check's roots on the
+// specimen: the functions only the root module calls, directly or
+// through an interface it resolves to the specimen's own, are reported
+// when that module is not loaded, the test-support package is exempt,
+// and the allowed checker counts once.
+func TestUnreachableRoots(t *testing.T) {
+	prog := load(t, specimen)
+	const benchOnly = "specimen/internal/reach.BenchOnly"
+	fs, _ := BuildGraph(prog).Unreachable()
+	for _, id := range []string{benchOnly, "specimen/internal/reach.NewShape", "specimen/internal/reach.(square).Area"} {
+		if !slices.ContainsFunc(fs, func(f Finding) bool { return f.Func == id }) {
+			t.Errorf("without the root module, %s is not reported: %v", id, fs)
+		}
+	}
+	g := BuildGraph(prog, load(t, specimenBench))
+	fs, c := g.Unreachable()
+	var ids []string
+	for _, f := range fs {
+		ids = append(ids, f.Func)
+	}
+	if want := []string{"specimen/internal/reach.Lerp", "specimen/internal/reach.clamp"}; !slices.Equal(ids, want) {
+		t.Errorf("unreachable = %v, want %v", ids, want)
+	}
+	if c.Allowed != 1 || c.Exempt != 1 || c.Reached+len(fs)+c.Exempt != g.NumFuncs() {
+		t.Errorf("census %+v over %d funcs; want 1 allowed, 1 exempt, and every function reached, reported or exempt", c, g.NumFuncs())
+	}
+	roots := g.liveRoots()
+	for _, id := range []string{
+		"specimen/cmd/specimen.main",
+		"specimen/internal/cases.init@roots.go",
+		"specimen/internal/reach.(Level).String",
+		"specimen/internal/reach.Validate",
+		benchOnly,
+	} {
+		if !roots[id] {
+			t.Errorf("%s is not a root of the unreachable check", id)
+		}
+	}
+	if roots["specimen/internal/cluster.Start"] {
+		t.Error("an exempt package's function became a root")
+	}
+}
+
 // TestRealTreeClean locks the green state: the shipped sources carry
-// no unsuppressed findings, the loader health counters prove the pass
-// actually analyzed the module, and the det roots are exactly the
-// engine and harness entry points.
+// no unsuppressed findings, unreachable code included, the loader
+// health counters prove the pass actually analyzed the module, and the
+// det roots are exactly the engine and harness entry points. The
+// methods the standard library calls through interfaces that name its
+// own types (http.Handler, types.Importer) are roots only when those
+// interfaces come from the program's own imports.
 func TestRealTreeClean(t *testing.T) {
-	prog := load(t, realTree)
-	g := BuildGraph(prog)
+	g := BuildGraph(load(t, realTree), load(t, realBench))
 	if n := g.NumFuncs(); n < 500 {
 		t.Errorf("suspiciously small call graph: %d funcs", n)
 	}
@@ -254,7 +304,6 @@ func TestRealTreeClean(t *testing.T) {
 	if want := []string{
 		"repro/internal/harness.RunNamed",
 		"repro/internal/harness.RunNamedCtx",
-		"repro/internal/simt.RunGPU",
 		"repro/internal/simt.RunGPUCtx",
 	}; !slices.Equal(ids, want) {
 		t.Errorf("det roots = %v, want exactly %v", ids, want)
@@ -262,7 +311,16 @@ func TestRealTreeClean(t *testing.T) {
 	if len(hot) < 10 {
 		t.Errorf("want >= 10 hot roots (per-cycle directives), got %v", hot)
 	}
-	if fs := Analyze(prog); len(fs) != 0 {
+	roots := g.liveRoots()
+	for _, id := range []string{
+		"repro/internal/shard.(*Proxy).ServeHTTP",
+		"repro/internal/srcgraph.(*moduleImporter).Import",
+	} {
+		if !roots[id] {
+			t.Errorf("%s is not a root of the unreachable check", id)
+		}
+	}
+	if fs := g.Analyze(); len(fs) != 0 {
 		t.Errorf("real tree has findings:\n%v", fs)
 	}
 }

@@ -79,63 +79,6 @@ func (s *Stream) Write(w io.Writer) error {
 	return nil
 }
 
-// Read deserializes a stream written by Write.
-func Read(r io.Reader) (*Stream, error) {
-	var hdr struct {
-		Magic  uint32
-		Bounce uint32
-		Count  uint64
-	}
-	if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
-		return nil, fmt.Errorf("trace: read header: %w", err)
-	}
-	if hdr.Magic != magic {
-		return nil, fmt.Errorf("trace: bad magic %#x", hdr.Magic)
-	}
-	if hdr.Count > 1<<32 {
-		return nil, fmt.Errorf("trace: implausible ray count %d", hdr.Count)
-	}
-	var nameLen uint32
-	if err := binary.Read(r, binary.LittleEndian, &nameLen); err != nil {
-		return nil, fmt.Errorf("trace: read name len: %w", err)
-	}
-	if nameLen > 4096 {
-		return nil, fmt.Errorf("trace: implausible name length %d", nameLen)
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(r, name); err != nil {
-		return nil, fmt.Errorf("trace: read name: %w", err)
-	}
-	// Read rays in bounded chunks: the header's count is untrusted, so
-	// memory must grow only as data actually arrives (a hostile count
-	// then fails at EOF instead of triggering a huge allocation).
-	s := &Stream{Scene: string(name), Bounce: int(hdr.Bounce)}
-	const chunk = 1 << 16
-	buf := make([]float32, 0, 8*chunk)
-	remaining := hdr.Count
-	for remaining > 0 {
-		n := uint64(chunk)
-		if remaining < n {
-			n = remaining
-		}
-		buf = buf[:8*n]
-		if err := binary.Read(r, binary.LittleEndian, buf); err != nil {
-			return nil, fmt.Errorf("trace: read rays: %w", err)
-		}
-		for i := uint64(0); i < n; i++ {
-			o := buf[i*8:]
-			s.Rays = append(s.Rays, geom.Ray{
-				Origin: vec.New(o[0], o[1], o[2]),
-				Dir:    vec.New(o[3], o[4], o[5]),
-				TMin:   o[6],
-				TMax:   o[7],
-			})
-		}
-		remaining -= n
-	}
-	return s, nil
-}
-
 // WriteSet serializes all non-empty bounce streams of a set,
 // length-prefixed, so a whole render's traces travel as one file.
 func (s *Set) WriteSet(w io.Writer) error {
@@ -157,30 +100,6 @@ func (s *Set) WriteSet(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// ReadSet deserializes a set written by WriteSet.
-func ReadSet(r io.Reader) (*Set, error) {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, fmt.Errorf("trace: read set header: %w", err)
-	}
-	if n > MaxBounces {
-		return nil, fmt.Errorf("trace: set claims %d streams", n)
-	}
-	set := &Set{}
-	for i := uint32(0); i < n; i++ {
-		st, err := Read(r)
-		if err != nil {
-			return nil, err
-		}
-		if st.Bounce < 1 || st.Bounce > MaxBounces {
-			return nil, fmt.Errorf("trace: stream with bounce %d", st.Bounce)
-		}
-		set.Scene = st.Scene
-		set.Streams[st.Bounce-1] = *st
-	}
-	return set, nil
 }
 
 // Coherence estimates the directional coherence of consecutive ray

@@ -2,7 +2,8 @@ package trace
 
 import (
 	"bytes"
-	"encoding/binary"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/geom"
@@ -19,63 +20,6 @@ func makeStream(n int) *Stream {
 		s.Rays = append(s.Rays, geom.NewRay(o, d))
 	}
 	return s
-}
-
-func TestRoundTrip(t *testing.T) {
-	s := makeStream(137)
-	var buf bytes.Buffer
-	if err := s.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Scene != s.Scene || got.Bounce != s.Bounce {
-		t.Errorf("metadata mismatch: %q/%d", got.Scene, got.Bounce)
-	}
-	if len(got.Rays) != len(s.Rays) {
-		t.Fatalf("ray count %d vs %d", len(got.Rays), len(s.Rays))
-	}
-	for i := range got.Rays {
-		if got.Rays[i] != s.Rays[i] {
-			t.Fatalf("ray %d mismatch", i)
-		}
-	}
-}
-
-func TestRoundTripEmpty(t *testing.T) {
-	s := &Stream{Scene: "empty", Bounce: 1}
-	var buf bytes.Buffer
-	if err := s.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Rays) != 0 {
-		t.Errorf("expected no rays, got %d", len(got.Rays))
-	}
-}
-
-func TestReadBadMagic(t *testing.T) {
-	buf := bytes.NewBuffer([]byte{1, 2, 3, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
-	if _, err := Read(buf); err == nil {
-		t.Errorf("expected bad magic error")
-	}
-}
-
-func TestReadTruncated(t *testing.T) {
-	s := makeStream(10)
-	var buf bytes.Buffer
-	if err := s.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
-	if _, err := Read(bytes.NewReader(b[:len(b)-13])); err == nil {
-		t.Errorf("expected truncation error")
-	}
 }
 
 func TestSetAccessors(t *testing.T) {
@@ -133,60 +77,42 @@ func TestCoherenceDegenerate(t *testing.T) {
 	}
 }
 
-func TestSetRoundTrip(t *testing.T) {
-	var set Set
-	set.Scene = "setscene"
-	for b := 1; b <= 3; b++ {
-		st := makeStream(10 * b)
-		st.Scene = "setscene"
-		st.Bounce = b
-		set.Streams[b-1] = *st
-	}
-	var buf bytes.Buffer
-	if err := set.WriteSet(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSet(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Scene != "setscene" {
-		t.Errorf("scene = %q", got.Scene)
-	}
-	if got.TotalRays() != set.TotalRays() {
-		t.Errorf("total rays %d vs %d", got.TotalRays(), set.TotalRays())
-	}
-	for b := 1; b <= 3; b++ {
-		if len(got.Bounce(b).Rays) != 10*b {
-			t.Errorf("bounce %d rays = %d", b, len(got.Bounce(b).Rays))
+// goldenSet is a small fixed set: three non-empty bounces around two
+// empty ones, whose rays are exact binary fractions, so its encoding
+// depends on nothing but the writer.
+func goldenSet() *Set {
+	set := &Set{Scene: "golden"}
+	for _, b := range []int{1, 2, 4} {
+		st := Stream{Scene: "golden", Bounce: b}
+		for i := 0; i < 3*b; i++ {
+			f := float32(i) / 8
+			st.Rays = append(st.Rays, geom.Ray{
+				Origin: vec.New(f, -f, float32(b)),
+				Dir:    vec.New(0, 1, -0.5),
+				TMin:   1.0 / 1024,
+				TMax:   float32(b) * 64,
+			})
 		}
+		set.Streams[b-1] = st
 	}
-	// Empty bounces stay empty.
-	if len(got.Bounce(5).Rays) != 0 {
-		t.Errorf("bounce 5 should be empty")
-	}
+	return set
 }
 
-func TestReadSetRejectsGarbage(t *testing.T) {
-	if _, err := ReadSet(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff})); err == nil {
-		t.Errorf("garbage header accepted")
-	}
+// TestWriteSetGolden pins WriteSet's bytes: a set header with the count
+// of non-empty streams, then each stream in bounce order as a header,
+// the scene name and eight little-endian float32 per ray. The benchmark
+// hashes this encoding for its pinned build digests.
+func TestWriteSetGolden(t *testing.T) {
 	var buf bytes.Buffer
-	st := makeStream(3)
-	st.Bounce = 99 // invalid bounce number inside a set
-	if err := binaryWriteHeaderForTest(&buf, 1, st); err != nil {
+	if err := goldenSet().WriteSet(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadSet(&buf); err == nil {
-		t.Errorf("invalid bounce accepted")
+	const (
+		wantLen = 4 + 3*(16+4+len("golden")) + (3+6+12)*8*4
+		wantSum = "9609cb5c8bf0aedd1dd09269fd4ee093e85fbb483694fbde126a3df653447757"
+	)
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); buf.Len() != wantLen || got != wantSum {
+		t.Errorf("WriteSet wrote %d bytes with SHA-256 %s; want %d bytes, %s", buf.Len(), got, wantLen, wantSum)
 	}
-}
-
-// binaryWriteHeaderForTest writes a set header of n followed by the
-// given stream, for malformed-input tests.
-func binaryWriteHeaderForTest(buf *bytes.Buffer, n uint32, st *Stream) error {
-	if err := binary.Write(buf, binary.LittleEndian, n); err != nil {
-		return err
-	}
-	return st.Write(buf)
 }

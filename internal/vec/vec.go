@@ -69,9 +69,6 @@ func (a V3) Max(b V3) V3 {
 	return V3{max32(a.X, b.X), max32(a.Y, b.Y), max32(a.Z, b.Z)}
 }
 
-// Lerp linearly interpolates from a to b by t.
-func (a V3) Lerp(b V3, t float32) V3 { return a.Add(b.Sub(a).Scale(t)) }
-
 // Axis returns component i (0=X, 1=Y, 2=Z).
 func (a V3) Axis(i int) float32 {
 	switch i {
@@ -84,19 +81,6 @@ func (a V3) Axis(i int) float32 {
 	}
 }
 
-// SetAxis returns a copy of a with component i replaced by v.
-func (a V3) SetAxis(i int, v float32) V3 {
-	switch i {
-	case 0:
-		a.X = v
-	case 1:
-		a.Y = v
-	default:
-		a.Z = v
-	}
-	return a
-}
-
 // MaxAxis returns the index of the largest component.
 func (a V3) MaxAxis() int {
 	if a.X >= a.Y && a.X >= a.Z {
@@ -106,24 +90,6 @@ func (a V3) MaxAxis() int {
 		return 1
 	}
 	return 2
-}
-
-// Abs returns the component-wise absolute value of a.
-func (a V3) Abs() V3 {
-	return V3{abs32(a.X), abs32(a.Y), abs32(a.Z)}
-}
-
-// MaxComp returns the largest component value.
-func (a V3) MaxComp() float32 { return max32(a.X, max32(a.Y, a.Z)) }
-
-// Luminance returns the Rec. 709 luma of a colour stored in a vector.
-func (a V3) Luminance() float32 {
-	return 0.2126*a.X + 0.7152*a.Y + 0.0722*a.Z
-}
-
-// IsFinite reports whether all components are finite numbers.
-func (a V3) IsFinite() bool {
-	return finite(a.X) && finite(a.Y) && finite(a.Z)
 }
 
 // OrthoBasis builds an orthonormal basis (t, b) around unit normal n
@@ -155,15 +121,4 @@ func max32(a, b float32) float32 {
 		return a
 	}
 	return b
-}
-
-func abs32(a float32) float32 {
-	if a < 0 {
-		return -a
-	}
-	return a
-}
-
-func finite(f float32) bool {
-	return !math.IsNaN(float64(f)) && !math.IsInf(float64(f), 0)
 }

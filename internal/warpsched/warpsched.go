@@ -32,7 +32,6 @@ package warpsched
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/simt"
@@ -140,13 +139,6 @@ func (r *Registry) New(name string) (Scheduler, error) {
 func (r *Registry) Names() []string {
 	out := make([]string, len(r.order))
 	copy(out, r.order)
-	return out
-}
-
-// SortedNames returns the registered names sorted lexicographically.
-func (r *Registry) SortedNames() []string {
-	out := r.Names()
-	sort.Strings(out)
 	return out
 }
 
