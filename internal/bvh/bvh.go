@@ -77,6 +77,12 @@ type primInfo struct {
 	centroid [3]float32
 }
 
+// sahBin is one SAH bin: the primitives whose centroids fall in it.
+type sahBin struct {
+	count  int
+	bounds geom.AABB
+}
+
 type builder struct {
 	opts  Options
 	prims []primInfo
@@ -84,6 +90,10 @@ type builder struct {
 	nodes []Node
 	order []int32
 	depth int
+	// chooseSplit's scratch, NumBins entries each, made once per Build.
+	bins      []sahBin
+	leftArea  []float32
+	leftCount []int
 }
 
 // Build constructs a BVH over tris with the given options.
@@ -100,33 +110,46 @@ func Build(tris []geom.Triangle, opts Options) (*BVH, error) {
 	if opts.TraversalCost <= 0 {
 		opts.TraversalCost = DefaultOptions().TraversalCost
 	}
-	b := &builder{opts: opts, tris: tris}
-	b.prims = make([]primInfo, len(tris))
+	// Every inner node splits its range into two non-empty halves, so
+	// n triangles make at most n-1 of them, and the synthesized root
+	// below exists only when there are none: len(tris) nodes suffice,
+	// and the builder's node scratch never grows.
+	nb := opts.NumBins
+	b := &builder{
+		opts:      opts,
+		tris:      tris,
+		prims:     make([]primInfo, len(tris)),
+		nodes:     make([]Node, 0, len(tris)),
+		order:     make([]int32, 0, len(tris)),
+		bins:      make([]sahBin, nb),
+		leftArea:  make([]float32, nb),
+		leftCount: make([]int, nb),
+	}
 	for i, t := range tris {
 		bb := t.Bounds()
 		c := bb.Centroid()
 		b.prims[i] = primInfo{index: int32(i), bounds: bb, centroid: [3]float32{c.X, c.Y, c.Z}}
 	}
 	root := b.build(0, len(b.prims), 0)
-	bvh := &BVH{
-		Nodes:    b.nodes,
-		TriIndex: b.order,
-		MaxDepth: b.depth,
-	}
-	bvh.Tris = make([]geom.Triangle, len(b.order))
-	for i, oi := range b.order {
-		bvh.Tris[i] = tris[oi]
-	}
 	// If the whole scene became a single leaf, synthesize a root node
-	// with the leaf in both... instead, wrap: make a root whose left is
-	// the leaf and right is an empty leaf.
+	// whose left child is the leaf and whose right child is an empty
+	// leaf.
 	if root.isLeaf {
-		n := Node{
+		b.nodes = append(b.nodes, Node{
 			LBounds: root.bounds, RBounds: geom.EmptyAABB(),
 			Left: ^root.leafStart, LCount: root.leafCount,
 			Right: ^int32(0), RCount: 0,
-		}
-		bvh.Nodes = append(bvh.Nodes, n)
+		})
+	}
+	bvh := &BVH{
+		Nodes:    make([]Node, len(b.nodes)),
+		Tris:     make([]geom.Triangle, len(b.order)),
+		TriIndex: b.order,
+		MaxDepth: b.depth,
+	}
+	copy(bvh.Nodes, b.nodes)
+	for i, oi := range b.order {
+		bvh.Tris[i] = tris[oi]
 	}
 	bvh.Bounds = root.bounds
 	return bvh, nil
@@ -212,13 +235,9 @@ func (b *builder) chooseSplit(start, end int, bounds, cbounds geom.AABB, count i
 		return axis, 0, false
 	}
 	nb := b.opts.NumBins
-	type bin struct {
-		count  int
-		bounds geom.AABB
-	}
-	bins := make([]bin, nb)
+	bins := b.bins
 	for i := range bins {
-		bins[i].bounds = geom.EmptyAABB()
+		bins[i] = sahBin{bounds: geom.EmptyAABB()}
 	}
 	lo := cbounds.Min.Axis(axis)
 	scale := float32(nb) / extent
@@ -238,8 +257,7 @@ func (b *builder) chooseSplit(start, end int, bounds, cbounds geom.AABB, count i
 		bins[k].bounds = bins[k].bounds.Union(b.prims[i].bounds)
 	}
 	// Sweep to find the cheapest split plane.
-	leftArea := make([]float32, nb)
-	leftCount := make([]int, nb)
+	leftArea, leftCount := b.leftArea, b.leftCount
 	acc := geom.EmptyAABB()
 	cnt := 0
 	for i := 0; i < nb-1; i++ {

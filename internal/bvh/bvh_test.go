@@ -199,6 +199,35 @@ func abs(f float32) float32 {
 	return f
 }
 
+// TestBuildAllocationsConstant pins the builder's allocations to a
+// fixed count, the same for a lone triangle and for every scene at
+// 1,500 and 20,000 triangles: the SAH bins and sweep arrays are made
+// once per Build, the triangle order at its final length, and the node
+// scratch at the n-node bound, so nothing is allocated per node or
+// grown by copying. The returned nodes are an exact copy.
+func TestBuildAllocationsConstant(t *testing.T) {
+	lone := []geom.Triangle{{A: vec.New(0, 0, 0), B: vec.New(1, 0, 0), C: vec.New(0, 1, 0)}}
+	want := testing.AllocsPerRun(3, func() { Build(lone, DefaultOptions()) })
+	if want > 10 {
+		t.Errorf("Build of one triangle makes %.0f allocations, want at most 10", want)
+	}
+	for _, b := range scene.Benchmarks {
+		for _, budget := range []int{1500, 20000} {
+			s := scene.Generate(b, budget)
+			var bv *BVH
+			got := testing.AllocsPerRun(3, func() { bv, _ = Build(s.Tris, DefaultOptions()) })
+			if got != want {
+				t.Errorf("%v at %d triangles: Build makes %.0f allocations for %d nodes, want %.0f",
+					b, len(s.Tris), got, len(bv.Nodes), want)
+			}
+			if len(bv.Nodes) != cap(bv.Nodes) || len(bv.TriIndex) != cap(bv.TriIndex) {
+				t.Errorf("%v at %d triangles: %d nodes with capacity %d, %d indices with capacity %d",
+					b, len(s.Tris), len(bv.Nodes), cap(bv.Nodes), len(bv.TriIndex), cap(bv.TriIndex))
+			}
+		}
+	}
+}
+
 func BenchmarkBuildConference(b *testing.B) {
 	s := scene.Generate(scene.ConferenceRoom, 20000)
 	b.ResetTimer()

@@ -26,88 +26,56 @@ type TraversalStats struct {
 // TriIndex referring to the ORIGINAL scene triangle index (via
 // TriIndex), or geom.NoHit. The optional stats pointer accumulates
 // work counters.
+//
+// At each node both child boxes are tested against (r.TMin, hit.T).
+// The nearer hit child is visited first (tl <= tr picks the left one):
+// the farther one is pushed below it, or tested at once if it is a
+// leaf, and then the nearer one is pushed or tested. A leaf is tested
+// when its parent is visited, never from the stack, so triangles are
+// tested in a fixed order and a hit at an equal t keeps the first
+// triangle found.
 func (b *BVH) Intersect(r geom.Ray, stats *TraversalStats) geom.Hit {
+	if len(b.Nodes) == 0 {
+		return geom.NoHit
+	}
 	hit := geom.NoHit
 	hit.T = r.TMax
 	invDir := r.InvDir()
 	var stack [64]int32
-	sp := 0
-	stack[sp] = 0
-	sp++
-	if len(b.Nodes) == 0 {
-		return geom.NoHit
-	}
+	stack[0] = 0
+	sp := 1
 	for sp > 0 {
 		sp--
-		ni := stack[sp]
-		n := &b.Nodes[ni]
+		n := &b.Nodes[stack[sp]]
 		if stats != nil {
 			stats.NodesVisited++
 		}
-		rr := r
-		rr.TMax = hit.T
-		tl, okl := n.LBounds.IntersectRay(rr, invDir)
-		tr, okr := n.RBounds.IntersectRay(rr, invDir)
-		// Visit nearer child first by pushing the farther one below.
-		type childRef struct {
-			idx   int32
-			count int32
-			t     float32
-		}
-		var near, far childRef
-		hasNear, hasFar := false, false
-		if okl && okr {
-			if tl <= tr {
-				near = childRef{n.Left, n.LCount, tl}
-				far = childRef{n.Right, n.RCount, tr}
-			} else {
-				near = childRef{n.Right, n.RCount, tr}
-				far = childRef{n.Left, n.LCount, tl}
+		tl, okl := n.LBounds.IntersectRay(r.Origin, invDir, r.TMin, hit.T)
+		tr, okr := n.RBounds.IntersectRay(r.Origin, invDir, r.TMin, hit.T)
+		near, nearCount := n.Left, n.LCount
+		switch {
+		case okl && okr:
+			far, farCount := n.Right, n.RCount
+			if tr < tl {
+				near, nearCount, far, farCount = far, farCount, near, nearCount
 			}
-			hasNear, hasFar = true, true
-		} else if okl {
-			near = childRef{n.Left, n.LCount, tl}
-			hasNear = true
-		} else if okr {
-			near = childRef{n.Right, n.RCount, tr}
-			hasNear = true
-		}
-		process := func(c childRef) {
-			if c.idx >= 0 {
-				stack[sp] = c.idx
-				sp++
-				return
-			}
-			first := ^c.idx
-			if c.count == 0 {
-				return // empty leaf (padded root)
-			}
-			if stats != nil {
-				stats.LeavesTested++
-			}
-			for i := first; i < first+c.count; i++ {
-				if stats != nil {
-					stats.TrisTested++
-				}
-				if t, u, v, ok := b.Tris[i].Intersect(r, hit.T); ok {
-					hit.T = t
-					hit.U = u
-					hit.V = v
-					hit.TriIndex = b.TriIndex[i]
-				}
-			}
-		}
-		if hasFar {
-			// Push far child first so near is processed next.
-			if far.idx >= 0 {
-				stack[sp] = far.idx
+			if far >= 0 {
+				stack[sp] = far
 				sp++
 			} else {
-				process(far)
+				b.testLeaf(&r, ^far, farCount, &hit, stats)
 			}
+		case okl:
+		case okr:
+			near, nearCount = n.Right, n.RCount
+		default:
+			continue
 		}
-		if hasNear {
-			process(near)
+		if near >= 0 {
+			stack[sp] = near
+			sp++
+		} else {
+			b.testLeaf(&r, ^near, nearCount, &hit, stats)
 		}
 	}
 	if stats != nil {
@@ -120,6 +88,29 @@ func (b *BVH) Intersect(r geom.Ray, stats *TraversalStats) geom.Hit {
 		return geom.NoHit
 	}
 	return hit
+}
+
+// testLeaf tests the count triangles from first against r, narrowing
+// hit to each closer one. A count-0 leaf is the empty right child of
+// the root synthesized over a lone leaf.
+func (b *BVH) testLeaf(r *geom.Ray, first, count int32, hit *geom.Hit, stats *TraversalStats) {
+	if count == 0 {
+		return
+	}
+	if stats != nil {
+		stats.LeavesTested++
+	}
+	for i := first; i < first+count; i++ {
+		if stats != nil {
+			stats.TrisTested++
+		}
+		if t, u, v, ok := b.Tris[i].Intersect(*r, hit.T); ok {
+			hit.T = t
+			hit.U = u
+			hit.V = v
+			hit.TriIndex = b.TriIndex[i]
+		}
+	}
 }
 
 // IntersectAny reports whether r hits anything (shadow-ray query),
@@ -143,7 +134,7 @@ func (b *BVH) IntersectAny(r geom.Ray, stats *TraversalStats) bool {
 			stats.NodesVisited++
 		}
 		check := func(idx, count int32, box geom.AABB) bool {
-			if _, ok := box.IntersectRay(r, invDir); !ok {
+			if _, ok := box.IntersectRay(r.Origin, invDir, r.TMin, r.TMax); !ok {
 				return false
 			}
 			if idx >= 0 {

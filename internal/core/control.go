@@ -96,9 +96,11 @@ type Control struct {
 	// rows holds the ray state table organization: rows[r][c] is the
 	// kernel slot in row r, cell c (-1 = empty cell).
 	rows [][]int32
-	// warpRow / rowWarp implement the renaming table.
+	// warpRow / rowWarp implement the renaming table; bound counts the
+	// warps holding a row.
 	warpRow []int
 	rowWarp []int
+	bound   int
 	// rowBusy counts in-flight moves touching the row; busy rows cannot
 	// be bound to warps or used by new moves.
 	rowBusy []int
@@ -216,6 +218,7 @@ func NewControl(cfg Config, kernel *kernels.WhileIf) (*Control, error) {
 		c.warpRow[w] = w
 		c.rowWarp[w] = w
 	}
+	c.bound = nWarps
 	// The candidates follow rowMixed as it stands, all false until a
 	// row's first refresh, as findMove reads it.
 	c.rowCand = make([]uint8, nRows)
@@ -376,6 +379,7 @@ func (c *Control) unbind(w int) {
 	if r := c.warpRow[w]; r >= 0 {
 		c.rowWarp[r] = -1
 		c.warpRow[w] = -1
+		c.bound--
 		c.version++
 		c.refreshCand(r)
 	}
@@ -385,6 +389,7 @@ func (c *Control) unbind(w int) {
 func (c *Control) bind(w, r int) {
 	c.warpRow[w] = r
 	c.rowWarp[r] = w
+	c.bound++
 	c.version++
 	c.refreshCand(r)
 }
@@ -434,6 +439,10 @@ func (c *Control) gate(s *simt.SMX, warp int, now int64) simt.GateResult {
 	// grow it further (its state has no rays left in other free rows) —
 	// otherwise the warp's issue stays suspended while the collectors
 	// fill the row, like the filled leaf-collecting row of Figure 6.
+	// The ideal machine has no collectors: its free rows change only
+	// when a bound warp's rays do, since a regroup packs mixed rows
+	// only. So once no warp holds a row, nothing can grow the fullest
+	// one, and waiting for it would stall every warp forever.
 	best, bestLive := -1, 0
 	var bestState kernels.State
 	for r := range c.rows {
@@ -449,7 +458,7 @@ func (c *Control) gate(s *simt.SMX, warp int, now int64) simt.GateResult {
 		}
 	}
 	if best >= 0 {
-		if bestLive >= c.bindThreshold() || !c.canGrow(best, bestState) {
+		if bestLive >= c.bindThreshold() || c.cfg.Ideal && c.bound == 0 || !c.canGrow(best, bestState) {
 			c.bind(warp, best)
 			c.stats.Remaps++
 			s.Warp(warp).SetMapping(c.maskedSlots(best), kernels.WiRdctrl)
@@ -896,8 +905,9 @@ func (c *Control) WarpRow(w int) int { return c.warpRow[w] }
 
 // CheckInvariants verifies the structural invariants of the renaming
 // and row tables: every live slot appears in exactly one cell, bindings
-// are bijective, busy counters are non-negative, and the swap planner's
-// per-state donor and consolidation row counts equal a recount.
+// are bijective and their count is exact, busy counters are
+// non-negative, and the swap planner's per-state donor and
+// consolidation row counts equal a recount.
 //
 //drslint:allow unreachable -- the invariant checker core's tests run through whole DRS runs
 func (c *Control) CheckInvariants() error {
@@ -927,10 +937,17 @@ func (c *Control) CheckInvariants() error {
 	if live > c.kernel.NumSlots() {
 		return fmt.Errorf("core: more cells than slots")
 	}
+	bound := 0
 	for w, r := range c.warpRow {
 		if r >= 0 && c.rowWarp[r] != w {
 			return fmt.Errorf("core: warp %d claims row %d but row maps to warp %d", w, r, c.rowWarp[r])
 		}
+		if r >= 0 {
+			bound++
+		}
+	}
+	if bound != c.bound {
+		return fmt.Errorf("core: %d warps hold a row, the count says %d", bound, c.bound)
 	}
 	for r, w := range c.rowWarp {
 		if w >= 0 && c.warpRow[w] != r {

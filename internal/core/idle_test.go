@@ -146,6 +146,7 @@ func unsettledIdeal(t *testing.T, wrap func(*Control, simt.Hooks) simt.Hooks) (*
 	}
 	c.warpRow = []int{-1, -1, 2, 3}
 	c.rowWarp = []int{-1, -1, 2, 3, -1, -1}
+	c.bound = 2
 	for r := range c.rows {
 		c.refreshRow(r)
 	}
@@ -169,6 +170,87 @@ func TestUnsettledIdealStallNotShared(t *testing.T) {
 		if c.gateHolds() {
 			t.Fatalf("after warp %d: GateHolds is true after an unsettled regroup", warp)
 		}
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestIdealLoneRaysDoNotLivelock covers the state that stalled every
+// warp of the ideal machine for good: the pool is empty and the last
+// eight rays, all at a leaf, sit alone in eight uniform rows, one of
+// them bound to warp 0. No row reaches the bind threshold and each can
+// still grow, so the gate unbinds warp 0 and used to wait on the
+// fullest free row; the regroup leaves uniform rows alone, there are no
+// collectors, and no bound warp was left to change anything. With no
+// warp holding a row, the gate hands out the fullest row as it is, and
+// the machine drains.
+func TestIdealLoneRaysDoNotLivelock(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ExtraBank, cfg.Ideal, cfg.SwapBuffers = true, true, 0
+	const lone = 8
+	smx, c, k, pool, _ := buildDRS(t, cfg, lone)
+	var res simt.StepResult
+	for s := int32(0); s < int32(k.NumSlots()); s++ {
+		k.Step(s, kernels.WiFetch, &res)
+		for s < lone && k.StateOf(s) == kernels.StateInner {
+			k.Step(s, kernels.WiInner, &res)
+		}
+		want := kernels.StateEmpty
+		if s < lone {
+			want = kernels.StateLeaf
+		}
+		if k.StateOf(s) != want {
+			t.Fatalf("slot %d in state %v, want %v", s, k.StateOf(s), want)
+		}
+	}
+	if pool.Remaining() != 0 {
+		t.Fatalf("%d rays left in the pool", pool.Remaining())
+	}
+	// Ray i alone in lane 0 of row i, the empty slots after them.
+	ws := cfg.warpSize()
+	next := int32(lone)
+	for r := range c.rows {
+		c.rowCounts[r] = [4]int{}
+		for l := range c.rows[r] {
+			s := int32(-1)
+			switch {
+			case r < lone && l == 0:
+				s = int32(r)
+			case int(next) < k.NumSlots() && r < len(c.rows)-2:
+				s = next
+				next++
+			}
+			c.rows[r][l] = s
+			if s >= 0 {
+				c.slotRow[s] = int32(r)
+				c.rowCounts[r][k.StateOf(s)]++
+			}
+		}
+		c.rowWarp[r] = -1
+	}
+	if int(next) != k.NumSlots() {
+		t.Fatalf("placed %d of %d slots in rows of %d", next, k.NumSlots(), ws)
+	}
+	for w := range c.warpRow {
+		c.warpRow[w] = -1
+	}
+	c.warpRow[0], c.rowWarp[0], c.bound = 0, 0, 1
+	for r := range c.rows {
+		c.refreshRow(r)
+	}
+	c.version++
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.gate(smx, 0, 1); got != simt.GateProceed || c.warpRow[0] < 0 {
+		t.Fatalf("warp 0's gate returned %v bound to row %d; want it to proceed on a lone ray's row", got, c.warpRow[0])
+	}
+	if err := smx.RunFor(1 << 16); err != nil {
+		t.Fatal(err)
+	}
+	if smx.LiveWarps() != 0 {
+		t.Fatalf("%d warps still live after %d cycles", smx.LiveWarps(), smx.Stats().Cycles)
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)

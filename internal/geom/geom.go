@@ -82,19 +82,24 @@ func (a AABB) ContainsBox(b AABB) bool {
 	return a.Contains(b.Min) && a.Contains(b.Max)
 }
 
-// IntersectRay performs the slab test against ray r using precomputed
-// inverse direction. It returns the entry parameter and whether the box
-// is hit within (tmin, tmax). The sign of each invDir component picks
-// that axis's entry and exit plane, so an inverted box (EmptyAABB)
-// yields an empty interval and is never hit.
-func (a AABB) IntersectRay(r Ray, invDir vec.V3) (float32, bool) {
-	t0x, t1x := slab(a.Min.X, a.Max.X, r.Origin.X, invDir.X)
-	t0y, t1y := slab(a.Min.Y, a.Max.Y, r.Origin.Y, invDir.Y)
-	t0z, t1z := slab(a.Min.Z, a.Max.Z, r.Origin.Z, invDir.Z)
+// IntersectRay performs the slab test against the ray from origin with
+// precomputed inverse direction invDir, over the parameter range
+// (tMin, tMax): the ray's own TMin and the closest hit so far. It
+// returns the entry parameter and whether the box is hit within the
+// range. The sign of each invDir component picks that axis's entry and
+// exit plane, so an inverted box (EmptyAABB) yields an empty interval
+// and is never hit. Both traversals (the CPU closest-hit loop and the
+// simulated kernels' node step) share this one routine, so they agree
+// on every box to the bit; the ray's fields are passed apart so neither
+// copies a Ray per node.
+func (a AABB) IntersectRay(origin, invDir vec.V3, tMin, tMax float32) (float32, bool) {
+	t0x, t1x := slab(a.Min.X, a.Max.X, origin.X, invDir.X)
+	t0y, t1y := slab(a.Min.Y, a.Max.Y, origin.Y, invDir.Y)
+	t0z, t1z := slab(a.Min.Z, a.Max.Z, origin.Z, invDir.Z)
 	tEnter := max3(t0x, t0y, t0z)
 	tExit := min3(t1x, t1y, t1z)
-	tEnter = maxf(tEnter, r.TMin)
-	tExit = minf(tExit, r.TMax)
+	tEnter = maxf(tEnter, tMin)
+	tExit = minf(tExit, tMax)
 	return tEnter, tEnter <= tExit
 }
 

@@ -51,7 +51,7 @@ func TestAABBSurfaceArea(t *testing.T) {
 func TestAABBIntersectRay(t *testing.T) {
 	box := AABB{Min: vec.New(-1, -1, -1), Max: vec.New(1, 1, 1)}
 	r := NewRay(vec.New(-5, 0, 0), vec.New(1, 0, 0))
-	tt, ok := box.IntersectRay(r, r.InvDir())
+	tt, ok := box.IntersectRay(r.Origin, r.InvDir(), r.TMin, r.TMax)
 	if !ok {
 		t.Fatalf("axis ray missed box")
 	}
@@ -60,23 +60,23 @@ func TestAABBIntersectRay(t *testing.T) {
 	}
 	// Miss case: parallel offset ray.
 	r2 := NewRay(vec.New(-5, 2, 0), vec.New(1, 0, 0))
-	if _, ok := box.IntersectRay(r2, r2.InvDir()); ok {
+	if _, ok := box.IntersectRay(r2.Origin, r2.InvDir(), r2.TMin, r2.TMax); ok {
 		t.Errorf("offset ray should miss")
 	}
 	// Ray starting inside.
 	r3 := NewRay(vec.New(0, 0, 0), vec.New(0, 1, 0))
-	if _, ok := box.IntersectRay(r3, r3.InvDir()); !ok {
+	if _, ok := box.IntersectRay(r3.Origin, r3.InvDir(), r3.TMin, r3.TMax); !ok {
 		t.Errorf("inside ray should hit")
 	}
 	// Ray pointing away.
 	r4 := NewRay(vec.New(-5, 0, 0), vec.New(-1, 0, 0))
-	if _, ok := box.IntersectRay(r4, r4.InvDir()); ok {
+	if _, ok := box.IntersectRay(r4.Origin, r4.InvDir(), r4.TMin, r4.TMax); ok {
 		t.Errorf("away ray should miss")
 	}
 	// Respect TMax.
 	r5 := NewRay(vec.New(-5, 0, 0), vec.New(1, 0, 0))
 	r5.TMax = 2
-	if _, ok := box.IntersectRay(r5, r5.InvDir()); ok {
+	if _, ok := box.IntersectRay(r5.Origin, r5.InvDir(), r5.TMin, r5.TMax); ok {
 		t.Errorf("box beyond TMax should miss")
 	}
 	// The inverted box is never hit: not from outside, inside or on a
@@ -85,7 +85,7 @@ func TestAABBIntersectRay(t *testing.T) {
 	empty := EmptyAABB()
 	for _, r := range []Ray{r, r2, r3, r4, NewRay(vec.New(0, 0, 0), vec.New(1, 1, 1)),
 		NewRay(vec.New(-1, 0, 0), vec.New(0, 0, -1)), NewRay(vec.New(1, 1, 1), vec.New(-1, -2, 0.5))} {
-		if _, ok := empty.IntersectRay(r, r.InvDir()); ok {
+		if _, ok := empty.IntersectRay(r.Origin, r.InvDir(), r.TMin, r.TMax); ok {
 			t.Errorf("ray %v hits the empty box", r)
 		}
 	}
@@ -158,7 +158,7 @@ func TestQuickRayAtBoxHits(t *testing.T) {
 			return true
 		}
 		r := NewRay(origin, d.Norm())
-		_, ok := box.IntersectRay(r, r.InvDir())
+		_, ok := box.IntersectRay(r.Origin, r.InvDir(), r.TMin, r.TMax)
 		return ok
 	}
 	cfg := &quick.Config{MaxCount: 300, Values: func(args []reflect.Value, rnd *rand.Rand) {

@@ -317,10 +317,8 @@ func (c *Ctx) pop() int64 {
 func (c *Ctx) nodeStep(d *SceneData) uint64 {
 	idx := int32(c.Cur)
 	n := &d.BVH.Nodes[idx]
-	r := c.Ray
-	r.TMax = c.Hit.T
-	tl, okl := n.LBounds.IntersectRay(r, c.InvDir)
-	tr, okr := n.RBounds.IntersectRay(r, c.InvDir)
+	tl, okl := n.LBounds.IntersectRay(c.Ray.Origin, c.InvDir, c.Ray.TMin, c.Hit.T)
+	tr, okr := n.RBounds.IntersectRay(c.Ray.Origin, c.InvDir, c.Ray.TMin, c.Hit.T)
 	lRef := childOf(n.Left, n.LCount)
 	rRef := childOf(n.Right, n.RCount)
 	switch {

@@ -90,7 +90,10 @@ func Render(s *scene.Scene, bv *bvh.BVH, cam *camera.Pinhole, cfg Config) (*Resu
 	// Captured rays are buffered per image row and assembled in row
 	// order after the workers finish: the stream the simulator consumes
 	// must not depend on which worker rendered which rows (worker count
-	// follows GOMAXPROCS, and row assignment is scheduling order).
+	// follows GOMAXPROCS, and row assignment is scheduling order). Each
+	// worker captures into one reusable row scratch, which stops growing
+	// once it holds a row's rays (at most Width*SamplesPerPixel per
+	// bounce), and keeps each finished row as one exact-size copy.
 	var rowRays [][trace.MaxBounces][]geom.Ray
 	if cfg.CaptureTraces {
 		rowRays = make([][trace.MaxBounces][]geom.Ray, cfg.Height)
@@ -101,14 +104,21 @@ func Render(s *scene.Scene, bv *bvh.BVH, cam *camera.Pinhole, cfg Config) (*Resu
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var scratch [trace.MaxBounces][]geom.Ray
 			for py := range rows {
 				var local *[trace.MaxBounces][]geom.Ray
 				if cfg.CaptureTraces {
-					local = &rowRays[py]
+					for b := range scratch {
+						scratch[b] = scratch[b][:0]
+					}
+					local = &scratch
 				}
 				for px := 0; px < cfg.Width; px++ {
 					pixel := renderPixel(s, bv, cam, cfg, px, py, local)
 					res.Film[py*cfg.Width+px] = pixel
+				}
+				if cfg.CaptureTraces {
+					rowRays[py] = keepRow(&scratch)
 				}
 			}
 		}()
@@ -119,10 +129,21 @@ func Render(s *scene.Scene, bv *bvh.BVH, cam *camera.Pinhole, cfg Config) (*Resu
 	close(rows)
 	wg.Wait()
 	if cfg.CaptureTraces {
-		for py := range rowRays {
-			for b := 0; b < trace.MaxBounces; b++ {
-				res.Traces.Streams[b].Rays = append(res.Traces.Streams[b].Rays, rowRays[py][b]...)
+		// Each stream is allocated once at its exact length, so a
+		// cached workload holds no growth slack.
+		for b := 0; b < trace.MaxBounces; b++ {
+			n := 0
+			for py := range rowRays {
+				n += len(rowRays[py][b])
 			}
+			if n == 0 {
+				continue
+			}
+			rays := make([]geom.Ray, 0, n)
+			for py := range rowRays {
+				rays = append(rays, rowRays[py][b]...)
+			}
+			res.Traces.Streams[b].Rays = rays
 		}
 	}
 
@@ -137,6 +158,22 @@ func Render(s *scene.Scene, bv *bvh.BVH, cam *camera.Pinhole, cfg Config) (*Resu
 		}
 	}
 	return res, nil
+}
+
+// keepRow copies one row's captured rays into a single exact-size
+// allocation, sliced per bounce.
+func keepRow(scratch *[trace.MaxBounces][]geom.Ray) (row [trace.MaxBounces][]geom.Ray) {
+	n := 0
+	for _, rays := range scratch {
+		n += len(rays)
+	}
+	buf := make([]geom.Ray, n)
+	for b, rays := range scratch {
+		row[b] = buf[:len(rays):len(rays)]
+		copy(row[b], rays)
+		buf = buf[len(rays):]
+	}
+	return row
 }
 
 // renderPixel traces all samples of one pixel, accumulating radiance

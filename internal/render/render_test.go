@@ -2,11 +2,18 @@ package render
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"math"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/bvh"
+	"repro/internal/geom"
 	"repro/internal/scene"
 	"repro/internal/trace"
+	"repro/internal/vec"
 )
 
 func renderSmall(t testing.TB, b scene.Benchmark, cfg Config) (*scene.Scene, *Result) {
@@ -79,6 +86,19 @@ func TestRenderDeterministicAcrossWorkerCounts(t *testing.T) {
 		if res1.Film[i] != res2.Film[i] {
 			t.Fatalf("pixel %d differs across worker counts", i)
 		}
+	}
+	// The captured streams are assembled in row order, whichever worker
+	// rendered a row.
+	var sets [2]bytes.Buffer
+	for i, workers := range []int{1, 4} {
+		cfg := Config{Width: 24, Height: 16, SamplesPerPixel: 2, MaxDepth: trace.MaxBounces, CaptureTraces: true, Workers: workers}
+		_, res := renderSmall(t, scene.ConferenceRoom, cfg)
+		if err := res.Traces.WriteSet(&sets[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(sets[0].Bytes(), sets[1].Bytes()) {
+		t.Errorf("captured trace sets differ between 1 and 4 workers (%d and %d bytes)", sets[0].Len(), sets[1].Len())
 	}
 }
 
@@ -155,4 +175,86 @@ func TestRenderPixelAllocatesNothing(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("renderPixel allocates %.1f times per pixel, want 0", avg)
 	}
+}
+
+// TestCaptureGolden pins the captured trace sets of all four scenes at
+// test scale (1500-triangle budget, 32x24, depth 8) at 1 and 2 samples
+// per pixel: the SHA-256 of each set's WriteSet encoding and its ray
+// count. The digests were recorded with a capture that grew every
+// buffer by append and a closest-hit loop with a per-node closure, so
+// they hold the row scratch, the exact-size streams and the inline
+// traversal to the rays those produced.
+func TestCaptureGolden(t *testing.T) {
+	want := []struct {
+		spp    int
+		bench  scene.Benchmark
+		rays   int
+		digest string
+	}{
+		{1, scene.ConferenceRoom, 5584, "5f0ebd7295aaef48f1400fae34db8b1033bd778b721826c66893a6e9331175ce"},
+		{1, scene.FairyForest, 1414, "63a8b00f99b6b11ed36e16ecf4cc76b400254b03b7df40770a5e82a5716f3a6c"},
+		{1, scene.CrytekSponza, 5718, "2d8544cb8f7dc3dafc97d1c2677b90b87f4e52c56626eab1f43eb2f16714551d"},
+		{1, scene.Plants, 1198, "0d835137f5459c39b056388b41f9ed2b2480106a9859fbbf0e547d73cb5a0c6d"},
+		{2, scene.ConferenceRoom, 11201, "e20934341ca4433fbc0dd830f0db9935c77850fdef591469c918fe16d8640263"},
+		{2, scene.FairyForest, 2828, "eb407575a940bd5ae1ce4de2f87552527e9823bb19693e04ecd2badffa8f628b"},
+		{2, scene.CrytekSponza, 11361, "ce5698d6e55f61154db6bf7bc514cc28a7f5cc841ca135dcd5fa185b09816a80"},
+		{2, scene.Plants, 2406, "343ab76135324563071993d7f05eb641453fdc3f34e10d9b2cff61249701939f"},
+	}
+	for _, w := range want {
+		cfg := Config{Width: 32, Height: 24, SamplesPerPixel: w.spp, MaxDepth: trace.MaxBounces, CaptureTraces: true}
+		_, res := renderSmall(t, w.bench, cfg)
+		h := sha256.New()
+		if err := res.Traces.WriteSet(h); err != nil {
+			t.Fatal(err)
+		}
+		if got, n := hex.EncodeToString(h.Sum(nil)), res.Traces.TotalRays(); got != w.digest || n != w.rays {
+			t.Errorf("%v at spp %d: %d rays with digest %s; want %d rays, %s", w.bench, w.spp, n, got, w.rays, w.digest)
+		}
+	}
+}
+
+// TestCaptureAllocatesItsOutput pins what a captured render allocates:
+// each finished row is kept as one exact-size copy of the worker's row
+// scratch, and each stream is allocated once at its exact length, so
+// the rays cost twice their bytes. The rest is the film, the image,
+// the worker's row scratch (append's growth to at most Width*SPP rays
+// per bounce, under 6x that), the allocator's rounding of the row
+// copies (a size class is at most 1/8 above its request) and a fixed
+// slack. No stream keeps growth slack.
+func TestCaptureAllocatesItsOutput(t *testing.T) {
+	s := scene.Generate(scene.ConferenceRoom, 1500)
+	bv, err := bvh.Build(s.Tris, bvh.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Width: 64, Height: 48, SamplesPerPixel: 2, MaxDepth: trace.MaxBounces, CaptureTraces: true, Workers: 1}
+	cam := CameraFor(scene.ConferenceRoom, cfg.Width, cfg.Height)
+	var res *Result
+	alloc := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if res, err = Render(s, bv, cam, cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		alloc = min(alloc, after.TotalAlloc-before.TotalAlloc)
+	}
+	const raySize = uint64(unsafe.Sizeof(geom.Ray{}))
+	pixels := uint64(cfg.Width * cfg.Height)
+	rays := uint64(res.Traces.TotalRays())
+	scratch := uint64(cfg.Workers*cfg.MaxDepth*cfg.Width*cfg.SamplesPerPixel) * 6 * raySize
+	film := pixels * uint64(unsafe.Sizeof(vec.V3{}))
+	image := pixels * 4
+	const slack = 64 << 10
+	rounding := rays * raySize / 8
+	if limit := 2*rays*raySize + scratch + film + image + rounding + slack; alloc > limit {
+		t.Errorf("a render capturing %d rays (%d B) allocates %d B, above %d B", rays, rays*raySize, alloc, limit)
+	}
+	for b, st := range res.Traces.Streams {
+		if cap(st.Rays) != len(st.Rays) {
+			t.Errorf("bounce %d stream: %d rays with capacity %d", b+1, len(st.Rays), cap(st.Rays))
+		}
+	}
+	t.Logf("%d rays (%d B); render allocates %d B", rays, rays*raySize, alloc)
 }

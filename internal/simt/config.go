@@ -94,6 +94,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("simt: clock must be positive")
 	case c.EpochCycles < 0:
 		return fmt.Errorf("simt: epoch length %d must not be negative", c.EpochCycles)
+	case c.Mem.L1HitLat < 0 || c.Mem.L2HitLat < 0 || c.Mem.L1HitLat+c.Mem.L2HitLat < 1:
+		// EpochLen's clamp, and with it deferred resolution and the
+		// per-warp pending window (addPending), needs an L2-bound access
+		// to take at least one cycle.
+		return fmt.Errorf("simt: L1 and L2 hit latencies %d and %d must not be negative, and must sum to at least 1", c.Mem.L1HitLat, c.Mem.L2HitLat)
 	case c.RF.NumBanks < 1 || c.RF.NumBanks > regfile.MaxBanks:
 		return fmt.Errorf("simt: register file bank count %d out of range [1,%d]", c.RF.NumBanks, regfile.MaxBanks)
 	}

@@ -352,7 +352,8 @@ func (s *SMX) ResolveEpoch() {
 	}
 	st := s.st
 	for w := 0; w < st.n; w++ {
-		for _, p := range st.pending[w] {
+		b := w * st.k
+		for _, p := range st.pending[b : b+int(st.pendingLen[w])] {
 			if !port.AnyMissed(p.first, p.count) {
 				continue
 			}
@@ -368,7 +369,7 @@ func (s *SMX) ResolveEpoch() {
 				st.raise(w, p.missReady)
 			}
 		}
-		st.pending[w] = st.pending[w][:0]
+		st.pendingLen[w] = 0
 	}
 	port.Reset()
 }
@@ -778,7 +779,7 @@ func (s *SMX) issueMem(w int) {
 		st.memReady[w] = ready
 	}
 	if res.PendingCount > 0 {
-		st.pending[w] = append(st.pending[w], memPending{
+		st.addPending(w, memPending{
 			first:     res.PendingFirst,
 			count:     res.PendingCount,
 			missReady: s.cycle + int64(res.MissLatency),

@@ -110,10 +110,11 @@ type warpState struct {
 	stackLen []int32
 	stackCap int
 
-	// pending holds each warp's L2-bound accesses of the current epoch
-	// (epoch-barrier engine only); ResolveEpoch applies and clears them.
-	// The slices are reused across epochs and stop growing once warm.
-	pending [][]memPending
+	// pending[w*k : w*k+pendingLen[w]] holds warp w's L2-bound accesses
+	// of the current epoch, in a window of k entries: the proven bound
+	// (addPending). ResolveEpoch applies and clears them.
+	pending    []memPending
+	pendingLen []int32
 
 	// wakeGen counts launches/resumes — the only events that can make a
 	// warp issuable *earlier* than its recorded readyCycle (launch
@@ -154,7 +155,8 @@ func newWarpState(n, wsz, k int) *warpState {
 		stack:      make([]stackEntry, n*stackCap),
 		stackLen:   make([]int32, n),
 		stackCap:   stackCap,
-		pending:    make([][]memPending, n),
+		pending:    make([]memPending, n*k),
+		pendingLen: make([]int32, n),
 	}
 	for i := range st.phase {
 		st.phase[i] = phaseDone
@@ -228,7 +230,7 @@ func (st *warpState) launch(w, entry int, slots []int32) {
 	// Remaps only happen to warps with no in-flight memory (a warp with
 	// unresolved L2 requests cannot reach a gate or divergence point
 	// before the barrier that resolves them), so this is hygiene.
-	st.pending[w] = st.pending[w][:0]
+	st.pendingLen[w] = 0
 }
 
 // push appends one entry to warp w's reconvergence stack window, whose
@@ -263,6 +265,30 @@ func (st *warpState) push(w int, e stackEntry) {
 	window := st.stack[b : b+st.stackCap : b+st.stackCap]
 	window[st.stackLen[w]] = e
 	st.stackLen[w]++
+}
+
+// addPending records one L2-bound access of warp w for ResolveEpoch,
+// in the warp's window of k entries. A warp makes at most k of them per
+// epoch:
+//
+//   - an L2-bound access's provisional latency is at least
+//     L1HitLat+L2HitLat, which Config.Validate requires to be positive
+//     and EpochLen is clamped to, and the epoch started no later than
+//     the access, so the warp's memReady reaches past the barrier;
+//   - block completion moves memReady into readyCycle, so after the
+//     access the warp issues nothing outside its current block until the
+//     barrier has cleared the window;
+//   - that block has at most k memory instructions, one record each;
+//   - launch, the only write that lowers readyCycle, remaps only warps
+//     with no in-flight memory, and clears the window.
+//
+// The capacity-clipped window makes a broken bound fault on the index
+// rather than overwrite warp w+1's records.
+func (st *warpState) addPending(w int, p memPending) {
+	b := w * st.k
+	window := st.pending[b : b+st.k : b+st.k]
+	window[st.pendingLen[w]] = p
+	st.pendingLen[w]++
 }
 
 // memAddrs returns the address window of warp w's memory slot j

@@ -3,6 +3,7 @@ package simt
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/memsys"
 )
@@ -109,8 +110,10 @@ func TestWarpStateScalesWithKernel(t *testing.T) {
 		// The slack covers what the allocator adds at this shape: the
 		// stack block rounds up to whole pages (+768 B), the pending
 		// block's malloc header lifts it a size class (+256 B), and the
-		// warpState struct itself takes 480 B.
-		perWarp := 74 + 8*wsz + tc.k*(8*wsz+12) + (2*wsz-1)*12
+		// warpState struct itself takes 480 B. Each warp's k memory
+		// slots come with its k-entry pending window.
+		pending := int(unsafe.Sizeof(memPending{}))
+		perWarp := 54 + 8*wsz + tc.k*(8*wsz+12+pending) + (2*wsz-1)*12
 		limit := uint64(n*perWarp + 2<<10)
 		t.Logf("%s: %d warps of %d lanes, k %d: the warp store allocated %d B (limit %d)", tc.name, n, wsz, tc.k, got, limit)
 		if got > limit {
